@@ -10,6 +10,7 @@ from mlogsfbm.estimate import (
     McConfig,
     McValidationError,
     ZeroVarianceError,
+    _ProfileOutcome,
     _two_step_gmm,
     calibrate_pair,
     calibrate_panel,
@@ -203,6 +204,11 @@ class TestTwoStepReduction:
         assert converged and not fallback
 
 
+# the non-default options the README documents, each on the profiled path
+ALTERNATIVES = ({"weight_mode": "hac"}, {"finite_sample_adjust": False})
+ALTERNATIVE_IDS = ("hac", "no-finite-sample-adjust")
+
+
 @pytest.fixture(scope="module")
 def smooth_panels():
     """Shared simulated panels: H = 0.25, lambda^2 = 0.06, 12 paths."""
@@ -253,6 +259,20 @@ class TestCalibrateUnivariate:
         assert b.params["lambda2"] == pytest.approx(a.params["lambda2"],
                                                     rel=0.5)
 
+    @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
+    def test_profiled_alternatives_agree_roughly(self, smooth_panels,
+                                                 options):
+        params, proxies = smooth_panels
+        for prox in proxies:
+            a = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T)
+            b = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T,
+                                     **options)
+            assert b.converged
+            assert 0.0 < b.params["H"] < 0.5 and b.params["lambda2"] > 0.0
+            assert b.params["H"] == pytest.approx(a.params["H"], abs=0.08)
+            assert b.params["lambda2"] == pytest.approx(a.params["lambda2"],
+                                                        rel=0.5)
+
     def test_objective_non_negative(self, smooth_panels):
         params, proxies = smooth_panels
         res = calibrate_univariate(proxies[1].data[0], proxies[1].delta,
@@ -302,11 +322,64 @@ class TestCalibratePair:
         assert res.params["xi_ij"] == pytest.approx(
             res.params["g"] * 0.05, rel=1e-12)
 
+    @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
+    def test_profiled_alternatives_agree_roughly(self, fig2_proxy_panels,
+                                                 options):
+        # compared on the path average: single hac pair fits scatter more
+        # than the default's control-variate weight (H_ij up to 0.11 apart)
+        params, proxies = fig2_proxy_panels
+        default, alternative = [], []
+        for prox in proxies:
+            args = (prox.data[0], prox.data[1], 0.05, 0.05, 0.02, 0.02,
+                    prox.delta)
+            a = calibrate_pair(*args, T=params.T)
+            b = calibrate_pair(*args, T=params.T, **options)
+            assert b.converged
+            assert abs(b.params["g"]) <= 1.0
+            assert 0.02 <= b.params["H_ij"] < 0.5
+            default.append((a.params["g"], a.params["H_ij"]))
+            alternative.append((b.params["g"], b.params["H_ij"]))
+        g_a, h_a = np.mean(default, axis=0)
+        g_b, h_b = np.mean(alternative, axis=0)
+        assert h_b == pytest.approx(h_a, abs=0.08)
+        assert g_b == pytest.approx(g_a, rel=0.5)
+
     def test_misaligned_series_rejected(self):
         with pytest.raises(ValueError):
             calibrate_pair(np.zeros(100) + np.arange(100),
                            np.zeros(50) + np.arange(50),
                            0.05, 0.05, 0.02, 0.02, 1.0)
+
+
+class TestOutOfBoxFit:
+    """A search that returns a roughness outside its box is a typed
+    failure, not an assertion that ``python -O`` would strip."""
+
+    @staticmethod
+    def _profile_returning(h):
+        def fake(observed, unit_curve, weight, h_lo, h_hi, amp_lo, amp_hi,
+                 n_scan=24):
+            amp = min(max(0.05, amp_lo), amp_hi)
+            return _ProfileOutcome(h=h, amp=amp, objective=0.0, evals=1,
+                                   amp_at_bound=False, converged=True)
+        return fake
+
+    def test_univariate(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        monkeypatch.setattr(est, "_profiled_minimize",
+                            self._profile_returning(0.7))
+        x = np.random.default_rng(5).standard_normal(2048)
+        with pytest.raises(CalibrationError, match="H=0.7"):
+            calibrate_univariate(x, 1.0, fix_T=2048.0)
+
+    def test_pair(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        monkeypatch.setattr(est, "_profiled_minimize",
+                            self._profile_returning(0.7))
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((2, 2048))
+        with pytest.raises(CalibrationError, match="H_ij=0.7"):
+            calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
 
 
 class TestCalibratePanel:

@@ -25,7 +25,7 @@ from mlogsfbm import (
     wick_moment,
     zeta_exponent,
 )
-from mlogsfbm.kernels import index_variance_decomposition
+from mlogsfbm.kernels import _pair_coeffs, index_variance_decomposition
 from conftest import T_GRID, random_admissible
 
 
@@ -102,6 +102,24 @@ class TestMsfbmCrossCov:
         assert vec.shape == taus.shape
         for t, v in zip(taus, vec):
             assert v == msfbm_cross_cov(float(t), fig2_pair)
+
+    def test_vectorized_matches_scalar_at_random_lags(self):
+        # numpy's SIMD power loop and libm pow may round u^(2H) apart by one
+        # ulp; xi (a - b u^(2H) - c u) cancels, so that ulp is one of the
+        # terms, not of the result (near T it is thousands of result ulps)
+        for seed in (7, 19, 103):
+            rng = np.random.default_rng(seed)
+            params = random_admissible(rng, 3)
+            taus = rng.uniform(0.0, 1.2 * params.T, 400)
+            for i in range(3):
+                for j in range(i, 3):
+                    pair = params.pair(i, j)
+                    a, b, c = _pair_coeffs(pair)
+                    terms = abs(pair.xi_ij) * (abs(a) + abs(b) + abs(c))
+                    vec = msfbm_cross_cov(taus, pair)
+                    for t, v in zip(taus, vec):
+                        want = msfbm_cross_cov(float(t), pair)
+                        assert abs(v - want) <= 2 * np.spacing(terms)
 
     def test_scalar_path_matches_0d_array_path(self):
         # the 0-d numpy path is the oracle of the plain-float scalar path
