@@ -1,7 +1,7 @@
 """Moment estimators and two-stage GMM calibration.
 
 The workflow mirrors the simulation study: each marginal is fitted on its
-own (roughness H, amplitude lambda^2, scale T fixed by the caller), then
+own (roughness H, amplitude lambda^2; the scale T is given or searched), then
 every pair is fitted for its correlation g and joint roughness H_ij with the
 marginals held fixed.  Moment conditions are empirical autocovariances of
 the log-volatility series on a geometric lag grid, matched against the exact
@@ -14,8 +14,10 @@ or g times the marginal amplitudes) enters the moment curve linearly and is
 profiled out by weighted least squares clipped to its box, and the roughness
 is searched on a bounded bracket.  This optimizes the same objective as the
 tanh/logistic reparametrization but deterministically, without ridge
-wandering; a Nelder-Mead mode on the unconstrained coordinates is kept for
-comparison and for the free-scale fit.
+wandering.  This is the one optimiser path: a free scale T (univariate fits
+only) is an outer bounded search over T of the first-stage profiled
+objective, and the fit then runs at the chosen T.  Every model curve is
+built from ``kernels.block_cov_sequence``.
 
 Second-stage weights invert either the exact Gaussian covariance of the
 moment vector at the first-stage estimate (default) or a Bartlett
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize as sopt
 
-from .kernels import CovCurve
+from .kernels import CovCurve, block_cov_sequence
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
@@ -62,14 +64,6 @@ __all__ = [
     "mc_validate",
     "default_workers",
 ]
-
-MAX_ITERATIONS = 500
-SIMPLEX_TOL = 1e-8
-
-# starting points aligned with typical empirical values
-INIT_H = 0.1
-INIT_LAMBDA2 = 0.05
-INIT_G = 0.5
 
 _AMP_FLOOR = 1e-10
 
@@ -129,7 +123,6 @@ class GmmResult:
     converged: bool
     weight: np.ndarray
     residuals: CovCurve
-    stderr: dict | None = None
     notes: tuple = ()
 
     def to_dict(self) -> dict:
@@ -195,13 +188,25 @@ class NWResult:
     fallback_identity: bool
 
 
+def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
+    q = s.shape[0]
+    trace = float(np.trace(s))
+    if not math.isfinite(trace) or trace <= 0:
+        return np.eye(q), True
+    try:
+        w = np.linalg.inv(s + 1e-10 * trace / q * np.eye(q))
+    except np.linalg.LinAlgError:
+        return np.eye(q), True
+    return 0.5 * (w + w.T), False
+
+
 def newey_west_weight(contributions: np.ndarray, bandwidth: int) -> NWResult:
     """Bartlett long-run covariance of per-observation moment contributions
     and its regularized inverse, usable as a second-stage GMM weight."""
     u = np.asarray(contributions, dtype=float)
     if u.ndim != 2:
         raise ValueError("contributions must be (n_obs, n_moments)")
-    n, q = u.shape
+    n = u.shape[0]
     if bandwidth < 0:
         raise ValueError("bandwidth must be >= 0")
     if n <= bandwidth:
@@ -211,16 +216,8 @@ def newey_west_weight(contributions: np.ndarray, bandwidth: int) -> NWResult:
     for j in range(1, bandwidth + 1):
         gamma = u[j:].T @ u[:-j] / n
         s += (1.0 - j / (bandwidth + 1.0)) * (gamma + gamma.T)
-    trace = float(np.trace(s))
-    if not math.isfinite(trace) or trace <= 0:
-        return NWResult(s, np.eye(q), bandwidth, True)
-    eps = 1e-10 * trace / q
-    try:
-        w = np.linalg.inv(s + eps * np.eye(q))
-    except np.linalg.LinAlgError:
-        return NWResult(s, np.eye(q), bandwidth, True)
-    w = 0.5 * (w + w.T)
-    return NWResult(s, w, bandwidth, False)
+    weight, fallback = _regularized_inverse(s)
+    return NWResult(s, weight, bandwidth, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -249,67 +246,13 @@ def _expected_curve(r: np.ndarray, n: int, lags: Sequence[int]) -> np.ndarray:
     return out
 
 
-class _BlockCovModel:
-    """Optimizer-facing model curve: precomputes every roughness-independent
-    array once per fit so a parameter evaluation costs a few vector power
-    calls.  Matches integrated_cov / delta^2 to rounding (tested)."""
-
-    def __init__(self, n: int, delta: float, taus: Sequence[int]):
-        self.n = n
-        self.delta = delta
-        self.taus = tuple(taus)
-        k = np.arange(1, n)
-        self.abs_lags = k * delta
-        self.z = delta / self.abs_lags
-        z = self.z
-        # second-difference ratio at alpha = 1 is exactly 1 for z <= 1
-        self.e1 = np.where(
-            z <= 1.0, 1.0,
-            (np.abs(1 + z) ** 3 + np.abs(1 - z) ** 3 - 2) / (6 * z * z))
-        self.small = z < 1e-4
-        self.z2_12 = z * z / 12.0
-
-    def _e_ratio(self, alpha: float) -> np.ndarray:
-        z = self.z
-        direct = (
-            np.abs(1.0 + z) ** (alpha + 2.0)
-            + np.abs(1.0 - z) ** (alpha + 2.0)
-            - 2.0
-        ) / (z * z * (1.0 + alpha) * (alpha + 2.0))
-        if self.small.any():
-            series = 1.0 + alpha * (alpha - 1.0) * self.z2_12
-            return np.where(self.small, series, direct)
-        return direct
-
-    def cov_sequence(self, hij: float, hbar: float, scale: float,
-                     t_val: float) -> np.ndarray:
-        """scale * cov(block_0, block_k) / delta^2 for k = 0..n-1 with the
-        kernel coefficients of joint roughness hij and marginal mean hbar."""
-        h2 = 2.0 * hij
-        a = (1.0 + h2 - 2.0 * hbar) / (h2 * (1.0 - 2.0 * hbar))
-        b = 1.0 / (h2 * (1.0 - h2))
-        c = (h2 - 2.0 * hbar) / ((h2 - 1.0) * (1.0 - 2.0 * hbar))
-        u = self.abs_lags / t_val
-        g2h = u**h2 * self._e_ratio(h2)
-        g1 = u * self.e1
-        r = np.empty(self.n)
-        r[1:] = a - b * g2h - c * g1
-        dt = self.delta / t_val
-        r[0] = (a - 2.0 * b * dt**h2 / ((1.0 + h2) * (2.0 + h2))
-                - c * dt / 3.0)
-        r *= scale
-        r[self.delta + np.arange(self.n) * self.delta > t_val * (1 + 1e-12)] = 0.0
-        return r
-
-    def expected_curve(self, hij: float, hbar: float, scale: float,
-                       t_val: float) -> np.ndarray:
-        return _expected_curve(self.cov_sequence(hij, hbar, scale, t_val),
-                               self.n, self.taus)
-
-    def raw_curve(self, hij: float, hbar: float, scale: float,
-                  t_val: float) -> np.ndarray:
-        r = self.cov_sequence(hij, hbar, scale, t_val)
-        return r[np.array(self.taus)]
+def _model_curve(r: np.ndarray, n: int, taus: Sequence[int],
+                 finite_sample_adjust: bool) -> np.ndarray:
+    """Model side of the moment conditions for the cross-covariance sequence
+    r: the expectation of ``empirical_cross_cov``, or r itself at the lags."""
+    if finite_sample_adjust:
+        return _expected_curve(r, n, taus)
+    return r[np.array(taus)]
 
 
 def _product_moment_cov(rxu: np.ndarray, ryv: np.ndarray, rxv: np.ndarray,
@@ -376,70 +319,9 @@ def _product_moment_cov(rxu: np.ndarray, ryv: np.ndarray, rxv: np.ndarray,
     return s
 
 
-def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
-    q = s.shape[0]
-    trace = float(np.trace(s))
-    if not math.isfinite(trace) or trace <= 0:
-        return np.eye(q), True
-    try:
-        w = np.linalg.inv(s + 1e-10 * trace / q * np.eye(q))
-    except np.linalg.LinAlgError:
-        return np.eye(q), True
-    return 0.5 * (w + w.T), False
-
-
 # ---------------------------------------------------------------------------
-# optimizers
+# profiled search
 # ---------------------------------------------------------------------------
-
-def _expit(v: float) -> float:
-    return 1.0 / (1.0 + math.exp(-min(max(v, -60.0), 60.0)))
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return math.log(p / (1.0 - p))
-
-
-def _two_step_gmm(
-    observed: np.ndarray,
-    model: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    contributions: np.ndarray,
-    bandwidth: int,
-    polish: bool = True,
-) -> tuple[np.ndarray, float, int, bool, np.ndarray, bool]:
-    """Nelder-Mead two-step driver on unconstrained coordinates; kept for the
-    free-scale fit and for comparison with the profiled path."""
-
-    def objective(weight):
-        def fun(x):
-            resid = observed - model(x)
-            return float(resid @ weight @ resid)
-        return fun
-
-    q = observed.size
-    identity = np.eye(q)
-    iterations = 0
-    opts = {"xatol": SIMPLEX_TOL, "fatol": 1e-12,
-            "maxiter": MAX_ITERATIONS, "maxfev": 4 * MAX_ITERATIONS}
-    res1 = sopt.minimize(objective(identity), x0, method="Nelder-Mead",
-                         options=opts)
-    iterations += res1.nit
-    nw = newey_west_weight(contributions, bandwidth)
-    res2 = sopt.minimize(objective(nw.weight), res1.x, method="Nelder-Mead",
-                         options=opts)
-    iterations += res2.nit
-    best_x, best_fun, converged = res2.x, res2.fun, bool(res2.success)
-    if polish:
-        res3 = sopt.minimize(objective(nw.weight), best_x, method="L-BFGS-B")
-        iterations += int(res3.nit)
-        if res3.fun <= best_fun:
-            best_x, best_fun = res3.x, res3.fun
-            converged = converged or bool(res3.success)
-    return (best_x, float(best_fun), int(iterations), converged, nw.weight,
-            nw.fallback_identity)
-
 
 @dataclass(frozen=True)
 class _ProfileOutcome:
@@ -526,15 +408,15 @@ def _cv_adjusted_cross_moments(
     observed: np.ndarray,
     series: tuple[np.ndarray, np.ndarray],
     model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    block_model: "_BlockCovModel",
     n: int,
     taus: Sequence[int],
     finite_sample_adjust: bool,
     masks: tuple = (None, None),
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Regression-adjust the cross moments by the marginal moment residuals
     (computed at the fixed marginal parameters) and return the adjusted
-    observations together with the inverse of their model covariance."""
+    observations, the inverse of their model covariance, and whether either
+    inverse fell back to the identity."""
     x, y = series
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
@@ -543,12 +425,8 @@ def _cv_adjusted_cross_moments(
                                  mask_y=mask_i).values
     obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j,
                                  mask_y=mask_j).values
-    if finite_sample_adjust:
-        model_ii = _expected_curve(r_ii, n, taus)
-        model_jj = _expected_curve(r_jj, n, taus)
-    else:
-        idx = np.array(taus)
-        model_ii, model_jj = r_ii[idx], r_jj[idx]
+    model_ii = _model_curve(r_ii, n, taus, finite_sample_adjust)
+    model_jj = _model_curve(r_jj, n, taus, finite_sample_adjust)
     marg_resid = np.concatenate([obs_ii - model_ii, obs_jj - model_jj])
 
     s_cc = _product_moment_cov(r_ii, r_jj, r_ij, r_ij, n, taus)
@@ -559,12 +437,12 @@ def _cv_adjusted_cross_moments(
     s_ii_jj = _product_moment_cov(r_ij, r_ij, r_ij, r_ij, n, taus)
     s_mm = np.block([[s_ii_ii, s_ii_jj], [s_ii_jj.T, s_jj_jj]])
     s_cm = np.hstack([s_c_ii, s_c_jj])
-    mm_inv, _ = _regularized_inverse(s_mm)
+    mm_inv, mm_fallback = _regularized_inverse(s_mm)
     beta = s_cm @ mm_inv
     adjusted = observed - beta @ marg_resid
     s_adj = s_cc - beta @ s_cm.T
-    weight, _ = _regularized_inverse(0.5 * (s_adj + s_adj.T))
-    return adjusted, weight
+    weight, fallback = _regularized_inverse(0.5 * (s_adj + s_adj.T))
+    return adjusted, weight, mm_fallback or fallback
 
 
 def _second_stage_weight(
@@ -586,6 +464,17 @@ def _second_stage_weight(
     raise ValueError(f"unknown weight_mode {weight_mode!r}")
 
 
+def _weight_notes(weight: np.ndarray, fallback: bool) -> list[str]:
+    """Defects of a second-stage weight, reported rather than repaired: the
+    estimates are those of the weight as it is."""
+    notes = []
+    if fallback:
+        notes.append("identity-weight-fallback")
+    if np.linalg.eigvalsh(weight)[0] <= 0.0:
+        notes.append("indefinite-weight")
+    return notes
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -596,17 +485,17 @@ def calibrate_univariate(
     grid: LagGrid | None = None,
     fix_T: float | None = None,
     t_max: float | None = None,
-    polish: bool = True,
     finite_sample_adjust: bool = True,
-    optimizer: str = "profile",
     weight_mode: str = "model",
     mask: np.ndarray | None = None,
 ) -> GmmResult:
     """Fit (H, lambda^2) from one log-volatility series by matching its
-    autocovariance curve; the scale T is fixed by the caller or, when
-    ``fix_T`` is None, fitted inside [N delta, t_max] (free-scale fits use
-    the Nelder-Mead path since the curve is then nonlinear in two
-    parameters).
+    autocovariance curve.  The scale T is fixed by the caller or, when
+    ``fix_T`` is None, chosen in [N delta, t_max] (default 16 N delta) by a
+    bounded search over T of the first-stage (identity-weight) profiled
+    objective; second-stage objectives are not compared across T, since
+    their weights depend on it.  The fit then runs at that T exactly as with
+    ``fix_T`` given, and ``iterations`` includes the outer evaluations.
 
     The theoretical guarantees behind the moment matching are proved for
     H < 1/4; the estimator is exposed on the whole (0, 1/2) box.  ``mask``
@@ -615,74 +504,54 @@ def calibrate_univariate(
     s = _prepare_series(logvol, mask)
     n = s.size
     grid = (grid or LagGrid.default()).restrict(n)
-    free_t = fix_T is None
-    t_floor = n * delta
-    t_cap = t_max if t_max is not None else 16.0 * t_floor
-    if free_t and t_cap <= t_floor:
-        raise ValueError("t_max must exceed N * delta for a free scale")
-    if not free_t and max(grid.taus) * delta + delta > fix_T:
+
+    def curve(h: float, scale: float, t_val: float) -> np.ndarray:
+        return _model_curve(scale * block_cov_sequence(n, delta, h, h, t_val),
+                            n, grid.taus, finite_sample_adjust)
+
+    def search(observed, weight, t_val: float) -> _ProfileOutcome:
+        return _profiled_minimize(observed, lambda h: curve(h, 1.0, t_val),
+                                  weight, 1e-4, 0.4999, _AMP_FLOOR, math.inf)
+
+    scale_evals = 0
+    if fix_T is None:
+        t_floor = n * delta
+        t_cap = t_max if t_max is not None else 16.0 * t_floor
+        if t_cap <= t_floor:
+            raise ValueError("t_max must exceed N * delta for a free scale")
+        observed = empirical_cross_cov(s, s, grid, mask_x=mask,
+                                       mask_y=mask).values
+        identity = np.eye(len(grid.taus))
+        outer = sopt.minimize_scalar(
+            lambda t_val: search(observed, identity, t_val).objective,
+            bounds=(t_floor, t_cap), method="bounded")
+        fix_T, scale_evals = float(outer.x), int(outer.nfev)
+    if max(grid.taus) * delta + delta > fix_T:
         # keep only lags whose blocks fit inside the correlation window
         grid = grid.restrict(int(math.floor((fix_T - delta) / delta)))
     taus = np.array(grid.taus)
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
-    block_model = _BlockCovModel(n, delta, grid.taus)
-
-    def curve(h: float, scale: float, t_val: float) -> np.ndarray:
-        if finite_sample_adjust:
-            return block_model.expected_curve(h, h, scale, t_val)
-        return block_model.raw_curve(h, h, scale, t_val)
-
-    notes: list[str] = []
-    if free_t or optimizer == "nelder-mead":
-        def unpack(x):
-            h = 0.5 * _expit(x[0])
-            lam2 = math.exp(min(x[1], 50.0))
-            t_val = (t_floor + (t_cap - t_floor) * _expit(x[2])) if free_t else fix_T
-            return h, lam2, t_val
-
-        def model(x):
-            h, lam2, t_val = unpack(x)
-            return curve(h, lam2, t_val)
-
-        x0 = [_logit(INIT_H / 0.5), math.log(INIT_LAMBDA2)]
-        if free_t:
-            x0.append(_logit(0.25))
-        contributions = _contribution_matrix(s, s, grid.taus)
-        bandwidth = min(int(n ** (1.0 / 3.0)), contributions.shape[0] - 1)
-        x, fun, iters, converged, weight, fallback = _two_step_gmm(
-            observed, model, np.array(x0), contributions, bandwidth, polish)
-        h, lam2, t_val = unpack(x)
-        if fallback:
-            notes.append("identity-weight-fallback")
-    else:
-        t_val = fix_T
-        unit = lambda h: curve(h, 1.0, t_val)
-        identity = np.eye(len(grid.taus))
-        first = _profiled_minimize(observed, unit, identity,
-                                   1e-4, 0.4999, _AMP_FLOOR, math.inf)
-        r1 = block_model.cov_sequence(first.h, first.h,
-                                      max(first.amp, _AMP_FLOOR), t_val)
-        weight, fallback = _second_stage_weight(
-            weight_mode, (s, s), (r1, r1, r1), n, grid.taus)
-        second = _profiled_minimize(observed, unit, weight,
-                                    1e-4, 0.4999, _AMP_FLOOR, math.inf)
-        h, lam2 = second.h, second.amp
-        fun = second.objective
-        iters = first.evals + second.evals
-        converged = first.converged and second.converged and not second.amp_at_bound
-        if fallback:
-            notes.append("identity-weight-fallback")
-        if second.amp_at_bound:
-            notes.append("amplitude-at-bound")
+    first = search(observed, np.eye(len(grid.taus)), fix_T)
+    r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
+        n, delta, first.h, first.h, fix_T)
+    weight, fallback = _second_stage_weight(
+        weight_mode, (s, s), (r1, r1, r1), n, grid.taus)
+    second = search(observed, weight, fix_T)
+    h, lam2 = second.h, second.amp
+    converged = first.converged and second.converged and not second.amp_at_bound
+    notes = _weight_notes(weight, fallback)
+    if second.amp_at_bound:
+        notes.append("amplitude-at-bound")
     if not 0.0 < h < 0.5:
         raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
     if not lam2 > 0.0:
         raise CalibrationError(f"fitted lambda2={lam2!r} not positive")
-    residuals = CovCurve(taus.astype(float), observed - curve(h, lam2, t_val),
+    residuals = CovCurve(taus.astype(float), observed - curve(h, lam2, fix_T),
                          meta={"statistic": "gmm-residual", "n": n,
                                "lag_units": "delta"})
-    return GmmResult(params={"H": h, "lambda2": lam2, "T": t_val},
-                     objective=float(fun), iterations=int(iters),
+    return GmmResult(params={"H": h, "lambda2": lam2, "T": fix_T},
+                     objective=float(second.objective),
+                     iterations=int(first.evals + second.evals + scale_evals),
                      converged=bool(converged), weight=weight,
                      residuals=residuals, notes=tuple(notes))
 
@@ -697,9 +566,7 @@ def calibrate_pair(
     delta: float,
     grid: LagGrid | None = None,
     T: float | None = None,
-    polish: bool = True,
     finite_sample_adjust: bool = True,
-    optimizer: str = "profile",
     weight_mode: str = "model",
     mask_i: np.ndarray | None = None,
     mask_j: np.ndarray | None = None,
@@ -725,69 +592,42 @@ def calibrate_pair(
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
     hbar = 0.5 * (H_i + H_j)
-    block_model = _BlockCovModel(n, delta, grid.taus)
+
+    def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
+        return scale * block_cov_sequence(n, delta, hij, h_bar, t_val)
 
     def curve(hij: float, scale: float) -> np.ndarray:
-        if finite_sample_adjust:
-            return block_model.expected_curve(hij, hbar, scale, t_val)
-        return block_model.raw_curve(hij, hbar, scale, t_val)
+        return _model_curve(sequence(hij, hbar, scale), n, grid.taus,
+                            finite_sample_adjust)
 
     h_lo = hbar + 1e-6
     h_hi = 0.4999
-    notes: list[str] = []
-    if optimizer == "nelder-mead":
-        def unpack(z):
-            return math.tanh(z[0]), hbar + (0.5 - hbar) * _expit(z[1])
-
-        def model(z):
-            g, hij = unpack(z)
-            return curve(hij, lam * g)
-
-        h0 = INIT_H if INIT_H > hbar else 0.5 * (hbar + 0.5)
-        x0 = np.array([math.atanh(INIT_G),
-                       _logit((h0 - hbar) / (0.5 - hbar))])
-        contributions = _contribution_matrix(x, y, grid.taus)
-        bandwidth = min(int(n ** (1.0 / 3.0)), contributions.shape[0] - 1)
-        z, fun, iters, converged, weight, fallback = _two_step_gmm(
-            observed, model, x0, contributions, bandwidth, polish)
-        g, hij = unpack(z)
-        if fallback:
-            notes.append("identity-weight-fallback")
+    unit = lambda hij: curve(hij, 1.0)
+    identity = np.eye(len(grid.taus))
+    first = _profiled_minimize(observed, unit, identity,
+                               h_lo, h_hi, -lam, lam)
+    r_ii = sequence(max(H_i, 1e-4), max(H_i, 1e-4), lambda_i2)
+    r_jj = sequence(max(H_j, 1e-4), max(H_j, 1e-4), lambda_j2)
+    r_ij = sequence(first.h, hbar, first.amp)
+    if weight_mode == "model":
+        # stack the (fixed) marginal moment conditions as control
+        # variates: their errors are strongly correlated with the cross
+        # moments, so the regression adjustment sharpens the fit without
+        # moving its expectation
+        target, weight, fallback = _cv_adjusted_cross_moments(
+            observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus,
+            finite_sample_adjust, (mask_i, mask_j))
     else:
-        unit = lambda hij: curve(hij, 1.0)
-        identity = np.eye(len(grid.taus))
-        first = _profiled_minimize(observed, unit, identity,
-                                   h_lo, h_hi, -lam, lam)
-        r_ii = block_model.cov_sequence(
-            max(H_i, 1e-4), max(H_i, 1e-4), lambda_i2, t_val)
-        r_jj = block_model.cov_sequence(
-            max(H_j, 1e-4), max(H_j, 1e-4), lambda_j2, t_val)
-        r_ij = block_model.cov_sequence(first.h, hbar, first.amp, t_val)
-        if weight_mode == "model":
-            # stack the (fixed) marginal moment conditions as control
-            # variates: their errors are strongly correlated with the cross
-            # moments, so the regression adjustment sharpens the fit without
-            # moving its expectation
-            target, weight = _cv_adjusted_cross_moments(
-                observed, (x, y), (r_ii, r_jj, r_ij), block_model, n,
-                grid.taus, finite_sample_adjust, (mask_i, mask_j))
-            fallback = False
-        else:
-            target = observed
-            weight, fallback = _second_stage_weight(
-                weight_mode, (x, y), (r_ii, r_jj, r_ij), n, grid.taus)
-        second = _profiled_minimize(target, unit, weight,
-                                    h_lo, h_hi, -lam, lam)
-        hij = second.h
-        g = second.amp / lam
-        fun = second.objective
-        iters = first.evals + second.evals
-        converged = first.converged and second.converged
-        if fallback:
-            notes.append("identity-weight-fallback")
-        if second.amp_at_bound:
-            notes.append("correlation-at-bound")
-    g = min(max(g, -1.0), 1.0)
+        target = observed
+        weight, fallback = _second_stage_weight(
+            weight_mode, (x, y), (r_ii, r_jj, r_ij), n, grid.taus)
+    second = _profiled_minimize(target, unit, weight,
+                                h_lo, h_hi, -lam, lam)
+    hij = second.h
+    g = min(max(second.amp / lam, -1.0), 1.0)
+    notes = _weight_notes(weight, fallback)
+    if second.amp_at_bound:
+        notes.append("correlation-at-bound")
     if not abs(g) <= 1.0:
         raise CalibrationError(f"fitted g={g!r} outside [-1, 1]")
     if not hbar <= hij < 0.5:
@@ -798,7 +638,9 @@ def calibrate_pair(
                                "lag_units": "delta"})
     return GmmResult(
         params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": t_val},
-        objective=float(fun), iterations=int(iters), converged=bool(converged),
+        objective=float(second.objective),
+        iterations=int(first.evals + second.evals),
+        converged=bool(first.converged and second.converged),
         weight=weight, residuals=residuals, notes=tuple(notes))
 
 
@@ -841,7 +683,6 @@ def calibrate_panel(
     grid: LagGrid | None = None,
     T: float | None = None,
     workers: int | None = None,
-    polish: bool = True,
     mask: np.ndarray | None = None,
 ) -> PanelCalibration:
     """d marginal fits followed by d(d-1)/2 pair fits on an aligned panel of
@@ -862,8 +703,7 @@ def calibrate_panel(
     for i in range(d):
         try:
             marginals[i] = calibrate_univariate(
-                panel.data[i], delta, grid=grid, fix_T=t_val, polish=polish,
-                mask=row_mask(i))
+                panel.data[i], delta, grid=grid, fix_T=t_val, mask=row_mask(i))
         except (ZeroVarianceError, ValueError, CalibrationError) as exc:
             failures[f"marginal-{i}"] = str(exc)
 
@@ -879,7 +719,7 @@ def calibrate_panel(
             panel.data[i], panel.data[j],
             lambda_i2=mi["lambda2"], lambda_j2=mj["lambda2"],
             H_i=mi["H"], H_j=mj["H"], delta=delta, grid=grid, T=t_val,
-            polish=polish, mask_i=row_mask(i), mask_j=row_mask(j))
+            mask_i=row_mask(i), mask_j=row_mask(j))
 
     n_workers = workers if workers is not None else default_workers()
     if todo:
@@ -934,7 +774,6 @@ class McConfig:
     delta: float = 1.0
     grid: LagGrid | None = None
     workers: int | None = None
-    polish: bool = True
     max_failure_fraction: float = 0.2
 
     def __post_init__(self):
@@ -1014,17 +853,14 @@ def _one_replica(config: McConfig, n_field: int, run_seed: int,
         agg_panel = field_to_measure(panel, config.params, config.agg)
     t_true = config.params.T
     res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta,
-                                grid=config.grid, fix_T=t_true,
-                                polish=config.polish)
+                                grid=config.grid, fix_T=t_true)
     res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta,
-                                grid=config.grid, fix_T=t_true,
-                                polish=config.polish)
+                                grid=config.grid, fix_T=t_true)
     pair = calibrate_pair(
         agg_panel.data[0], agg_panel.data[1],
         lambda_i2=res0.params["lambda2"], lambda_j2=res1.params["lambda2"],
         H_i=res0.params["H"], H_j=res1.params["H"],
-        delta=agg_panel.delta, grid=config.grid, T=t_true,
-        polish=config.polish)
+        delta=agg_panel.delta, grid=config.grid, T=t_true)
     return {
         "H_0": res0.params["H"], "lambda2_0": res0.params["lambda2"],
         "H_1": res1.params["H"], "lambda2_1": res1.params["lambda2"],

@@ -31,6 +31,7 @@ __all__ = [
     "log_kernel_cov",
     "noise_correlation",
     "integrated_cov",
+    "block_cov_sequence",
     "interval_cov",
     "logvol_incr_cov",
     "logvol_incr_corr",
@@ -134,20 +135,25 @@ class RatioBound:
     c_h: float
 
 
-def _pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
+def _block_coeffs(h_ij: float, h_bar: float) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the cross kernel
-    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)]."""
-    hij = pair.H_ij
-    hbar = pair.h_bar
-    if hij <= 0:
+    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)] for joint roughness h_ij and
+    marginal mean roughness h_bar."""
+    h2 = 2.0 * h_ij
+    a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
+    b = 1.0 / (h2 * (1.0 - h2))
+    c = (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
+    return a, b, c
+
+
+def _pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
+    """``_block_coeffs`` of a pair; H_ij = 0 has no power-law kernel."""
+    if pair.H_ij <= 0:
         raise KernelDomainError(
             "H_ij = 0 has no power-law kernel; use log_kernel_cov for the "
             "multifractal branch"
         )
-    a = (1.0 + 2.0 * hij - 2.0 * hbar) / (2.0 * hij * (1.0 - 2.0 * hbar))
-    b = 1.0 / (2.0 * hij * (1.0 - 2.0 * hij))
-    c = (2.0 * hij - 2.0 * hbar) / ((2.0 * hij - 1.0) * (1.0 - 2.0 * hbar))
-    return a, b, c
+    return _block_coeffs(pair.H_ij, pair.h_bar)
 
 
 def _dispatch(tau, fn):
@@ -224,27 +230,45 @@ def noise_correlation(h, pair: PairParams):
 
 
 def _second_diff_ratio(z, alpha: float):
-    # (|1+z|^(a+2) + |1-z|^(a+2) - 2) / (z^2 (1+a)(2+a)), guarded for small z
+    """(|1+z|^(a+2) + |1-z|^(a+2) - 2) / (z^2 (1+a)(2+a)), the normalised
+    second difference of |x|^(a+2) at step z.  Below _SMALL_Z it is the
+    series 1 + a (a-1) z^2/12; at a = 1 it is exactly 1 while z <= 1, since
+    the second difference of |x|^3 there is 6 z^2."""
     z = np.asarray(z, dtype=float)
-    small = z < _SMALL_Z
-    zs = np.where(small, 1.0, z)
+    if alpha == 1.0 and np.all(z <= 1.0):
+        return np.ones_like(z)
     direct = (
-        np.abs(1.0 + zs) ** (alpha + 2.0)
-        + np.abs(1.0 - zs) ** (alpha + 2.0)
+        np.abs(1.0 + z) ** (alpha + 2.0)
+        + np.abs(1.0 - z) ** (alpha + 2.0)
         - 2.0
-    ) / (zs * zs * (1.0 + alpha) * (alpha + 2.0))
-    series = 1.0 + alpha * (alpha - 1.0) * z * z / 12.0
+    ) / (z * z * (1.0 + alpha) * (alpha + 2.0))
+    if alpha == 1.0:
+        return np.where(z <= 1.0, 1.0, direct)
+    small = z < _SMALL_Z
+    if not small.any():
+        return direct
+    series = 1.0 + alpha * (alpha - 1.0) * (z * z / 12.0)
     return np.where(small, series, direct)
 
 
-def _double_integral_power(tau, delta: float, T: float, alpha: float):
-    """int over [0,Delta] x [tau, tau+Delta] of (|u-v|/T)^alpha du dv."""
-    t = np.asarray(tau, dtype=float)
-    pos = t > 0
-    ts = np.where(pos, t, 1.0)
-    via_ratio = delta * delta * (ts / T) ** alpha * _second_diff_ratio(delta / ts, alpha)
-    at_zero = 2.0 * delta ** (alpha + 2.0) / (T**alpha * (1.0 + alpha) * (2.0 + alpha))
-    return np.where(pos, via_ratio, at_zero)
+def _block_cov_terms(tau, delta: float, T: float, h2: float, b: float,
+                     c: float):
+    """B- and C-terms of the unit-amplitude block covariance over Delta^2 at
+    lags tau > 0: b (tau/T)^(2H) E(Delta/tau, 2H) and c (tau/T) E(Delta/tau, 1),
+    with E the ``_second_diff_ratio``."""
+    z = delta / tau
+    u = tau / T
+    power = b * (u**h2 * _second_diff_ratio(z, h2))
+    linear = c * (u * _second_diff_ratio(z, 1.0))
+    return power, linear
+
+
+def _block_variance_terms(delta: float, T: float, h2: float, b: float,
+                          c: float) -> tuple[float, float]:
+    """The same two terms at tau = 0 (the block variance), where the double
+    integrals are 2 (Delta/T)^(2H) / ((1+2H)(2+2H)) and Delta/(3T)."""
+    dt = delta / T
+    return 2.0 * b * dt**h2 / ((1.0 + h2) * (2.0 + h2)), c * dt / 3.0
 
 
 def _check_window(tau, delta: float, T: float):
@@ -264,16 +288,49 @@ def integrated_cov(tau, delta: float, pair: PairParams):
     """Covariance of the two normalized block integrals of length Delta whose
     left endpoints are tau apart.  Finite at tau = 0 and symmetric in the
     marginals; dividing by Delta^2 recovers the instantaneous kernel as
-    Delta -> 0."""
+    Delta -> 0.  On the lags k Delta it is g Delta^2 ``block_cov_sequence``."""
     _check_window(tau, delta, pair.T)
     a, b, c = _pair_coeffs(pair)
+    h2 = 2.0 * pair.H_ij
+    var2, var1 = _block_variance_terms(delta, pair.T, h2, b, c)
 
     def compute(t):
-        g2h = _double_integral_power(t, delta, pair.T, 2.0 * pair.H_ij)
-        g1 = _double_integral_power(t, delta, pair.T, 1.0)
-        return pair.g * (a * delta * delta - b * g2h - c * g1)
+        pos = t > 0
+        power, linear = _block_cov_terms(np.where(pos, t, delta), delta,
+                                         pair.T, h2, b, c)
+        unit = np.where(pos, a - power - linear, a - var2 - var1)
+        return pair.g * delta * delta * unit
 
     return _dispatch(tau, compute)
+
+
+def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
+                       T: float) -> np.ndarray:
+    """Unit-amplitude block covariance over Delta^2 at the lags k Delta,
+    k = 0..n-1: ``integrated_cov(k Delta, Delta, pair) / (g Delta^2)`` for
+    joint roughness H_ij and marginal mean roughness h_bar.
+
+    Entries whose block leaves the window (Delta + k Delta > T, the check of
+    ``integrated_cov``) are zero, and only the support is evaluated.
+    """
+    limit = T * _DOMAIN_SLACK
+    # the support is a prefix: count its lags, exactly as the check rounds
+    m = int(min(max(limit // delta, 0.0), n))
+    while m < n and delta + m * delta <= limit:
+        m += 1
+    while m > 0 and delta + (m - 1) * delta > limit:
+        m -= 1
+    r = np.zeros(n)
+    if m == 0:
+        return r
+    a, b, c = _block_coeffs(H_ij, h_bar)
+    h2 = 2.0 * H_ij
+    var2, var1 = _block_variance_terms(delta, T, h2, b, c)
+    r[0] = a - var2 - var1
+    power, linear = _block_cov_terms(np.arange(1.0, m) * delta, delta, T,
+                                     h2, b, c)
+    r[1:m] = a - power - linear
+    return r
 
 
 def interval_cov(interval_i: tuple, interval_j: tuple, pair: PairParams) -> float:
@@ -314,19 +371,13 @@ def logvol_incr_cov(tau, delta: float, pair: PairParams):
     if np.any(t <= 0):
         raise KernelDomainError("increment lag tau must be positive")
     _check_window(tau, delta, pair.T)
-    a, b, c = _pair_coeffs(pair)
-    T = pair.T
+    _, b, c = _pair_coeffs(pair)
     h2 = 2.0 * pair.H_ij
-
-    # block-variance constants: the tau = 0 double integrals over Delta^2
-    kappa2 = (delta / T) ** h2 / ((1.0 + h2) * (1.0 + 0.5 * h2))
-    kappa1 = delta / (3.0 * T)
+    var2, var1 = _block_variance_terms(delta, pair.T, h2, b, c)
 
     def compute(tt):
-        z = delta / tt
-        f2 = (tt / T) ** h2 * _second_diff_ratio(z, h2)
-        f1 = (tt / T) * _second_diff_ratio(z, 1.0)
-        return 2.0 * pair.g * (b * (f2 - kappa2) + c * (f1 - kappa1))
+        power, linear = _block_cov_terms(tt, delta, pair.T, h2, b, c)
+        return 2.0 * pair.g * ((power - var2) + (linear - var1))
 
     return _dispatch(tau, compute)
 

@@ -421,10 +421,19 @@ def write_panel_binary(panel: FieldPanel) -> bytes:
 
 def read_panel_binary(blob: bytes) -> FieldPanel:
     head_size = struct.calcsize("<5sIQdqIB")
+    if len(blob) < head_size:
+        raise ValueError(
+            f"panel header needs {head_size} bytes, got {len(blob)}")
     magic, d, n, delta, seed, path, prov = struct.unpack(
         "<5sIQdqIB", blob[:head_size])
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if prov >= len(PROVENANCES):
+        raise ValueError(f"provenance code {prov} unknown, expected "
+                         f"0..{len(PROVENANCES) - 1}")
+    if len(blob) - head_size != 8 * d * n:
+        raise ValueError(f"panel body of {d}x{n} values needs {8 * d * n} "
+                         f"bytes, got {len(blob) - head_size}")
     data = np.frombuffer(blob[head_size:], dtype="<f8", count=d * n).reshape(d, n)
     return FieldPanel(data=data.copy(), delta=delta, seed=seed,
                       provenance=PROVENANCES[prov], path=path)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
+
+# the property tests share a loaded machine: no per-example time limit
+settings.register_profile("mlogsfbm", deadline=None)
+settings.load_profile("mlogsfbm")
 
 T_GRID = float(2**14)
 

@@ -11,7 +11,7 @@ from mlogsfbm.estimate import (
     McValidationError,
     ZeroVarianceError,
     _ProfileOutcome,
-    _two_step_gmm,
+    _profiled_minimize,
     calibrate_pair,
     calibrate_panel,
     calibrate_univariate,
@@ -188,20 +188,37 @@ class TestNeweyWest:
             newey_west_weight(np.zeros((5, 2)), bandwidth=-1)
 
 
-class TestTwoStepReduction:
-    def test_reduces_to_weighted_least_squares(self):
-        # linear model theta * b with iid contributions: the second-stage
-        # optimum must equal the closed-form WLS coefficient
+class TestProfiledReduction:
+    """With a curve that does not depend on the roughness the profiled
+    search is weighted least squares in the amplitude."""
+
+    @staticmethod
+    def _case():
         rng = np.random.default_rng(9)
         b = np.array([1.0, 0.5, 0.25, 0.125])
         contributions = rng.standard_normal((400, 4)) + 2.0 * b
         observed = contributions.mean(axis=0)
-        model = lambda x: x[0] * b
-        x, fun, iters, converged, weight, fallback = _two_step_gmm(
-            observed, model, np.array([0.0]), contributions, 0)
-        expected = float(b @ weight @ observed) / float(b @ weight @ b)
-        assert x[0] == pytest.approx(expected, abs=1e-6)
-        assert converged and not fallback
+        weight = newey_west_weight(contributions, 3).weight
+        assert not np.allclose(weight, np.diag(np.diag(weight)))
+        wls = float(b @ weight @ observed) / float(b @ weight @ b)
+        return b, observed, weight, wls
+
+    def test_reduces_to_weighted_least_squares(self):
+        b, observed, weight, wls = self._case()
+        out = _profiled_minimize(observed, lambda h: b, weight, 0.1, 0.4,
+                                 -10.0, 10.0)
+        assert out.amp == pytest.approx(wls, rel=1e-12)
+        assert out.converged and not out.amp_at_bound
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_clipped_to_the_amplitude_box(self, side):
+        b, observed, weight, wls = self._case()
+        lo, hi = (wls + 1.0, wls + 2.0) if side == "below" else \
+            (wls - 2.0, wls - 1.0)
+        out = _profiled_minimize(observed, lambda h: b, weight, 0.1, 0.4,
+                                 lo, hi)
+        assert out.amp == (lo if side == "below" else hi)
+        assert out.amp_at_bound
 
 
 # the non-default options the README documents, each on the profiled path
@@ -242,22 +259,21 @@ class TestCalibrateUnivariate:
         assert res.params["lambda2"] > 0
 
     def test_free_scale_stays_in_box(self, smooth_panels):
+        # the free scale is an outer search over T; the fit at its T-hat is
+        # the fixed-scale fit there
         params, proxies = smooth_panels
         prox = proxies[0]
-        res = calibrate_univariate(prox.data[0], prox.delta, fix_T=None,
-                                   t_max=8.0 * prox.n * prox.delta)
+        free = calibrate_univariate(prox.data[0], prox.delta, fix_T=None,
+                                    t_max=8.0 * prox.n * prox.delta)
         floor = prox.n * prox.delta
-        assert floor <= res.params["T"] <= 8.0 * floor
-
-    def test_nelder_mead_mode_agrees_roughly(self, smooth_panels):
-        params, proxies = smooth_panels
-        prox = proxies[0]
-        a = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T)
-        b = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T,
-                                 optimizer="nelder-mead", weight_mode="hac")
-        assert b.params["H"] == pytest.approx(a.params["H"], abs=0.08)
-        assert b.params["lambda2"] == pytest.approx(a.params["lambda2"],
-                                                    rel=0.5)
+        t_hat = free.params["T"]
+        assert floor <= t_hat <= 8.0 * floor
+        fixed = calibrate_univariate(prox.data[0], prox.delta, fix_T=t_hat)
+        assert free.params == fixed.params
+        assert free.objective == fixed.objective
+        assert free.converged == fixed.converged
+        assert free.notes == fixed.notes
+        assert free.iterations > fixed.iterations
 
     @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
     def test_profiled_alternatives_agree_roughly(self, smooth_panels,
@@ -380,6 +396,43 @@ class TestOutOfBoxFit:
         x, y = rng.standard_normal((2, 2048))
         with pytest.raises(CalibrationError, match="H_ij=0.7"):
             calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
+
+
+class TestWeightDefects:
+    """A defective second-stage weight is reported in the notes; the fit is
+    that of the weight as it is."""
+
+    @staticmethod
+    def _series():
+        rng = np.random.default_rng(6)
+        return rng.standard_normal((2, 2048))
+
+    def test_pair_inverse_fallback_reported(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        monkeypatch.setattr(est, "_regularized_inverse",
+                            lambda s: (np.eye(s.shape[0]), True))
+        x, y = self._series()
+        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
+        assert "identity-weight-fallback" in res.notes
+        assert "indefinite-weight" not in res.notes
+
+    def test_indefinite_weight_reported(self, monkeypatch):
+        import mlogsfbm.estimate as est
+
+        def indefinite(s):
+            return np.diag(np.r_[-1.0, np.ones(s.shape[0] - 1)]), False
+
+        x, y = self._series()
+        plain = (calibrate_univariate(x, 1.0, fix_T=2048.0),
+                 calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0))
+        monkeypatch.setattr(est, "_regularized_inverse", indefinite)
+        bad = (calibrate_univariate(x, 1.0, fix_T=2048.0),
+               calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0))
+        for before, after in zip(plain, bad):
+            assert "indefinite-weight" not in before.notes
+            assert "indefinite-weight" in after.notes
+            assert "identity-weight-fallback" not in after.notes
+            assert np.array_equal(after.weight, indefinite(after.weight)[0])
 
 
 class TestCalibratePanel:

@@ -302,6 +302,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match="magic"):
             read_panel_binary(b"NOPE!" + bytes(64))
 
+    def test_binary_short_header(self):
+        blob = write_panel_binary(self.make_panel())
+        with pytest.raises(ValueError, match="header needs 38 bytes, got 20"):
+            read_panel_binary(blob[:20])
+
+    def test_binary_truncated_body(self):
+        panel = self.make_panel()
+        blob = write_panel_binary(panel)
+        need = 8 * panel.d * panel.n
+        with pytest.raises(ValueError, match=f"needs {need} bytes, got "
+                                             f"{need - 8}"):
+            read_panel_binary(blob[:-8])
+
+    def test_binary_trailing_bytes(self):
+        panel = self.make_panel()
+        blob = write_panel_binary(panel)
+        need = 8 * panel.d * panel.n
+        with pytest.raises(ValueError, match=f"needs {need} bytes, got "
+                                             f"{need + 3}"):
+            read_panel_binary(blob + b"abc")
+
+    def test_binary_bad_provenance_code(self):
+        blob = bytearray(write_panel_binary(self.make_panel()))
+        blob[37] = 9  # the provenance byte closes the 38-byte header
+        with pytest.raises(ValueError, match="provenance code 9 unknown"):
+            read_panel_binary(bytes(blob))
+
     def test_csv_requires_metadata(self):
         with pytest.raises(ValueError):
             read_panel_csv("t,m0\n0,1.0\n1,2.0\n")
