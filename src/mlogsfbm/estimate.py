@@ -39,11 +39,13 @@ from .kernels import CovCurve, block_cov_sequence
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
+    SimulationError,
+    SpectralFactor,
     field_to_gaussian_proxy,
     field_to_measure,
     simulate_field,
+    spectral_factor,
 )
-from .simulate import _spectral_factor
 
 __all__ = [
     "LagGrid",
@@ -790,7 +792,11 @@ class McRun:
     n: int
     seed: int
     samples: dict
-    n_failures: int
+    failures: tuple  # (replica, exception type name, message) per failure
+
+    @property
+    def n_failures(self) -> int:
+        return len(self.failures)
 
     def means(self) -> dict:
         return {k: float(np.mean(v)) for k, v in self.samples.items()}
@@ -810,12 +816,6 @@ class McReport:
     seed: int
     notes: tuple = ()
 
-    def run_for(self, n: int) -> McRun:
-        for run in self.runs:
-            if run.n == n:
-                return run
-        raise KeyError(f"no run with n={n}")
-
     def to_dict(self) -> dict:
         return {
             "replicas": self.replicas,
@@ -824,6 +824,8 @@ class McReport:
             "slopes": self.slopes,
             "runs": [
                 {"n": r.n, "seed": r.seed, "n_failures": r.n_failures,
+                 "failures": [{"replica": rep, "type": kind, "message": msg}
+                              for rep, kind, msg in r.failures],
                  "means": r.means(), "stds": r.stds()}
                 for r in self.runs
             ],
@@ -842,10 +844,10 @@ class McReport:
 _PARAM_KEYS = ("H_0", "lambda2_0", "H_1", "lambda2_1", "H_01", "g_01", "xi_01")
 
 
-def _one_replica(config: McConfig, n_field: int, run_seed: int,
+def _one_replica(config: McConfig, factor: SpectralFactor, run_seed: int,
                  replica: int) -> dict:
-    panels, _ = simulate_field(config.params, n_field, config.delta,
-                               seed=run_seed, n_paths=1, first_path=replica)
+    panels, _ = simulate_field(config.params, factor.n, config.delta,
+                               seed=run_seed, first_path=replica, factor=factor)
     panel = panels[0]
     if config.proxy == "gaussian":
         agg_panel = field_to_gaussian_proxy(panel, config.params, config.agg)
@@ -878,30 +880,32 @@ def mc_validate(config: McConfig) -> McReport:
     workers = config.workers if config.workers is not None else default_workers()
     for n_idx, n in enumerate(config.n_list):
         run_seed = config.seed + 1009 * n_idx
-        n_field = n * config.agg
-        # warm the shared spectral factorization before fanning out
-        _spectral_factor(config.params, n_field, config.delta)
+        factor = spectral_factor(config.params, n * config.agg, config.delta)
         estimates: list = [None] * config.replicas
-        failures = 0
+        failures = []
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             futures = [
-                pool.submit(_one_replica, config, n_field, run_seed, rep)
+                pool.submit(_one_replica, config, factor, run_seed, rep)
                 for rep in range(config.replicas)
             ]
         for rep, fut in enumerate(futures):
             try:
                 estimates[rep] = fut.result()
-            except Exception:
-                failures += 1
+            except (CalibrationError, SimulationError, ValueError) as exc:
+                # library errors fail the replica; any other is a bug
+                failures.append((rep, type(exc).__name__, str(exc)))
+        # hold one factor at a time; a failed replica's traceback, kept by
+        # its future, holds the factor too
+        del factor, futures
         kept = [e for e in estimates if e is not None]
-        if failures > config.max_failure_fraction * config.replicas:
+        if len(failures) > config.max_failure_fraction * config.replicas:
             raise McValidationError(
-                f"{failures}/{config.replicas} replicas failed at n={n}")
+                f"{len(failures)}/{config.replicas} replicas failed at n={n}")
         samples = {key: np.array([e[key] for e in kept]) for key in _PARAM_KEYS}
         if config.replicas == 1:
             notes.append(f"n={n}: single replica, standard deviations undefined")
         runs.append(McRun(n=n, seed=run_seed, samples=samples,
-                          n_failures=failures))
+                          failures=tuple(failures)))
 
     slopes = None
     if len(config.n_list) >= 3 and config.replicas > 1:

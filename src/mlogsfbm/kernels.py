@@ -87,12 +87,6 @@ class CovCurve:
     def __len__(self) -> int:
         return self.lags.size
 
-    def value_at(self, lag: float) -> float:
-        idx = np.where(self.lags == lag)[0]
-        if idx.size == 0:
-            raise KeyError(f"lag {lag} not in curve")
-        return float(self.values[idx[0]])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)

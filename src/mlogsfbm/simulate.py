@@ -3,11 +3,11 @@
 The d-dimensional stationary Gaussian field is drawn by multivariate
 circulant embedding: per-pair covariance sequences are periodized onto a
 circulant of size M = 2^ceil(log2(2N)), Fourier transformed, and the
-resulting per-frequency spectral matrices are factorized once and shared
-across paths.  Because every kernel here is compactly supported (zero beyond
-the correlation scale T), the periodized spectrum samples the true spectral
-density and is non-negative up to rounding; negative eigenvalues are clipped
-and accounted for in the diagnostics.
+resulting per-frequency spectral matrices are factorized once into a
+``SpectralFactor`` that the caller owns and shares across paths.  As every
+kernel here is compactly supported (zero beyond the correlation scale T),
+the periodized spectrum samples the true spectral density and is
+non-negative up to rounding; negative eigenvalues are clipped and counted.
 
 Randomness is counter-based (Philox) keyed by (seed, path index), so any
 path can be regenerated independently of the others.
@@ -32,6 +32,8 @@ __all__ = [
     "EmbeddingDiagnostics",
     "EmbeddingError",
     "SimulationError",
+    "SpectralFactor",
+    "spectral_factor",
     "simulate_field",
     "field_to_measure",
     "field_to_gaussian_proxy",
@@ -76,10 +78,6 @@ class EmbeddingDiagnostics:
     def __post_init__(self):
         object.__setattr__(self, "min_eigenvalues",
                            np.asarray(self.min_eigenvalues, dtype=float))
-
-    @property
-    def exact(self) -> bool:
-        return self.flag == "exact"
 
     def to_dict(self) -> dict:
         return {
@@ -186,13 +184,6 @@ def _periodize(base: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-_factor_cache: dict = {}
-
-
-def clear_factor_cache():
-    _factor_cache.clear()
-
-
 def _spectral_matrices(params: ModelParams, n: int, delta: float):
     m = 1 << int(math.ceil(math.log2(2 * n)))
     m_max = int(math.floor(params.T / delta))
@@ -209,11 +200,26 @@ def _spectral_matrices(params: ModelParams, n: int, delta: float):
     return m, spectra
 
 
-def _spectral_factor(params: ModelParams, n: int, delta: float):
-    key = (params.H.tobytes(), params.xi.tobytes(), params.T, n, delta)
-    hit = _factor_cache.get(key)
-    if hit is not None:
-        return hit
+@dataclass(frozen=True)
+class SpectralFactor:
+    """Read-only per-frequency square roots F[k] (F[k] F[k]^T is the clipped
+    spectral matrix) for one (params, n, delta), shareable across threads."""
+
+    params: ModelParams
+    n: int
+    delta: float
+    matrix: np.ndarray  # (M, d, d)
+    diagnostics: EmbeddingDiagnostics
+
+
+def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> SpectralFactor:
+    """Factorize the circulant embedding for paths of length ``n`` at step
+    ``delta``; ``EmbeddingError`` if the clipped mass exceeds CLIP_APPROX."""
+    require_admissible(params, strict_pd=True)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     m, spectra = _spectral_matrices(params, n, delta)
     eigvals, eigvecs = np.linalg.eigh(spectra)
     total = float(np.abs(eigvals).sum())
@@ -231,9 +237,10 @@ def _spectral_factor(params: ModelParams, n: int, delta: float):
             f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
             diagnostics,
         )
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
-    _factor_cache[key] = (factor, diagnostics)
-    return factor, diagnostics
+    matrix = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    matrix.setflags(write=False)
+    return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
+                          diagnostics=diagnostics)
 
 
 def _path_rng(seed: int, stream: int) -> np.random.Generator:
@@ -248,26 +255,28 @@ def simulate_field(
     seed: int = 0,
     n_paths: int = 1,
     first_path: int = 0,
+    factor: SpectralFactor | None = None,
 ) -> tuple[list[FieldPanel], EmbeddingDiagnostics]:
     """Draw ``n_paths`` independent centered field panels of length ``n``.
 
-    The spectral factorization is computed once (and cached across calls with
-    identical arguments); each path consumes its own Philox stream keyed by
-    (seed, path), so results are reproducible under any execution order and
-    a sweep can be streamed one path at a time via ``first_path``.
+    ``factor`` is ``spectral_factor(params, n, delta)``, built here if not
+    given.  Each path consumes its own Philox stream keyed by (seed, path), so
+    results are reproducible under any execution order and a sweep can be
+    streamed in batches via ``first_path``, all passing one ``factor``.
     Means are *not* added here; see ``field_to_measure``.
     """
-    require_admissible(params, strict_pd=True)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if first_path < 0:
         raise ValueError("first_path must be >= 0")
-    factor, diagnostics = _spectral_factor(params, n, delta)
-    m = factor.shape[0]
+    if factor is None:
+        factor = spectral_factor(params, n, delta)
+    elif (factor.n, factor.delta, factor.params.T) != (n, delta, params.T) or not (
+            np.array_equal(factor.params.H, params.H)
+            and np.array_equal(factor.params.xi, params.xi)):
+        raise ValueError(f"spectral factor for n={factor.n}, delta={factor.delta!r}"
+                         " does not fit this call's params, n or delta")
+    m = factor.matrix.shape[0]
     scale = math.sqrt(m)
     panels = []
     for path in range(first_path, first_path + n_paths):
@@ -275,12 +284,12 @@ def simulate_field(
         z = rng.standard_normal((m, params.d)) + 1j * rng.standard_normal(
             (m, params.d)
         )
-        spectral = np.einsum("mij,mj->mi", factor, z)
+        spectral = np.einsum("mij,mj->mi", factor.matrix, z)
         draws = np.fft.ifft(spectral, axis=0) * scale
         data = np.ascontiguousarray(draws.real[:n].T)
         panels.append(FieldPanel(data=data, delta=delta, seed=seed,
                                  provenance="gaussian-field", path=path))
-    return panels, diagnostics
+    return panels, factor.diagnostics
 
 
 def _marginal_means(params: ModelParams, delta: float) -> np.ndarray:
@@ -390,8 +399,19 @@ def read_panel_csv(text: str) -> FieldPanel:
     if len(lines) < 3 or not lines[0].startswith("#"):
         raise ValueError("not a panel CSV (missing metadata comment)")
     meta = dict(tok.split("=", 1) for tok in lines[0][1:].split())
-    rows = [line.split(",")[1:] for line in lines[2:]]
-    data = np.array(rows, dtype=float).T
+    width = len(lines[1].split(","))
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"line {lineno} has {len(fields)} fields, "
+                             f"expected {width} as in the header")
+        try:
+            rows.append([float(v) for v in fields[1:]])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno} has a non-numeric field: {line!r}") from None
+    data = np.array(rows).T
     return FieldPanel(
         data=data,
         delta=float(meta["delta"]),
@@ -399,9 +419,6 @@ def read_panel_csv(text: str) -> FieldPanel:
         provenance=meta["provenance"],
         path=int(meta.get("path", 0)),
     )
-
-
-_PROV_CODES = {name: idx for idx, name in enumerate(PROVENANCES)}
 
 
 def write_panel_binary(panel: FieldPanel) -> bytes:
@@ -413,7 +430,7 @@ def write_panel_binary(panel: FieldPanel) -> bytes:
         panel.delta,
         panel.seed,
         panel.path,
-        _PROV_CODES[panel.provenance],
+        PROVENANCES.index(panel.provenance),
     )
     body = np.ascontiguousarray(panel.data, dtype="<f8").tobytes()
     return header + body

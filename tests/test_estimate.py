@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from mlogsfbm.estimate import (
     mc_validate,
     newey_west_weight,
 )
-from mlogsfbm.simulate import FieldPanel, field_to_gaussian_proxy, simulate_field
+from mlogsfbm.simulate import (
+    FieldPanel,
+    field_to_gaussian_proxy,
+    simulate_field,
+    spectral_factor,
+)
 
 
 class TestLagGrid:
@@ -505,6 +512,76 @@ class TestMcValidate:
                        agg=4, workers=1)
         with pytest.raises(McValidationError):
             est.mc_validate(cfg)
+
+    def sweep(self, **kwargs):
+        params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
+                             xi=[[0.05, 0.02], [0.02, 0.05]])
+        return McConfig(params=params, seed=3, agg=4, **kwargs)
+
+    @pytest.mark.parametrize("failing_replica", [None, 1])
+    def test_one_factor_per_length_held_one_at_a_time(self, monkeypatch,
+                                                      failing_replica):
+        import mlogsfbm.estimate as est
+        built = []
+        one_replica = est._one_replica
+
+        def counting(*args):
+            assert all(ref() is None for ref in built)
+            factor = spectral_factor(*args)
+            built.append(weakref.ref(factor))
+            return factor
+
+        def replica(config, factor, run_seed, replica):
+            if replica == failing_replica:
+                raise CalibrationError("forced")
+            return one_replica(config, factor, run_seed, replica)
+
+        monkeypatch.setattr(est, "spectral_factor", counting)
+        monkeypatch.setattr(est, "_one_replica", replica)
+        gc.disable()  # reference counting alone must free each factor
+        try:
+            est.mc_validate(self.sweep(n_list=(2**7, 2**8), replicas=3,
+                                       workers=2, max_failure_fraction=0.5))
+        finally:
+            gc.enable()
+        assert len(built) == 2
+
+    def test_samples_independent_of_worker_count(self):
+        one, two = (mc_validate(self.sweep(n_list=(2**7, 2**8), replicas=3,
+                                           workers=w)) for w in (1, 2))
+        for run_one, run_two in zip(one.runs, two.runs):
+            assert run_one.samples.keys() == run_two.samples.keys()
+            for key, values in run_one.samples.items():
+                assert np.array_equal(values, run_two.samples[key]), key
+
+    def test_library_failure_recorded(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        one_replica = est._one_replica
+
+        def failing(config, factor, run_seed, replica):
+            if replica == 1:
+                raise CalibrationError("forced")
+            return one_replica(config, factor, run_seed, replica)
+
+        monkeypatch.setattr(est, "_one_replica", failing)
+        report = est.mc_validate(self.sweep(
+            n_list=(2**8,), replicas=3, workers=1, max_failure_fraction=0.5))
+        run = report.runs[0]
+        assert run.failures == ((1, "CalibrationError", "forced"),)
+        assert run.n_failures == 1 and run.samples["H_0"].size == 2
+        assert report.to_dict()["runs"][0]["failures"] == [
+            {"replica": 1, "type": "CalibrationError", "message": "forced"}]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import mlogsfbm.estimate as est
+
+        def broken(config, factor, run_seed, replica):
+            raise TypeError("not a replica failure")
+
+        monkeypatch.setattr(est, "_one_replica", broken)
+        with pytest.raises(TypeError, match="not a replica failure"):
+            est.mc_validate(self.sweep(n_list=(2**8,), replicas=2, workers=1,
+                                       max_failure_fraction=1.0))
 
     def test_invalid_config(self):
         params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],

@@ -1,7 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mlogsfbm import (
     InadmissibleParamsError,
@@ -12,8 +16,10 @@ from mlogsfbm import (
     msfbm_cross_cov,
     sia_generalized_moment,
 )
+from mlogsfbm import simulate
 from mlogsfbm.params import mu_i
 from mlogsfbm.simulate import (
+    PROVENANCES,
     EmbeddingError,
     FieldPanel,
     SimulationError,
@@ -23,6 +29,7 @@ from mlogsfbm.simulate import (
     read_panel_csv,
     simulate_field,
     simulate_prices,
+    spectral_factor,
     write_panel_binary,
     write_panel_csv,
     _spectral_matrices,
@@ -133,6 +140,46 @@ class TestEmbedding:
         assert validate(border).admissible
         with pytest.raises(InadmissibleParamsError):
             simulate_field(border, 64, 1.0, seed=0)
+
+
+class TestSpectralFactor:
+    def test_caller_owns_the_factor(self):
+        params = small_params()
+        factor = spectral_factor(params, 2**10, 1.0)
+        assert not factor.matrix.flags.writeable
+        ref = weakref.ref(factor)
+        simulate_field(params, 2**10, 1.0, seed=1, factor=factor)
+        del factor
+        assert ref() is None
+        assert not hasattr(simulate, "_factor_cache")
+        assert not hasattr(simulate, "clear_factor_cache")
+
+    @pytest.mark.parametrize("params, n, delta", [
+        (small_params(), 2**9, 1.0),
+        (small_params(), 2**10, 0.5),
+        (small_params(2**11), 2**10, 1.0),
+        (ModelParams(T=2**12, H=[[0.02, 0.15], [0.15, 0.02]],
+                     xi=[[0.05, 0.02], [0.02, 0.05]]), 2**10, 1.0),
+    ], ids=["n", "delta", "T", "xi"])
+    def test_factor_built_for_another_call_rejected(self, params, n, delta):
+        factor = spectral_factor(small_params(), 2**10, 1.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            simulate_field(params, n, delta, seed=1, factor=factor)
+
+    def test_paths_addressable_with_and_without_factor(self):
+        params = small_params()
+        factor = spectral_factor(params, 2**10, 1.0)
+        batch, diag = simulate_field(params, 2**10, 1.0, seed=8, n_paths=3)
+        for k, panel in enumerate(batch):
+            for given_factor in (None, factor):
+                (alone,), diag_alone = simulate_field(
+                    params, 2**10, 1.0, seed=8, first_path=k,
+                    factor=given_factor)
+                assert alone.path == k
+                assert np.array_equal(alone.data, panel.data)
+                assert diag_alone.to_dict() == diag.to_dict()
+                assert np.array_equal(diag_alone.min_eigenvalues,
+                                      diag.min_eigenvalues)
 
 
 class TestMeasure:
@@ -332,6 +379,50 @@ class TestSerialization:
     def test_csv_requires_metadata(self):
         with pytest.raises(ValueError):
             read_panel_csv("t,m0\n0,1.0\n1,2.0\n")
+
+    def test_csv_ragged_row(self):
+        lines = write_panel_csv(self.make_panel()).splitlines()
+        lines[3] += ",0.5"
+        with pytest.raises(ValueError,
+                           match="line 4 has 5 fields, expected 4"):
+            read_panel_csv("\n".join(lines))
+
+    def test_csv_non_numeric_field(self):
+        lines = write_panel_csv(self.make_panel()).splitlines()
+        lines[4] = "2,0.1,abc,0.3"
+        with pytest.raises(ValueError, match="line 5 has a non-numeric"):
+            read_panel_csv("\n".join(lines))
+
+
+@st.composite
+def panels(draw):
+    """Any valid panel: finite values from subnormal to the largest double,
+    plus -inf where the provenance admits it (a vanishing measure)."""
+    provenance = draw(st.sampled_from(PROVENANCES))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    if provenance in ("logvol-measure", "market"):
+        values = st.one_of(values, st.just(-math.inf))
+    data = draw(arrays(np.float64, (draw(st.integers(1, 4)),
+                                    draw(st.integers(2, 12))),
+                       elements=values))
+    return FieldPanel(
+        data=data, provenance=provenance,
+        delta=draw(st.floats(min_value=0.0, exclude_min=True,
+                             allow_infinity=False)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        path=draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("write, read", [
+    (write_panel_csv, read_panel_csv),
+    (write_panel_binary, read_panel_binary),
+])
+@given(panel=panels())
+def test_panel_roundtrip_property(write, read, panel):
+    back = read(write(panel))
+    assert np.array_equal(back.data, panel.data)
+    assert (back.delta, back.seed, back.provenance, back.path) == (
+        panel.delta, panel.seed, panel.provenance, panel.path)
 
 
 class TestIncrementCorrelationMonteCarlo:
