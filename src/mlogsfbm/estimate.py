@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,7 +80,12 @@ class CalibrationError(RuntimeError):
 
 
 class McValidationError(RuntimeError):
-    pass
+    """Too many replicas failed; ``failures`` holds the (replica, exception
+    type name, message) record of each."""
+
+    def __init__(self, message: str, failures: tuple = ()):
+        super().__init__(message)
+        self.failures = tuple(failures)
 
 
 def default_workers() -> int:
@@ -166,8 +172,9 @@ def empirical_cross_cov(
     xc = np.where(valid_x, x - x[valid_x].mean(), 0.0)
     yc = np.where(valid_y, y - y[valid_y].mean(), 0.0)
     values = np.empty(len(lags))
+    # einsum, not BLAS ddot: see _product_moment_cov
     for pos, k in enumerate(lags):
-        values[pos] = float(np.dot(xc[: n - k], yc[k:])) / n
+        values[pos] = float(np.einsum("i,i", xc[: n - k], yc[k:])) / n
     return CovCurve(np.array(lags, dtype=float), values,
                     meta={"estimator": "empirical-cross-cov", "n": n,
                           "lag_units": "delta"})
@@ -899,8 +906,13 @@ def mc_validate(config: McConfig) -> McReport:
         del factor, futures
         kept = [e for e in estimates if e is not None]
         if len(failures) > config.max_failure_fraction * config.replicas:
-            raise McValidationError(
-                f"{len(failures)}/{config.replicas} replicas failed at n={n}")
+            kinds = Counter(kind for _, kind, _ in failures)
+            counts = ", ".join(f"{count} {kind}" for kind, count in kinds.items())
+            message = (f"{len(failures)}/{config.replicas} replicas failed at "
+                       f"n={n} ({counts})")
+            if failures:
+                message += "; replica {}, {}: {}".format(*failures[0])
+            raise McValidationError(message, failures)
         samples = {key: np.array([e[key] for e in kept]) for key in _PARAM_KEYS}
         if config.replicas == 1:
             notes.append(f"n={n}: single replica, standard deviations undefined")

@@ -1,16 +1,21 @@
 """Exact sampling of the coupled log-volatility field and of price paths.
 
 The d-dimensional stationary Gaussian field is drawn by multivariate
-circulant embedding: per-pair covariance sequences are periodized onto a
-circulant of size M = 2^ceil(log2(2N)), Fourier transformed, and the
-resulting per-frequency spectral matrices are factorized once into a
+circulant embedding (Dietrich & Newsam 1997; Chan & Wood 1999): per-pair
+covariance sequences are folded onto a circle of size M = 2^ceil(log2(2N)).
+The folded sequences are even, so the spectral matrix at frequency M - k
+equals the one at k; only frequencies k = 0..M/2 are computed (a DCT-I of
+the first M/2 + 1 folded entries) and factorized, once, into a
 ``SpectralFactor`` that the caller owns and shares across paths.  As every
 kernel here is compactly supported (zero beyond the correlation scale T),
-the periodized spectrum samples the true spectral density and is
-non-negative up to rounding; negative eigenvalues are clipped and counted.
+the folded spectrum samples the true spectral density and is non-negative
+up to rounding; negative eigenvalues are clipped and counted.
 
 Randomness is counter-based (Philox) keyed by (seed, path index), so any
-path can be regenerated independently of the others.
+path can be regenerated independently of the others.  A path draws M
+complex standard normals z, folds them to their Hermitian half
+w[k] = (z[k] + conj z[M-k]) / 2 (real at k = 0 and M/2), and an inverse
+real FFT of F[k] w[k] gives Re(ifft(F z)) of the full-spectrum sampler.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from . import kernels
 from .params import ModelParams, mu_i, require_admissible
@@ -171,44 +177,44 @@ def _covariance_sequence(params: ModelParams, i: int, j: int,
     return kernels.msfbm_cross_cov(lags, params.pair(i, j))
 
 
-def _periodize(base: np.ndarray, m: int) -> np.ndarray:
-    """Wrap a symmetric compactly supported sequence onto a circle of size m."""
+def _fold(base: np.ndarray, m: int) -> np.ndarray:
+    """Entries 0..m/2 of the symmetric sequence base[|t|], |t| <= m_max,
+    wrapped onto a circle of size m."""
     m_max = base.size - 1
-    out = np.zeros(m)
-    idx = np.arange(m)
-    n_wraps = m_max // m + 1
-    for n in range(-n_wraps, n_wraps + 1):
-        shifted = np.abs(idx + n * m)
-        mask = shifted <= m_max
-        out[mask] += base[shifted[mask]]
-    return out
+    lags = np.arange(-m_max, m_max + 1)
+    folded = np.bincount(lags % m, weights=base[np.abs(lags)], minlength=m)
+    return folded[: m // 2 + 1]
 
 
 def _spectral_matrices(params: ModelParams, n: int, delta: float):
+    """Embedding size M and the spectral matrices at frequencies 0..M/2,
+    shape (M/2 + 1, d, d); the matrix at M - k equals the one at k."""
     m = 1 << int(math.ceil(math.log2(2 * n)))
     m_max = int(math.floor(params.T / delta))
     d = params.d
-    seq = np.empty((m, d, d))
-    for i in range(d):
-        for j in range(i, d):
-            base = _covariance_sequence(params, i, j, delta, m_max)
-            per = _periodize(base, m)
-            seq[:, i, j] = per
-            seq[:, j, i] = per
-    # real part only: the periodized sequence is even, so the DFT is real
-    spectra = np.fft.fft(seq, axis=0).real
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    folded = np.array([
+        _fold(_covariance_sequence(params, i, j, delta, m_max), m)
+        for i, j in pairs])
+    # the DFT of an even sequence of length m is the DCT-I of its half
+    half_spectra = scipy.fft.dct(folded, type=1, axis=1)
+    spectra = np.empty((m // 2 + 1, d, d))
+    for (i, j), values in zip(pairs, half_spectra):
+        spectra[:, i, j] = values
+        spectra[:, j, i] = values
     return m, spectra
 
 
 @dataclass(frozen=True)
 class SpectralFactor:
-    """Read-only per-frequency square roots F[k] (F[k] F[k]^T is the clipped
-    spectral matrix) for one (params, n, delta), shareable across threads."""
+    """Read-only per-frequency square roots F[k], k = 0..M/2 (F[k] F[k]^T is
+    the clipped spectral matrix, and F[M-k] = F[k] is not stored) for one
+    (params, n, delta), shareable across threads."""
 
     params: ModelParams
     n: int
     delta: float
-    matrix: np.ndarray  # (M, d, d)
+    matrix: np.ndarray  # (M/2 + 1, d, d)
     diagnostics: EmbeddingDiagnostics
 
 
@@ -222,12 +228,16 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
         raise ValueError("delta must be positive")
     m, spectra = _spectral_matrices(params, n, delta)
     eigvals, eigvecs = np.linalg.eigh(spectra)
-    total = float(np.abs(eigvals).sum())
-    clipped = float(np.abs(eigvals[eigvals < 0]).sum())
+    # an interior frequency k also stands for its mirror M - k
+    weight = np.full(eigvals.shape[0], 2.0)
+    weight[[0, -1]] = 1.0
+    total = float(weight @ np.abs(eigvals).sum(axis=1))
+    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
     mass = clipped / total if total > 0 else 0.0
+    half_min = eigvals.min(axis=1)
     diagnostics = EmbeddingDiagnostics(
         embedding_size=m,
-        min_eigenvalues=eigvals.min(axis=1),
+        min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
         clipped_mass=mass,
         flag="exact" if mass <= CLIP_EXACT else "approximate",
     )
@@ -237,7 +247,8 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
             f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
             diagnostics,
         )
-    matrix = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    matrix = eigvecs  # scaled in place: no second (M/2 + 1, d, d) array
+    matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
     matrix.setflags(write=False)
     return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
                           diagnostics=diagnostics)
@@ -246,6 +257,19 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
 def _path_rng(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _hermitian_half(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """w[k] = (z[k] + conj z[M-k]) / 2 for k = 0..M/2, with z = re + i im
+    of length M along axis 0 and z[M] read as z[0]; the real and imaginary
+    parts of w are stacked on a new last axis.  w[0] and w[M/2] are real."""
+    half = re.shape[0] // 2
+    w = np.empty((half + 1,) + re.shape[1:] + (2,))
+    w[0, ..., 0] = re[0]
+    w[0, ..., 1] = 0.0
+    w[1:, ..., 0] = 0.5 * (re[1:half + 1] + re[:half - 1:-1])
+    w[1:, ..., 1] = 0.5 * (im[1:half + 1] - im[:half - 1:-1])
+    return w
 
 
 def simulate_field(
@@ -263,6 +287,9 @@ def simulate_field(
     given.  Each path consumes its own Philox stream keyed by (seed, path), so
     results are reproducible under any execution order and a sweep can be
     streamed in batches via ``first_path``, all passing one ``factor``.
+    A path draws M complex normals z from its stream, folds them to the
+    Hermitian half w (see the module docstring) and synthesises only the
+    M/2 + 1 frequencies the factor holds, with an inverse real FFT.
     Means are *not* added here; see ``field_to_measure``.
     """
     if n_paths < 1:
@@ -276,17 +303,23 @@ def simulate_field(
             and np.array_equal(factor.params.xi, params.xi)):
         raise ValueError(f"spectral factor for n={factor.n}, delta={factor.delta!r}"
                          " does not fit this call's params, n or delta")
-    m = factor.matrix.shape[0]
+    m = factor.diagnostics.embedding_size
     scale = math.sqrt(m)
     panels = []
     for path in range(first_path, first_path + n_paths):
         rng = _path_rng(seed, path)
-        z = rng.standard_normal((m, params.d)) + 1j * rng.standard_normal(
-            (m, params.d)
-        )
-        spectral = np.einsum("mij,mj->mi", factor.matrix, z)
-        draws = np.fft.ifft(spectral, axis=0) * scale
-        data = np.ascontiguousarray(draws.real[:n].T)
+        re = rng.standard_normal((m, params.d))
+        im = rng.standard_normal((m, params.d))
+        # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
+        spectral = (factor.matrix @ _hermitian_half(re, im)).view(complex)
+        # each temporary is freed before the next is allocated; otherwise a
+        # many-path call fragments the heap around the panels it keeps
+        del re, im
+        draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
+        del spectral
+        data = np.ascontiguousarray(draws[:n].T)
+        del draws
+        data *= scale
         panels.append(FieldPanel(data=data, delta=delta, seed=seed,
                                  provenance="gaussian-field", path=path))
     return panels, factor.diagnostics

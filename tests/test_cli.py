@@ -225,6 +225,24 @@ class TestMcValidateCommand:
         assert header == ["n", "replica", "parameter", "value"]
         assert len(rows) == 3 * 7
 
+    def test_failed_sweep_names_the_exception_types(self, tmp_path, params_file,
+                                                    monkeypatch, capsys):
+        import mlogsfbm.estimate as est
+        from mlogsfbm.estimate import ZeroVarianceError
+
+        def flat(config, factor, run_seed, replica):
+            raise ZeroVarianceError("series has zero variance")
+
+        monkeypatch.setattr(est, "_one_replica", flat)
+        code = main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "256", "--replicas", "3", "--seed", "1",
+                     "--agg", "4", "--workers", "1",
+                     "--out", str(tmp_path / "mc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "3/3 replicas failed at n=256 (3 ZeroVarianceError)" in err
+        assert "series has zero variance" in err
+
 
 class TestAnalyzeIndexCommand:
     def test_homogeneous_bound_near_two_d(self, tmp_path):

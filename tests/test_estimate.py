@@ -109,6 +109,24 @@ class TestEmpiricalCrossCov:
             total += vals.size
         assert hits / total >= 0.99
 
+    def test_matches_blas_dot_form(self):
+        # the lag sums are einsums; np.dot gives the same sums up to
+        # summation order, relative to the sum of |products|
+        rng = np.random.default_rng(6)
+        n = 2**14
+        x = np.cumsum(rng.standard_normal(n)) * 0.01 + rng.standard_normal(n)
+        y = np.roll(x, 3) + rng.standard_normal(n)
+        mask = rng.random(n) > 0.1
+        grid = LagGrid.default()
+        got = empirical_cross_cov(x, y, grid, include_zero=True,
+                                  mask_x=mask, mask_y=mask).values
+        xc = np.where(mask, x - x[mask].mean(), 0.0)
+        yc = np.where(mask, y - y[mask].mean(), 0.0)
+        for value, k in zip(got, (0,) + grid.taus):
+            ref = float(np.dot(xc[: n - k], yc[k:])) / n
+            scale = float(np.dot(np.abs(xc[: n - k]), np.abs(yc[k:]))) / n
+            assert abs(value - ref) <= 1e-13 * scale
+
     def test_lag_exceeding_length(self):
         grid = LagGrid(Q=1, taus=(50,))
         with pytest.raises(ValueError):
@@ -512,6 +530,22 @@ class TestMcValidate:
                        agg=4, workers=1)
         with pytest.raises(McValidationError):
             est.mc_validate(cfg)
+
+    def test_failure_threshold_keeps_the_records(self, monkeypatch):
+        import mlogsfbm.estimate as est
+
+        def flat(config, factor, run_seed, replica):
+            raise ZeroVarianceError(f"flat series in replica {replica}")
+
+        monkeypatch.setattr(est, "_one_replica", flat)
+        with pytest.raises(McValidationError) as info:
+            est.mc_validate(self.sweep(n_list=(2**8,), replicas=4, workers=2))
+        assert info.value.failures == tuple(
+            (rep, "ZeroVarianceError", f"flat series in replica {rep}")
+            for rep in range(4))
+        assert str(info.value) == (
+            "4/4 replicas failed at n=256 (4 ZeroVarianceError); "
+            "replica 0, ZeroVarianceError: flat series in replica 0")
 
     def sweep(self, **kwargs):
         params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
