@@ -16,8 +16,8 @@ is searched on a bounded bracket.  This optimizes the same objective as the
 tanh/logistic reparametrization but deterministically, without ridge
 wandering.  This is the one optimiser path: a free scale T (univariate fits
 only) is an outer bounded search over T of the first-stage profiled
-objective, and the fit then runs at the chosen T.  Every model curve is
-built from ``kernels.block_cov_sequence``.
+objective, and the fit then runs at the chosen T.  Every model curve is a
+fixed linear map, built once per fit and T, of ``kernels.block_cov_sequence``.
 
 Second-stage weights invert either the exact Gaussian covariance of the
 moment vector at the first-stage estimate (default) or a Bartlett
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize as sopt
 
-from .kernels import CovCurve, block_cov_sequence
+from .kernels import CovCurve, block_cov_sequence, block_support
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
@@ -233,35 +233,30 @@ def newey_west_weight(contributions: np.ndarray, bandwidth: int) -> NWResult:
 # model curves
 # ---------------------------------------------------------------------------
 
-def _expected_curve(r: np.ndarray, n: int, lags: Sequence[int]) -> np.ndarray:
-    """Exact finite-sample expectation of ``empirical_cross_cov`` under a
-    model with (symmetric) cross-covariance sequence r(tau), tau = 0..n-1."""
-    r = np.asarray(r, dtype=float)
-    prefix = np.concatenate([[0.0], np.cumsum(r)])  # prefix[m] = sum r[0:m]
+def _curve_map(n: int, taus: Sequence[int], support: int,
+               finite_sample_adjust: bool) -> np.ndarray:
+    """The q x M matrix A whose product A @ r[:M] is the model side of the
+    moment conditions for a symmetric cross-covariance sequence r that
+    vanishes from M = ``support`` on: r at the lags, or with
+    ``finite_sample_adjust`` the exact expectation of ``empirical_cross_cov``,
+    (n-k)/n ([tau=k] + v_tau) - (W_tau(n-k) + W_tau(n) - W_tau(k)) / n^2 at
+    (k, tau).  v_tau = (2 - [tau=0]) (n-tau) / n^2 weighs r(tau) in the
+    sample-mean variance; W_tau(L) = max(0, min(L, n-tau)) + max(0, L-tau)
+    - L [tau=0] counts it in n sum_{l<=L} E[x_l mean(y)]."""
+    tau = np.arange(support)
+    curve_map = (tau == np.asarray(taus)[:, None]).astype(float)
+    if not finite_sample_adjust:
+        return curve_map
+    zero = tau == 0
+    v = np.where(zero, 1.0, 2.0) * (n - tau) / n**2
 
-    def psum(m):
-        # sum_{tau=0..m} r(tau), clipped to the available range
-        return prefix[np.clip(m + 1, 0, n)]
+    def w(length):
+        return (np.maximum(0, np.minimum(length, n - tau))
+                + np.maximum(0, length - tau) - length * zero)
 
-    l = np.arange(1, n + 1)
-    h = (psum(n - l) + psum(l - 1) - r[0]) / n  # E[x_l * mean(y)]
-    hsum = np.concatenate([[0.0], np.cumsum(h)])
-    tau = np.arange(1, n)
-    vbar = (r[0] + 2.0 * np.sum((1.0 - tau / n) * r[1:])) / n
-    out = np.empty(len(lags))
-    for pos, k in enumerate(lags):
-        cross = hsum[n - k] + (hsum[n] - hsum[k])
-        out[pos] = (n - k) / n * (r[k] + vbar) - cross / n
-    return out
-
-
-def _model_curve(r: np.ndarray, n: int, taus: Sequence[int],
-                 finite_sample_adjust: bool) -> np.ndarray:
-    """Model side of the moment conditions for the cross-covariance sequence
-    r: the expectation of ``empirical_cross_cov``, or r itself at the lags."""
-    if finite_sample_adjust:
-        return _expected_curve(r, n, taus)
-    return r[np.array(taus)]
+    for row, k in zip(curve_map, taus):  # row by row: no q x M temporaries
+        row[:] = (n - k) / n * (row + v) - (w(n - k) + w(n) - w(k)) / n**2
+    return curve_map
 
 
 def _product_moment_cov(rxu: np.ndarray, ryv: np.ndarray, rxv: np.ndarray,
@@ -419,13 +414,13 @@ def _cv_adjusted_cross_moments(
     model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
     n: int,
     taus: Sequence[int],
-    finite_sample_adjust: bool,
+    curve_map: np.ndarray,
     masks: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Regression-adjust the cross moments by the marginal moment residuals
-    (computed at the fixed marginal parameters) and return the adjusted
-    observations, the inverse of their model covariance, and whether either
-    inverse fell back to the identity."""
+    (at the fixed marginal parameters, model curves by ``curve_map``) and
+    return the adjusted observations, the inverse of their model covariance,
+    and whether either inverse fell back to the identity."""
     x, y = series
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
@@ -434,9 +429,9 @@ def _cv_adjusted_cross_moments(
                                  mask_y=mask_i).values
     obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j,
                                  mask_y=mask_j).values
-    model_ii = _model_curve(r_ii, n, taus, finite_sample_adjust)
-    model_jj = _model_curve(r_jj, n, taus, finite_sample_adjust)
-    marg_resid = np.concatenate([obs_ii - model_ii, obs_jj - model_jj])
+    support = curve_map.shape[1]
+    marg_resid = np.concatenate([obs_ii - curve_map @ r_ii[:support],
+                                 obs_jj - curve_map @ r_jj[:support]])
 
     s_cc = _product_moment_cov(r_ii, r_jj, r_ij, r_ij, n, taus)
     s_c_ii = _product_moment_cov(r_ii, r_ij, r_ii, r_ij, n, taus)
@@ -514,13 +509,16 @@ def calibrate_univariate(
     n = s.size
     grid = (grid or LagGrid.default()).restrict(n)
 
-    def curve(h: float, scale: float, t_val: float) -> np.ndarray:
-        return _model_curve(scale * block_cov_sequence(n, delta, h, h, t_val),
-                            n, grid.taus, finite_sample_adjust)
+    def unit_curve(t_val: float) -> Callable[[float], np.ndarray]:
+        # one map per T: only the roughness varies within a search
+        support = block_support(n, delta, t_val)
+        curve_map = _curve_map(n, grid.taus, support, finite_sample_adjust)
+        return lambda h: curve_map @ block_cov_sequence(
+            n, delta, h, h, t_val)[:support]
 
-    def search(observed, weight, t_val: float) -> _ProfileOutcome:
-        return _profiled_minimize(observed, lambda h: curve(h, 1.0, t_val),
-                                  weight, 1e-4, 0.4999, _AMP_FLOOR, math.inf)
+    def search(observed, weight, unit) -> _ProfileOutcome:
+        return _profiled_minimize(observed, unit, weight, 1e-4, 0.4999,
+                                  _AMP_FLOOR, math.inf)
 
     scale_evals = 0
     if fix_T is None:
@@ -532,22 +530,22 @@ def calibrate_univariate(
                                        mask_y=mask).values
         identity = np.eye(len(grid.taus))
         outer = sopt.minimize_scalar(
-            lambda t_val: search(observed, identity, t_val).objective,
+            lambda t_val: search(observed, identity,
+                                 unit_curve(t_val)).objective,
             bounds=(t_floor, t_cap), method="bounded")
         fix_T, scale_evals = float(outer.x), int(outer.nfev)
     if max(grid.taus) * delta + delta > fix_T:
         # keep only lags whose blocks fit inside the correlation window
         grid = grid.restrict(int(math.floor((fix_T - delta) / delta)))
-    taus = np.array(grid.taus)
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
-    first = search(observed, np.eye(len(grid.taus)), fix_T)
+    unit = unit_curve(fix_T)
+    first = search(observed, np.eye(len(grid.taus)), unit)
     r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
         n, delta, first.h, first.h, fix_T)
     weight, fallback = _second_stage_weight(
         weight_mode, (s, s), (r1, r1, r1), n, grid.taus)
-    second = search(observed, weight, fix_T)
+    second = search(observed, weight, unit)
     h, lam2 = second.h, second.amp
-    converged = first.converged and second.converged and not second.amp_at_bound
     notes = _weight_notes(weight, fallback)
     if second.amp_at_bound:
         notes.append("amplitude-at-bound")
@@ -555,14 +553,14 @@ def calibrate_univariate(
         raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
     if not lam2 > 0.0:
         raise CalibrationError(f"fitted lambda2={lam2!r} not positive")
-    residuals = CovCurve(taus.astype(float), observed - curve(h, lam2, fix_T),
+    residuals = CovCurve(grid.taus, observed - lam2 * unit(h),
                          meta={"statistic": "gmm-residual", "n": n,
                                "lag_units": "delta"})
     return GmmResult(params={"H": h, "lambda2": lam2, "T": fix_T},
                      objective=float(second.objective),
                      iterations=int(first.evals + second.evals + scale_evals),
-                     converged=bool(converged), weight=weight,
-                     residuals=residuals, notes=tuple(notes))
+                     converged=bool(first.converged and second.converged),
+                     weight=weight, residuals=residuals, notes=tuple(notes))
 
 
 def calibrate_pair(
@@ -596,7 +594,6 @@ def calibrate_pair(
     grid = (grid or LagGrid.default()).restrict(n)
     if max(grid.taus) * delta + delta > t_val:
         grid = grid.restrict(int(math.floor((t_val - delta) / delta)))
-    taus = np.array(grid.taus)
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
@@ -605,15 +602,11 @@ def calibrate_pair(
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
         return scale * block_cov_sequence(n, delta, hij, h_bar, t_val)
 
-    def curve(hij: float, scale: float) -> np.ndarray:
-        return _model_curve(sequence(hij, hbar, scale), n, grid.taus,
-                            finite_sample_adjust)
-
-    h_lo = hbar + 1e-6
-    h_hi = 0.4999
-    unit = lambda hij: curve(hij, 1.0)
-    identity = np.eye(len(grid.taus))
-    first = _profiled_minimize(observed, unit, identity,
+    support = block_support(n, delta, t_val)
+    curve_map = _curve_map(n, grid.taus, support, finite_sample_adjust)
+    unit = lambda hij: curve_map @ sequence(hij, hbar, 1.0)[:support]
+    h_lo, h_hi = hbar + 1e-6, 0.4999
+    first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)
     r_ii = sequence(max(H_i, 1e-4), max(H_i, 1e-4), lambda_i2)
     r_jj = sequence(max(H_j, 1e-4), max(H_j, 1e-4), lambda_j2)
@@ -624,8 +617,8 @@ def calibrate_pair(
         # moments, so the regression adjustment sharpens the fit without
         # moving its expectation
         target, weight, fallback = _cv_adjusted_cross_moments(
-            observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus,
-            finite_sample_adjust, (mask_i, mask_j))
+            observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus, curve_map,
+            (mask_i, mask_j))
     else:
         target = observed
         weight, fallback = _second_stage_weight(
@@ -642,7 +635,7 @@ def calibrate_pair(
     if not hbar <= hij < 0.5:
         raise CalibrationError(
             f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
-    residuals = CovCurve(taus.astype(float), observed - curve(hij, lam * g),
+    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij),
                          meta={"statistic": "gmm-residual", "n": n,
                                "lag_units": "delta"})
     return GmmResult(

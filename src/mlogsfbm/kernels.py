@@ -32,6 +32,7 @@ __all__ = [
     "noise_correlation",
     "integrated_cov",
     "block_cov_sequence",
+    "block_support",
     "interval_cov",
     "logvol_incr_cov",
     "logvol_incr_corr",
@@ -298,6 +299,18 @@ def integrated_cov(tau, delta: float, pair: PairParams):
     return _dispatch(tau, compute)
 
 
+def block_support(n: int, delta: float, T: float) -> int:
+    """Length of the prefix of ``block_cov_sequence`` that can be non-zero:
+    the lags k < n with Delta + k Delta <= T, rounded as the window check."""
+    limit = T * _DOMAIN_SLACK
+    m = int(min(max(limit // delta, 0.0), n))
+    while m < n and delta + m * delta <= limit:
+        m += 1
+    while m > 0 and delta + (m - 1) * delta > limit:
+        m -= 1
+    return m
+
+
 def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
                        T: float) -> np.ndarray:
     """Unit-amplitude block covariance over Delta^2 at the lags k Delta,
@@ -307,13 +320,7 @@ def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
     Entries whose block leaves the window (Delta + k Delta > T, the check of
     ``integrated_cov``) are zero, and only the support is evaluated.
     """
-    limit = T * _DOMAIN_SLACK
-    # the support is a prefix: count its lags, exactly as the check rounds
-    m = int(min(max(limit // delta, 0.0), n))
-    while m < n and delta + m * delta <= limit:
-        m += 1
-    while m > 0 and delta + (m - 1) * delta > limit:
-        m -= 1
+    m = block_support(n, delta, T)
     r = np.zeros(n)
     if m == 0:
         return r

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlogsfbm import PairParams, integrated_cov
-from mlogsfbm.kernels import block_cov_sequence
+from mlogsfbm import KernelDomainError, PairParams, integrated_cov
+from mlogsfbm.kernels import block_cov_sequence, block_support
 
 
 class _BlockCovModel:
@@ -112,3 +112,42 @@ def test_integrated_cov_on_the_lag_grid(delta, hij, h_bar):
     got = integrated_cov(lags, delta, pair) / delta**2
     want = pair.g * seq
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# (n, delta, T, support): T inside the series span, at it and beyond it;
+# then T = 3 delta at delta = 0.1, where delta + 2 delta rounds above T and
+# only the window slack keeps lag 2, and T two slacks below, where it does not
+SUPPORT_CASES = (
+    (2**14, 16.0, 1024 * 16.0, 1024),
+    (2**14, 16.0, 2**14 * 16.0, 2**14),
+    (2**14, 16.0, 16 * 2**14 * 16.0, 2**14),
+    (64, 0.1, 0.3, 3),
+    (64, 0.1, 0.3 * (1.0 - 2e-12), 2),
+)
+SUPPORT_IDS = ("inside", "at-span", "beyond", "slack-keeps", "slack-drops")
+
+
+@pytest.mark.parametrize("n, delta, t_val, support", SUPPORT_CASES,
+                         ids=SUPPORT_IDS)
+def test_support_is_the_non_zero_prefix(n, delta, t_val, support):
+    assert 0.1 + 2 * 0.1 > 0.3  # the rounding the slack cases rely on
+    assert block_support(n, delta, t_val) == support
+    r = block_cov_sequence(n, delta, 0.15, 0.1, t_val)
+    assert r[support - 1] != 0.0
+    assert not r[support:].any()
+
+
+@given(sequence_cases())
+def test_support_rounds_as_the_window_check(case):
+    # the last lag of the support passes integrated_cov's check, the first
+    # lag past it fails
+    n, delta, hij, h_bar, _, t_val = case
+    pair = PairParams(g=1.0, H_ij=hij, lambda_i2=0.05, lambda_j2=0.05,
+                      H_i=h_bar, H_j=h_bar, T=t_val)
+    support = block_support(n, delta, t_val)
+    assert 0 <= support <= n
+    if support > 0:
+        integrated_cov((support - 1) * delta, delta, pair)
+    if support < n:
+        with pytest.raises(KernelDomainError):
+            integrated_cov(support * delta, delta, pair)
