@@ -67,16 +67,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_json(path: str, what: str, parse=json.loads):
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return parse(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
@@ -97,10 +101,7 @@ def _resolve(args: argparse.Namespace, file_config: dict, defaults: dict) -> dic
 
 
 def _load_params(path: str) -> ModelParams:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"params file not found: {path}")
-    return ModelParams.from_json(p.read_text())
+    return _read_json(path, "params", ModelParams.from_json)
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -194,17 +195,19 @@ _COV_DEFAULTS = {
 
 
 def _load_pair(path: str) -> PairParams:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"pair params file not found: {path}")
-    doc = json.loads(p.read_text())
-    try:
-        return PairParams(
-            g=float(doc["g"]), H_ij=float(doc["H_ij"]),
-            lambda_i2=float(doc["lambda_i2"]), lambda_j2=float(doc["lambda_j2"]),
-            H_i=float(doc["H_i"]), H_j=float(doc["H_j"]), T=float(doc["T"]))
-    except KeyError as exc:
-        raise ConfigError(f"pair params missing key {exc}") from exc
+    doc = _read_json(path, "pair params")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"pair params file {path} must hold a JSON object")
+    values = {}
+    for key in ("g", "H_ij", "lambda_i2", "lambda_j2", "H_i", "H_j", "T"):
+        if key not in doc:
+            raise ConfigError(f"pair params missing key {key!r}")
+        try:
+            values[key] = float(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"pair params key {key!r} must be a number, "
+                              f"got {doc[key]!r}") from exc
+    return PairParams(**values)
 
 
 def _curve_rows(lags, evaluator) -> list[tuple]:

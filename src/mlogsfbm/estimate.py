@@ -91,7 +91,11 @@ class McValidationError(RuntimeError):
 def default_workers() -> int:
     env = os.environ.get("MSFBM_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"MSFBM_WORKERS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -198,14 +202,19 @@ class NWResult:
 
 
 def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
+    """V diag(1 / (max(lambda, 0) + eps)) V' over the eigenpairs of sym(s),
+    eps = 1e-10 trace / q: inv(s + eps I) on a positive semidefinite ``s``,
+    positive definite on any; the identity, flagged, if the trace is not
+    positive or the decomposition fails."""
     q = s.shape[0]
     trace = float(np.trace(s))
     if not math.isfinite(trace) or trace <= 0:
         return np.eye(q), True
     try:
-        w = np.linalg.inv(s + 1e-10 * trace / q * np.eye(q))
+        lam, vecs = np.linalg.eigh(0.5 * (s + s.T))
     except np.linalg.LinAlgError:
         return np.eye(q), True
+    w = (vecs / (np.maximum(lam, 0.0) + 1e-10 * trace / q)) @ vecs.T
     return 0.5 * (w + w.T), False
 
 
@@ -418,9 +427,11 @@ def _cv_adjusted_cross_moments(
     masks: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Regression-adjust the cross moments by the marginal moment residuals
-    (at the fixed marginal parameters, model curves by ``curve_map``) and
-    return the adjusted observations, the inverse of their model covariance,
-    and whether either inverse fell back to the identity."""
+    (at the fixed marginal parameters, model curves by ``curve_map``).  One
+    regularized precision P of the joint [cross; marginal-i; marginal-j]
+    moment covariance gives the weight P_cc, the inverse of the conditional
+    covariance (so positive definite), and the regression coefficient
+    -P_cc^-1 P_cm; also returns whether P fell back to the identity."""
     x, y = series
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
@@ -439,14 +450,13 @@ def _cv_adjusted_cross_moments(
     s_ii_ii = _product_moment_cov(r_ii, r_ii, r_ii, r_ii, n, taus)
     s_jj_jj = _product_moment_cov(r_jj, r_jj, r_jj, r_jj, n, taus)
     s_ii_jj = _product_moment_cov(r_ij, r_ij, r_ij, r_ij, n, taus)
-    s_mm = np.block([[s_ii_ii, s_ii_jj], [s_ii_jj.T, s_jj_jj]])
-    s_cm = np.hstack([s_c_ii, s_c_jj])
-    mm_inv, mm_fallback = _regularized_inverse(s_mm)
-    beta = s_cm @ mm_inv
-    adjusted = observed - beta @ marg_resid
-    s_adj = s_cc - beta @ s_cm.T
-    weight, fallback = _regularized_inverse(0.5 * (s_adj + s_adj.T))
-    return adjusted, weight, mm_fallback or fallback
+    q = len(taus)
+    precision, fallback = _regularized_inverse(np.block(
+        [[s_cc, s_c_ii, s_c_jj], [s_c_ii.T, s_ii_ii, s_ii_jj],
+         [s_c_jj.T, s_ii_jj.T, s_jj_jj]]))
+    weight = precision[:q, :q]
+    return (observed + np.linalg.solve(weight, precision[:q, q:] @ marg_resid),
+            weight, fallback)
 
 
 def _second_stage_weight(
@@ -466,17 +476,6 @@ def _second_stage_weight(
         nw = newey_west_weight(contributions, bandwidth)
         return nw.weight, nw.fallback_identity
     raise ValueError(f"unknown weight_mode {weight_mode!r}")
-
-
-def _weight_notes(weight: np.ndarray, fallback: bool) -> list[str]:
-    """Defects of a second-stage weight, reported rather than repaired: the
-    estimates are those of the weight as it is."""
-    notes = []
-    if fallback:
-        notes.append("identity-weight-fallback")
-    if np.linalg.eigvalsh(weight)[0] <= 0.0:
-        notes.append("indefinite-weight")
-    return notes
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +545,7 @@ def calibrate_univariate(
         weight_mode, (s, s), (r1, r1, r1), n, grid.taus)
     second = search(observed, weight, unit)
     h, lam2 = second.h, second.amp
-    notes = _weight_notes(weight, fallback)
+    notes = ["identity-weight-fallback"] if fallback else []
     if second.amp_at_bound:
         notes.append("amplitude-at-bound")
     if not 0.0 < h < 0.5:
@@ -627,7 +626,7 @@ def calibrate_pair(
                                 h_lo, h_hi, -lam, lam)
     hij = second.h
     g = min(max(second.amp / lam, -1.0), 1.0)
-    notes = _weight_notes(weight, fallback)
+    notes = ["identity-weight-fallback"] if fallback else []
     if second.amp_at_bound:
         notes.append("correlation-at-bound")
     if not abs(g) <= 1.0:
@@ -695,6 +694,7 @@ def calibrate_panel(
     d = panel.d
     delta = panel.delta
     t_val = T if T is not None else panel.n * delta
+    n_workers = workers if workers is not None else default_workers()
     if mask is not None:
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:
@@ -723,7 +723,6 @@ def calibrate_panel(
             H_i=mi["H"], H_j=mj["H"], delta=delta, grid=grid, T=t_val,
             mask_i=row_mask(i), mask_j=row_mask(j))
 
-    n_workers = workers if workers is not None else default_workers()
     if todo:
         with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
             futures = {ij: pool.submit(fit_pair, ij) for ij in todo}

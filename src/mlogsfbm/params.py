@@ -147,11 +147,25 @@ class ModelParams:
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
         doc = json.loads(text)
-        for key in ("T", "H", "xi"):
+        if not isinstance(doc, dict):
+            raise StructuralError("parameter document must be a JSON object")
+
+        def value(key, convert, what):
             if key not in doc:
-                raise StructuralError(f"missing key {key!r} in parameter document")
-        params = cls(T=float(doc["T"]), H=doc["H"], xi=doc["xi"])
-        if "d" in doc and int(doc["d"]) != params.d:
+                raise StructuralError(
+                    f"missing key {key!r} in parameter document")
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise StructuralError(
+                    f"key {key!r} in parameter document must be {what}, "
+                    f"got {doc[key]!r}") from exc
+
+        matrix = lambda v: np.asarray(v, dtype=float)
+        params = cls(T=value("T", float, "a number"),
+                     H=value("H", matrix, "a numeric matrix"),
+                     xi=value("xi", matrix, "a numeric matrix"))
+        if "d" in doc and value("d", int, "an integer") != params.d:
             raise StructuralError(
                 f"declared d={doc['d']} does not match matrix size {params.d}"
             )

@@ -71,6 +71,26 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_malformed_value_names_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "d": 2, "T": None, "H": [[0.02, 0.15], [0.15, 0.02]],
+            "xi": [[0.05, 0.025], [0.025, 0.05]]}))
+        code = main(["simulate", "--params", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "key 'T' in parameter document must be a number" in (
+            capsys.readouterr().err)
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"T": 1.0,')
+        code = main(["simulate", "--params", str(bad),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"params file {bad} is not valid JSON" in (
+            capsys.readouterr().err)
+
     def test_byte_identical_reruns(self, tmp_path, params_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -132,6 +152,32 @@ class TestCovarianceCommand:
     def test_missing_pair_file(self, tmp_path):
         assert main(["covariance", "--pair", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_null_value_names_the_key(self, tmp_path, capsys):
+        doc = {"g": None, "H_ij": 0.15, "lambda_i2": 0.05, "lambda_j2": 0.05,
+               "H_i": 0.02, "H_j": 0.02, "T": T_SMALL}
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["covariance", "--pair", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "pair params key 'g' must be a number, got None" in (
+            capsys.readouterr().err)
+
+    def test_list_document_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps([0.5, 0.15]))
+        assert main(["covariance", "--pair", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"pair params file {bad} must hold a JSON object" in (
+            capsys.readouterr().err)
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "pair.json"
+        bad.write_text("{g: 0.5}")
+        assert main(["covariance", "--pair", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"pair params file {bad} is not valid JSON" in (
+            capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +288,17 @@ class TestMcValidateCommand:
         err = capsys.readouterr().err
         assert "3/3 replicas failed at n=256 (3 ZeroVarianceError)" in err
         assert "series has zero variance" in err
+
+
+    def test_malformed_worker_count(self, tmp_path, params_file,
+                                    monkeypatch, capsys):
+        monkeypatch.setenv("MSFBM_WORKERS", "two")
+        code = main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "256", "--replicas", "2", "--seed", "1",
+                     "--agg", "4", "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert "MSFBM_WORKERS='two' is not an integer" in (
+            capsys.readouterr().err)
 
 
 class TestAnalyzeIndexCommand:

@@ -636,8 +636,8 @@ class TestOutOfBoxFit:
 
 
 class TestWeightDefects:
-    """A defective second-stage weight is reported in the notes; the fit is
-    that of the weight as it is."""
+    """A second-stage weight that fell back to the identity is reported in
+    the notes; any other weight is positive definite by construction."""
 
     @staticmethod
     def _series():
@@ -651,25 +651,25 @@ class TestWeightDefects:
         x, y = self._series()
         res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
         assert "identity-weight-fallback" in res.notes
-        assert "indefinite-weight" not in res.notes
 
-    def test_indefinite_weight_reported(self, monkeypatch):
+    def test_indefinite_covariance_gives_definite_weight(self, monkeypatch):
         import mlogsfbm.estimate as est
+        exact = est._product_moment_cov
 
-        def indefinite(s):
-            return np.diag(np.r_[-1.0, np.ones(s.shape[0] - 1)]), False
+        def indefinite(*args):
+            # a negative first diagonal entry, with the trace kept positive
+            s = exact(*args)
+            s[0, 0] -= 0.5 * np.trace(s)
+            return s
 
+        monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         x, y = self._series()
-        plain = (calibrate_univariate(x, 1.0, fix_T=2048.0),
-                 calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0))
-        monkeypatch.setattr(est, "_regularized_inverse", indefinite)
-        bad = (calibrate_univariate(x, 1.0, fix_T=2048.0),
-               calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0))
-        for before, after in zip(plain, bad):
-            assert "indefinite-weight" not in before.notes
-            assert "indefinite-weight" in after.notes
-            assert "identity-weight-fallback" not in after.notes
-            assert np.array_equal(after.weight, indefinite(after.weight)[0])
+        for res in (calibrate_univariate(x, 1.0, fix_T=2048.0),
+                    calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0,
+                                   T=2048.0)):
+            assert "identity-weight-fallback" not in res.notes
+            assert np.array_equal(res.weight, res.weight.T)
+            assert np.linalg.eigvalsh(res.weight)[0] > 0.0
 
 
 class TestCalibratePanel:
@@ -845,6 +845,15 @@ class TestWorkers:
         assert default_workers() == 3
         monkeypatch.delenv("MSFBM_WORKERS")
         assert default_workers() >= 1
+
+    def test_env_below_one_clamps_to_one(self, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", "0")
+        assert default_workers() == 1
+
+    def test_env_not_an_integer_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", "two")
+        with pytest.raises(ValueError, match="MSFBM_WORKERS='two'"):
+            default_workers()
 
 
 class TestRescaledDifferenceStatistic:

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlogsfbm import (
     CovCurve,
@@ -25,7 +27,11 @@ from mlogsfbm import (
     wick_moment,
     zeta_exponent,
 )
-from mlogsfbm.kernels import _pair_coeffs, index_variance_decomposition
+from mlogsfbm.kernels import (
+    _pair_coeffs,
+    block_cov_sequence,
+    index_variance_decomposition,
+)
 from conftest import T_GRID, random_admissible
 
 
@@ -143,6 +149,59 @@ class TestMsfbmCrossCov:
                     assert math.isnan(msfbm_cross_cov(math.nan, pair))
                     with pytest.raises(KernelDomainError, match="non-negative"):
                         msfbm_cross_cov(-1e-9, pair)
+
+
+@st.composite
+def swapped_pairs(draw):
+    """A pair of a random admissible d=3 set, the same pair with its
+    marginals swapped (H_i <-> H_j, lambda_i^2 <-> lambda_j^2), and a block
+    length Delta and lag tau with Delta < tau and tau + Delta <= T."""
+    params = random_admissible(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 3)
+    i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    pair = params.pair(i, j)
+    swapped = PairParams(g=pair.g, H_ij=pair.H_ij, lambda_i2=pair.lambda_j2,
+                         lambda_j2=pair.lambda_i2, H_i=pair.H_j, H_j=pair.H_i,
+                         T=pair.T)
+    delta = pair.T * draw(st.floats(1e-4, 0.25))
+    tau = delta + (pair.T - 2.0 * delta) * draw(st.floats(1e-3, 1.0))
+    return pair, swapped, delta, tau
+
+
+class TestKernelProperties:
+    @settings(max_examples=60)
+    @given(case=swapped_pairs())
+    def test_property_symmetric_in_the_marginals(self, case):
+        pair, swapped, delta, tau = case
+        lags = np.array([0.0, delta, tau, pair.T, 1.5 * pair.T])
+        assert msfbm_cross_cov(tau, pair) == msfbm_cross_cov(tau, swapped)
+        assert np.array_equal(msfbm_cross_cov(lags, pair),
+                              msfbm_cross_cov(lags, swapped))
+        for t in (0.0, tau):
+            assert (integrated_cov(t, delta, pair)
+                    == integrated_cov(t, delta, swapped))
+        assert (logvol_incr_cov(tau, delta, pair)
+                == logvol_incr_cov(tau, delta, swapped))
+        assert np.array_equal(
+            block_cov_sequence(64, delta, pair.H_ij, pair.h_bar, pair.T),
+            block_cov_sequence(64, delta, swapped.H_ij, swapped.h_bar,
+                               swapped.T))
+        assert (mrm_cross_cov_sia(tau, delta, pair)
+                == mrm_cross_cov_sia(tau, delta, swapped))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 2))
+    def test_property_diagonal_reduction(self, seed, i):
+        # at i = j: (nu^2/2) (1 - (tau/T)^(2H)), nu^2 = lambda^2/(H(1-2H))
+        rng = np.random.default_rng(seed)
+        pair = random_admissible(rng, 3).pair(i, i)
+        h, t_scale = pair.H_ij, pair.T
+        nu2 = pair.lambda_i2 / (h * (1.0 - 2.0 * h))
+        taus = t_scale * np.r_[0.0, rng.uniform(0.0, 1.0, 20), 1.0]
+        expected = 0.5 * nu2 * (1.0 - (taus / t_scale) ** (2.0 * h))
+        scalars = [msfbm_cross_cov(float(t), pair) for t in taus]
+        for got in (msfbm_cross_cov(taus, pair), np.array(scalars)):
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * nu2)
 
 
 class TestLogKernelCov:

@@ -185,6 +185,17 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             ModelParams.from_json('{"d": 3, "T": 10.0, "H": [[0.1]], "xi": [[0.05]]}')
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"T": null, "H": [[0.1]], "xi": [[0.05]]}', "'T'"),
+        ('{"T": 10.0, "H": [["x"]], "xi": [[0.05]]}', "'H'"),
+        ('{"d": null, "T": 10.0, "H": [[0.1]], "xi": [[0.05]]}', "'d'"),
+        ('{"T": 10.0, "H": [[0.1]]}', "'xi'"),
+        ('[10.0, [[0.1]], [[0.05]]]', "JSON object"),
+    ], ids=["null-T", "text-H", "null-d", "missing-xi", "list"])
+    def test_malformed_document_names_the_key(self, doc, key):
+        with pytest.raises(StructuralError, match=key):
+            ModelParams.from_json(doc)
+
     def test_immutability(self, fig2_params):
         with pytest.raises(ValueError):
             fig2_params.H[0, 0] = 0.3
