@@ -343,6 +343,7 @@ class _ProfileOutcome:
     objective: float
     evals: int
     amp_at_bound: bool
+    h_at_bound: bool
     converged: bool
 
 
@@ -389,6 +390,7 @@ def _profiled_minimize(
     at_bound = amp in (amp_lo, amp_hi)
     return _ProfileOutcome(h=h_star, amp=amp, objective=value, evals=evals,
                            amp_at_bound=at_bound,
+                           h_at_bound=min(h_star - h_lo, h_hi - h_star) <= 1e-6,
                            converged=bool(res.success) or vals[best] < res.fun)
 
 
@@ -548,6 +550,8 @@ def calibrate_univariate(
     notes = ["identity-weight-fallback"] if fallback else []
     if second.amp_at_bound:
         notes.append("amplitude-at-bound")
+    if second.h_at_bound:
+        notes.append("roughness-at-bound")
     if not 0.0 < h < 0.5:
         raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
     if not lam2 > 0.0:
@@ -607,8 +611,8 @@ def calibrate_pair(
     h_lo, h_hi = hbar + 1e-6, 0.4999
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)
-    r_ii = sequence(max(H_i, 1e-4), max(H_i, 1e-4), lambda_i2)
-    r_jj = sequence(max(H_j, 1e-4), max(H_j, 1e-4), lambda_j2)
+    r_ii = sequence(H_i, H_i, lambda_i2)
+    r_jj = sequence(H_j, H_j, lambda_j2)
     r_ij = sequence(first.h, hbar, first.amp)
     if weight_mode == "model":
         # stack the (fixed) marginal moment conditions as control
@@ -629,6 +633,8 @@ def calibrate_pair(
     notes = ["identity-weight-fallback"] if fallback else []
     if second.amp_at_bound:
         notes.append("correlation-at-bound")
+    if second.h_at_bound:
+        notes.append("roughness-at-bound")
     if not abs(g) <= 1.0:
         raise CalibrationError(f"fitted g={g!r} outside [-1, 1]")
     if not hbar <= hij < 0.5:

@@ -6,6 +6,9 @@ integrated (block-averaged) variants additionally require the whole
 integration rectangle to fit inside the support, i.e. tau + Delta <= T.
 Functions accepting a lag are vectorized over it; ``msfbm_cross_cov``
 additionally has a plain-float path for scalar lags (see its docstring).
+The block covariance has one implementation, shared by ``integrated_cov``,
+``block_cov_sequence``, ``logvol_incr_cov`` and ``index_ratio_bound``; it is
+finite at H_ij = 0, where it is that of the log kernel -ln(|x - y|/T).
 """
 
 from __future__ import annotations
@@ -46,9 +49,11 @@ __all__ = [
     "index_ratio_bound",
 ]
 
-# below this z = Delta/tau the direct second difference loses more than six
-# digits; switch to its quadratic expansion
-_SMALL_Z = 1e-4
+# below this z = Delta/tau, ``_second_diff_excess`` sums a series in z^2
+# whose first _SERIES_TERMS terms reach double precision there
+_SERIES_Z = 0.0625
+_SERIES_TERMS = 5
+_TINY = np.finfo(float).tiny  # stands in for y = 0 where y^2 ln y -> 0
 
 _DOMAIN_SLACK = 1.0 + 1e-12
 
@@ -130,25 +135,25 @@ class RatioBound:
     c_h: float
 
 
-def _block_coeffs(h_ij: float, h_bar: float) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the cross kernel
-    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)] for joint roughness h_ij and
-    marginal mean roughness h_bar."""
-    h2 = 2.0 * h_ij
-    a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
-    b = 1.0 / (h2 * (1.0 - h2))
-    c = (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
-    return a, b, c
+def _linear_coeff(h2: float, h_bar: float) -> float:
+    """C of the cross kernel at h2 = 2 H_ij, finite at h2 = 0 (see
+    ``_pair_coeffs``)."""
+    return (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
 
 
 def _pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
-    """``_block_coeffs`` of a pair; H_ij = 0 has no power-law kernel."""
+    """Coefficients (A, B, C) of the cross kernel
+    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)] of a pair, where A = B + C;
+    H_ij = 0 has no power-law kernel."""
     if pair.H_ij <= 0:
         raise KernelDomainError(
             "H_ij = 0 has no power-law kernel; use log_kernel_cov for the "
             "multifractal branch"
         )
-    return _block_coeffs(pair.H_ij, pair.h_bar)
+    h2, h_bar = 2.0 * pair.H_ij, pair.h_bar
+    a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
+    b = 1.0 / (h2 * (1.0 - h2))
+    return a, b, _linear_coeff(h2, h_bar)
 
 
 def _dispatch(tau, fn):
@@ -224,46 +229,64 @@ def noise_correlation(h, pair: PairParams):
     return _dispatch(h, compute)
 
 
-def _second_diff_ratio(z, alpha: float):
-    """(|1+z|^(a+2) + |1-z|^(a+2) - 2) / (z^2 (1+a)(2+a)), the normalised
-    second difference of |x|^(a+2) at step z.  Below _SMALL_Z it is the
-    series 1 + a (a-1) z^2/12; at a = 1 it is exactly 1 while z <= 1, since
-    the second difference of |x|^3 there is 6 z^2."""
-    z = np.asarray(z, dtype=float)
-    if alpha == 1.0 and np.all(z <= 1.0):
-        return np.ones_like(z)
-    direct = (
-        np.abs(1.0 + z) ** (alpha + 2.0)
-        + np.abs(1.0 - z) ** (alpha + 2.0)
-        - 2.0
-    ) / (z * z * (1.0 + alpha) * (alpha + 2.0))
-    if alpha == 1.0:
-        return np.where(z <= 1.0, 1.0, direct)
-    small = z < _SMALL_Z
-    if not small.any():
-        return direct
-    series = 1.0 + alpha * (alpha - 1.0) * (z * z / 12.0)
-    return np.where(small, series, direct)
+def _power_log(log_y, alpha: float):
+    """(y^a - 1)/a from ln y; ln y itself at a = 0."""
+    return log_y if alpha == 0.0 else np.expm1(alpha * log_y) / alpha
 
 
-def _block_cov_terms(tau, delta: float, T: float, h2: float, b: float,
-                     c: float):
-    """B- and C-terms of the unit-amplitude block covariance over Delta^2 at
-    lags tau > 0: b (tau/T)^(2H) E(Delta/tau, 2H) and c (tau/T) E(Delta/tau, 1),
-    with E the ``_second_diff_ratio``."""
-    z = delta / tau
-    u = tau / T
-    power = b * (u**h2 * _second_diff_ratio(z, h2))
-    linear = c * (u * _second_diff_ratio(z, 1.0))
-    return power, linear
+def _second_diff_excess(z: np.ndarray, alpha: float, n_log: int) -> np.ndarray:
+    """(E(z, a) - 1)/a at descending z, E(z, a) = (|1+z|^(a+2) + |1-z|^(a+2)
+    - 2) / (z^2 (1+a)(2+a)); every term carries the factor a before it is
+    divided out.  The first n_log entries use |1+-z|^(a+2) = |1+-z|^2 (1 + a
+    (|1+-z|^a - 1)/a), which loses about eps/z^2; the rest (z < _SERIES_Z)
+    the binomial series sum_{k>=2} 2 (a-1)(a-2)...(a-2k+3)/(2k)! z^(2k-2)."""
+    out = np.empty(z.size)
+    zl = z[:n_log]
+    zp, zm = 1.0 + zl, np.abs(1.0 - zl)
+    s = zp * zp * _power_log(np.log1p(zl), alpha)
+    s += zm * zm * _power_log(np.log(np.maximum(zm, _TINY)), alpha)  # zm = 0 at z = 1
+    out[:n_log] = (s / (zl * zl) - (3.0 + alpha)) / ((1.0 + alpha) * (2.0 + alpha))
+    coefs = [(alpha - 1.0) / 12.0]
+    for k in range(2, _SERIES_TERMS + 1):
+        coefs.append(coefs[-1] * (alpha - 2.0 * k + 2.0) * (alpha - 2.0 * k + 1.0)
+                     / ((2.0 * k + 1.0) * (2.0 * k + 2.0)))
+    w = z[n_log:] ** 2
+    acc = out[n_log:]
+    acc[:] = coefs[-1]
+    for coef in coefs[-2::-1]:
+        acc *= w
+        acc += coef
+    acc *= w
+    return out
 
 
-def _block_variance_terms(delta: float, T: float, h2: float, b: float,
-                          c: float) -> tuple[float, float]:
-    """The same two terms at tau = 0 (the block variance), where the double
-    integrals are 2 (Delta/T)^(2H) / ((1+2H)(2+2H)) and Delta/(3T)."""
-    dt = delta / T
-    return 2.0 * b * dt**h2 / ((1.0 + h2) * (2.0 + h2)), c * dt / 3.0
+def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
+                    h_bar: float) -> np.ndarray:
+    """Unit-amplitude block covariance over Delta^2 at ascending lags tau:
+    B (1 - u^a E(z, a)) + C (1 - u E(z, 1)), a = 2 H_ij, u = tau/T,
+    z = Delta/tau, A = B + C.  The B-term is -[(u^a - 1)/a + u^a (E - 1)/a]
+    /(1 - a), finite at a = 0 (the log kernel -ln(|x - y|/T)); at tau = 0,
+    u^a E is its z -> infinity limit (Delta/T)^a 2/((1+a)(2+a)).  z falls
+    as tau grows, so each form is a slice."""
+    alpha = 2.0 * h_ij
+    c = _linear_coeff(alpha, h_bar)
+    # ends of the lags tau = 0, tau < Delta and z >= _SERIES_Z
+    i0, i1, i2 = np.searchsorted(
+        tau, (0.0, math.nextafter(delta, 0.0), delta / _SERIES_Z), side="right")
+    # tau = 0, y = Delta/T: 1 - u^a E = -a (y^a - 1)/a + y^a (1 - 2/((1+a)(2+a)))
+    p0 = _power_log(math.log(delta / T), alpha)
+    e0 = (1.0 + alpha * p0) * (3.0 + alpha) / ((1.0 + alpha) * (2.0 + alpha))
+    out = np.empty(tau.size)
+    out[:i0] = c * (1.0 - delta / (3.0 * T)) - (p0 - e0) / (1.0 - alpha)
+    u, z = tau[i0:] / T, delta / tau[i0:]
+    p = _power_log(np.log(u), alpha)
+    power = p + (alpha * p + 1.0) * _second_diff_excess(z, alpha, i2 - i0)
+    lin = 1.0 - u
+    if i1 > i0:  # tau < Delta: E(z, 1) - 1 = (z - 1)^3/(3 z^2)
+        zs = z[:i1 - i0]
+        lin[:i1 - i0] -= u[:i1 - i0] * (zs - 1.0) ** 3 / (3.0 * zs * zs)
+    out[i0:] = c * lin - power / (1.0 - alpha)
+    return out
 
 
 def _check_window(tau, delta: float, T: float):
@@ -285,16 +308,12 @@ def integrated_cov(tau, delta: float, pair: PairParams):
     marginals; dividing by Delta^2 recovers the instantaneous kernel as
     Delta -> 0.  On the lags k Delta it is g Delta^2 ``block_cov_sequence``."""
     _check_window(tau, delta, pair.T)
-    a, b, c = _pair_coeffs(pair)
-    h2 = 2.0 * pair.H_ij
-    var2, var1 = _block_variance_terms(delta, pair.T, h2, b, c)
+    _pair_coeffs(pair)  # rejects H_ij = 0
 
     def compute(t):
-        pos = t > 0
-        power, linear = _block_cov_terms(np.where(pos, t, delta), delta,
-                                         pair.T, h2, b, c)
-        unit = np.where(pos, a - power - linear, a - var2 - var1)
-        return pair.g * delta * delta * unit
+        lags, inv = np.unique(t, return_inverse=True)
+        unit = _unit_block_cov(lags, delta, pair.T, pair.H_ij, pair.h_bar)
+        return pair.g * delta * delta * unit[inv].reshape(t.shape)
 
     return _dispatch(tau, compute)
 
@@ -318,19 +337,13 @@ def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
     joint roughness H_ij and marginal mean roughness h_bar.
 
     Entries whose block leaves the window (Delta + k Delta > T, the check of
-    ``integrated_cov``) are zero, and only the support is evaluated.
+    ``integrated_cov``) are zero, and only the support is evaluated.  The
+    result is finite down to H_ij = 0, where it is the block covariance of
+    the log kernel -ln(|x - y|/T).
     """
     m = block_support(n, delta, T)
     r = np.zeros(n)
-    if m == 0:
-        return r
-    a, b, c = _block_coeffs(H_ij, h_bar)
-    h2 = 2.0 * H_ij
-    var2, var1 = _block_variance_terms(delta, T, h2, b, c)
-    r[0] = a - var2 - var1
-    power, linear = _block_cov_terms(np.arange(1.0, m) * delta, delta, T,
-                                     h2, b, c)
-    r[1:m] = a - power - linear
+    r[:m] = _unit_block_cov(np.arange(m) * delta, delta, T, H_ij, h_bar)
     return r
 
 
@@ -341,44 +354,44 @@ def interval_cov(interval_i: tuple, interval_j: tuple, pair: PairParams) -> floa
     r, s = map(float, interval_j)
     if not (q > p and s > r):
         raise KernelDomainError("intervals must have positive length")
-    span = max(abs(s - p), abs(r - q), abs(r - p), abs(s - q))
+    dists = (abs(s - p), abs(r - q), abs(r - p), abs(s - q))
+    span = max(dists)
     if span > pair.T * _DOMAIN_SLACK:
         raise KernelDomainError(
             f"interval separation {span} exceeds the validity window T = {pair.T}"
         )
-    a, b, c = _pair_coeffs(pair)
-
-    def psi(alpha: float) -> float:
-        num = (
-            abs(s - p) ** (alpha + 2.0)
-            + abs(r - q) ** (alpha + 2.0)
-            - abs(r - p) ** (alpha + 2.0)
-            - abs(s - q) ** (alpha + 2.0)
-        )
-        return num / (pair.T**alpha * (alpha + 1.0) * (alpha + 2.0))
-
+    _, _, c = _pair_coeffs(pair)
+    alpha = 2.0 * pair.H_ij
     area = (q - p) * (s - r)
-    return pair.g * (a * area - b * psi(2.0 * pair.H_ij) - c * psi(1.0))
+    # B (area - psi(a)) and C (area - psi(1)), psi(a) the four-point second
+    # difference (signs + + - -) of |x|^(a+2) / (T^a (1+a)(2+a)); its
+    # |x|^2 part is 2 area.  d = 0 where the intervals touch.
+    signed = list(zip((1.0, 1.0, -1.0, -1.0), dists))
+    power = sum(sg * d * d * _power_log(math.log(max(d / pair.T, _TINY)), alpha)
+                for sg, d in signed)
+    power = ((3.0 + alpha) * area - power) / (
+        (1.0 + alpha) * (2.0 + alpha) * (1.0 - alpha))
+    linear = area - sum(sg * d**3 for sg, d in signed) / (6.0 * pair.T)
+    return float(pair.g * (power + c * linear))
 
 
 def logvol_incr_cov(tau, delta: float, pair: PairParams):
     """Covariance of the lag-tau increments of the two block-averaged
     marginals, cov(d_tau Omega_i / Delta, d_tau Omega_j / Delta).
 
-    Equals 2 (C(0) - C(tau)) / Delta^2 in terms of the block covariance C;
-    evaluated here in closed form.
+    Equals 2 (C(0) - C(tau)) / Delta^2 in terms of the block covariance C,
+    and is computed so: 2 g (unit(0) - unit(tau)) of ``block_cov_sequence``.
     """
     t = np.asarray(tau, dtype=float)
     if np.any(t <= 0):
         raise KernelDomainError("increment lag tau must be positive")
     _check_window(tau, delta, pair.T)
-    _, b, c = _pair_coeffs(pair)
-    h2 = 2.0 * pair.H_ij
-    var2, var1 = _block_variance_terms(delta, pair.T, h2, b, c)
+    _pair_coeffs(pair)  # rejects H_ij = 0
 
     def compute(tt):
-        power, linear = _block_cov_terms(tt, delta, pair.T, h2, b, c)
-        return 2.0 * pair.g * ((power - var2) + (linear - var1))
+        lags, inv = np.unique(np.append(0.0, tt), return_inverse=True)
+        unit = _unit_block_cov(lags, delta, pair.T, pair.H_ij, pair.h_bar)
+        return 2.0 * pair.g * (unit[0] - unit[inv[1:]].reshape(tt.shape))
 
     return _dispatch(tau, compute)
 
@@ -609,21 +622,6 @@ def index_variance_decomposition(
     return float(cross), float(diag)
 
 
-def _increment_variance_bracket(z: float, hurst: float) -> float:
-    """Increment-variance shape as a function of z = Delta/tau alone, with
-    the (tau/T)^(2H) factor stripped; extends continuously to hurst = 0."""
-    if hurst == 0.0:
-        if z >= 1.0:
-            raise KernelDomainError("need z = Delta/tau < 1 at the H' -> 0 limit")
-        corr = ((1.0 + z) ** 2 * math.log1p(z)
-                + (1.0 - z) ** 2 * math.log1p(-z)) / (2.0 * z * z)
-        return -math.log(z) + corr
-    h2 = 2.0 * hurst
-    e2 = float(_second_diff_ratio(np.asarray(z), h2))
-    bracket = e2 - z**h2 / ((1.0 + h2) * (1.0 + hurst))
-    return bracket / (h2 * (1.0 - h2))
-
-
 def index_ratio_bound(
     H: float, Hprime: float, delta: float, tau: float, T: float, d: int
 ) -> RatioBound:
@@ -631,9 +629,9 @@ def index_ratio_bound(
     idiosyncratic term of the index variance, for the homogeneous
     configuration (common off-diagonal roughness H, marginal roughness H').
 
-    Returns both the finite-H' bound (d-1) (tau/T)^(2(H-H')) / r(Delta/tau)
-    and the H' -> 0 limit (d-1) (tau/T)^(2H) C_H (3 - 2 ln(Delta/tau)) with
-    C_H = H (1-2H) (1+2H) (1+H) / (2 (2^(2H) - 1)).
+    Returns both the finite-H' bound (d-1) (tau/T)^(2(H-H')) / r(Delta/tau),
+    exact down to H' = 0, and the H' -> 0 limit (d-1) (tau/T)^(2H) C_H
+    (3 - 2 ln(Delta/tau)) with C_H = H (1-2H) (1+2H) (1+H) / (2 (2^(2H) - 1)).
     """
     if not 0 <= Hprime < H < 0.5:
         raise KernelDomainError(f"need 0 <= H' < H < 1/2, got H'={Hprime}, H={H}")
@@ -643,11 +641,12 @@ def index_ratio_bound(
         )
     if d < 1:
         raise ValueError("d must be >= 1")
-    z = delta / tau
-    r = _increment_variance_bracket(z, Hprime) / _increment_variance_bracket(z, H)
-    finite = (d - 1) * (tau / T) ** (2.0 * (H - Hprime)) / r
+    # unit(0) - unit(tau) with diagonal coefficients, at H and at H'
+    rise = [-np.diff(_unit_block_cov(np.array([0.0, tau]), delta, T, h, h))[0]
+            for h in (H, Hprime)]
+    finite = (d - 1) * rise[0] / rise[1]
     c_h = H * (1.0 - 2.0 * H) * (1.0 + 2.0 * H) * (1.0 + H) / (
         2.0 * (2.0 ** (2.0 * H) - 1.0)
     )
-    limit = (d - 1) * (tau / T) ** (2.0 * H) * c_h * (3.0 - 2.0 * math.log(z))
+    limit = (d - 1) * (tau / T) ** (2.0 * H) * c_h * (3.0 - 2.0 * math.log(delta / tau))
     return RatioBound(finite=float(finite), limit=float(limit), c_h=float(c_h))

@@ -6,7 +6,10 @@ Hurst exponents) and an amplitude matrix ``xi`` (diagonal = intermittency
 coefficients lambda_i^2).  Admissibility requires H[i][j] >= (H[i][i] +
 H[j][j]) / 2, positive semidefiniteness of ``xi`` and non-vanishing
 off-diagonal H entries; the H = 0 case is allowed on the diagonal only and is
-handled by the logarithmic kernel branch of the simulator.
+handled by the logarithmic kernel branch of the simulator.  Admissibility does
+not imply that the set embeds: a log marginal next to power-law cross kernels
+can leave too much negative spectral mass, and the simulator then raises
+``EmbeddingError``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """``kernels.block_cov_sequence``, the one implementation of the block
 covariance the estimator uses, against the per-fit model class it replaced
-(kept verbatim as the oracle) and against ``integrated_cov``."""
+(kept verbatim as the oracle), against 50-digit ``mpmath`` and against
+``integrated_cov``."""
 
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from mlogsfbm import KernelDomainError, PairParams, integrated_cov
 from mlogsfbm.kernels import block_cov_sequence, block_support
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class _BlockCovModel:
@@ -92,11 +96,93 @@ def sequence_cases(draw):
 
 
 @given(sequence_cases())
-def test_matches_model_class_exactly(case):
+def test_matches_model_class(case):
+    # the model class is the old formula, and the less accurate side: at
+    # H = 1e-4 and T near 1e4 Delta, where its last lags still take the
+    # direct second difference, its own error reaches 1.4e-5 of the largest
+    # entry (and 94% of the last entry; see the mpmath property)
     n, delta, hij, h_bar, scale, t_val = case
     want = _BlockCovModel(n, delta, ()).cov_sequence(hij, h_bar, scale, t_val)
     got = scale * block_cov_sequence(n, delta, hij, h_bar, t_val)
-    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want), initial=0.0) <= (
+        5e-5 * np.max(np.abs(want), initial=0.0))
+
+
+def _unit_mpmath(k, delta, t_val, hij, h_bar):
+    """Unit block covariance over Delta^2 at the lag k Delta, in 50 digits:
+    B (area - psi(a)) + C (area - psi(1)) with psi(a) the four-point second
+    difference of |x|^(a+2) / (T^a (1+a)(2+a)), and at a = 0 the log form
+    (3 area - sum of +-D^2 ln(D/T)) / 2 of the B-term."""
+    with mpmath.workdps(50):
+        tau = mpmath.mpf(k * delta)  # the double the code evaluates
+        d, t_val = mpmath.mpf(delta), mpmath.mpf(t_val)
+        a, hb = 2 * mpmath.mpf(hij), mpmath.mpf(h_bar)
+        area = d * d
+        points = ((tau + d, 1), (abs(tau - d), 1), (tau, -1), (tau, -1))
+        if a == 0:
+            power = (3 * area - sum(sg * D * D * mpmath.log(D / t_val)
+                                    for D, sg in points if D > 0)) / 2
+        else:
+            psi = sum(sg * D ** (a + 2) for D, sg in points) / (
+                t_val**a * (1 + a) * (2 + a))
+            power = (area - psi) / (a * (1 - a))
+        psi1 = sum(sg * D**3 for D, sg in points) / (6 * t_val)
+        c = (a - 2 * hb) / ((a - 1) * (1 - 2 * hb))
+        return float((power + c * (area - psi1)) / area)
+
+
+@st.composite
+def precision_cases(draw):
+    hij = draw(st.one_of(st.just(0.0), st.floats(1e-10, 1e-3),
+                         st.floats(1e-10, 0.5, exclude_max=True)))
+    h_bar = draw(st.floats(0.0, hij))
+    delta = draw(st.sampled_from(DELTAS))
+    t_val = draw(st.floats(2.0, 1.37 * 2**16)) * delta
+    m = block_support(2**17, delta, t_val)
+    lags = draw(st.lists(st.integers(0, m - 1), max_size=4))
+    return hij, h_bar, delta, t_val, m, sorted({0, 1, m - 1, *lags})
+
+
+@given(precision_cases())
+def test_matches_mpmath(case):
+    # 1e-13 where tau + Delta <= T/2 and 1e-10 on the rest of the support,
+    # where the kernel vanishes toward T.  As H_ij -> 1/2 the B- and C-terms
+    # grow as 1/(1 - 2 H_ij) and cancel, so the bound grows with them.
+    hij, h_bar, delta, t_val, m, lags = case
+    got = block_cov_sequence(m, delta, hij, h_bar, t_val)
+    for k in lags:
+        want = _unit_mpmath(k, delta, t_val, hij, h_bar)
+        rtol = 1e-13 if (k + 1) * delta <= t_val / 2 else 1e-10
+        assert abs(got[k] - want) <= rtol * abs(want) / (1.0 - 2.0 * hij), k
+
+
+def _log_kernel_quadrature(tau, delta, t_val):
+    """Delta^-2 times the double integral of -ln(|x - y|/T) over
+    [0, Delta] x [tau, tau + Delta], as the integral over s = y - x - tau of
+    the triangle weight Delta - |s|, split at the singularity s = -tau."""
+    with mpmath.workdps(30):
+        d, tau, t_val = map(mpmath.mpf, (delta, tau, t_val))
+        nodes = sorted({-d, d, mpmath.mpf(0)} | ({-tau} if tau <= d else set()))
+        val = mpmath.quad(lambda s: -(d - abs(s)) * mpmath.log(abs(tau + s) / t_val),
+                          nodes)
+        return float(val / (d * d))
+
+
+@pytest.mark.parametrize("delta, t_val", [(1.0, 64.0), (16.0, 16.0 * 1000.0),
+                                          (0.1, 0.1 * 2**14)])
+def test_log_kernel_at_zero_roughness(delta, t_val):
+    # H_ij = 0: the block covariance of -ln(|x - y|/T); a power-law pair at
+    # H_ij = h_bar = 1e-12 is within its O(H) distance of it
+    n = 64
+    seq = block_cov_sequence(n, delta, 0.0, 0.0, t_val)
+    pair = PairParams(g=1.0, H_ij=1e-12, lambda_i2=0.05, lambda_j2=0.05,
+                      H_i=1e-12, H_j=1e-12, T=t_val)
+    support = block_support(n, delta, t_val)
+    for k in sorted({0, 1, 2, 5, 17, support - 1}):
+        want = _log_kernel_quadrature(k * delta, delta, t_val)
+        assert seq[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+        near = integrated_cov(k * delta, delta, pair) / delta**2
+        assert near == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -614,7 +614,8 @@ class TestOutOfBoxFit:
                  n_scan=24):
             amp = min(max(0.05, amp_lo), amp_hi)
             return _ProfileOutcome(h=h, amp=amp, objective=0.0, evals=1,
-                                   amp_at_bound=False, converged=True)
+                                   amp_at_bound=False, h_at_bound=False,
+                                   converged=True)
         return fake
 
     def test_univariate(self, monkeypatch):

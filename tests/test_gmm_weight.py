@@ -225,7 +225,8 @@ def long_window_fit():
     its pair fit at T = N delta with fitted marginals: the fit whose weight
     was indefinite, and which moved between (H_ij, g) = (0.027, 0) and
     (0.16, -1) under rounding-level scalings of the model sequence, before
-    the joint precision replaced the Schur subtraction."""
+    the joint precision replaced the Schur subtraction.  Also returns the
+    two marginal fits, the second of which ends at its roughness floor."""
     params = ModelParams(T=2.0**18, H=[[0.02, 0.15], [0.15, 0.02]],
                          xi=[[0.05, 0.025], [0.025, 0.05]])
     (panel,), _ = simulate_field(params, 2**18, 1.0, seed=5)
@@ -240,14 +241,14 @@ def long_window_fit():
             mj.params["lambda2"], mi.params["H"], mj.params["H"],
             proxy.delta, T=t_val)
 
-    return fit, fit()
+    return fit, fit(), (mi, mj)
 
 
 class TestRoundingStability:
     @pytest.mark.parametrize("eps", [-4e-16, -2e-16, 2e-16, 4e-16])
     def test_pair_fit_stable_under_rounding_scaling(self, long_window_fit,
                                                     monkeypatch, eps):
-        fit, plain = long_window_fit
+        fit, plain, _ = long_window_fit
         exact = est.block_cov_sequence
         monkeypatch.setattr(est, "block_cov_sequence",
                             lambda *args: exact(*args) * (1.0 + eps))
@@ -258,3 +259,13 @@ class TestRoundingStability:
                                                       abs=1e-6)
         assert scaled.params["g"] == pytest.approx(plain.params["g"], abs=1e-6)
         assert scaled.notes == plain.notes
+
+
+class TestRoughnessAtBound:
+    def test_marginal_at_its_floor_is_noted(self, long_window_fit):
+        _, _, (interior, floor) = long_window_fit
+        assert floor.params["H"] == pytest.approx(1e-4, abs=1e-6)
+        assert floor.converged
+        assert "roughness-at-bound" in floor.notes
+        assert interior.params["H"] == pytest.approx(0.0118, abs=1e-4)
+        assert "roughness-at-bound" not in interior.notes

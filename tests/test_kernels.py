@@ -34,6 +34,8 @@ from mlogsfbm.kernels import (
 )
 from conftest import T_GRID, random_admissible
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def kernel_quadrature(pair, tau, delta, tol=1e-11):
     """Independent oracle: double quadrature of the instantaneous kernel over
@@ -295,10 +297,14 @@ class TestIntegratedCov:
             integrated_cov(T_GRID, 1.0, fig2_pair)
 
     def test_interval_cov_consistency(self, fig2_pair):
-        for tau in (0.0, 3.0, 40.0):
-            a = integrated_cov(tau, 2.0, fig2_pair)
-            b = interval_cov((0.0, 2.0), (tau, tau + 2.0), fig2_pair)
-            assert a == pytest.approx(b, rel=1e-12)
+        # also near H = 0, where the power-law terms are of order 1/H
+        rough = PairParams(g=0.5, H_ij=1e-8, lambda_i2=0.05, lambda_j2=0.05,
+                           H_i=1e-8, H_j=1e-8, T=T_GRID)
+        for pair in (fig2_pair, rough):
+            for tau in (0.0, 1.0, 3.0, 40.0):
+                a = integrated_cov(tau, 2.0, pair)
+                b = interval_cov((0.0, 2.0), (tau, tau + 2.0), pair)
+                assert a == pytest.approx(b, rel=1e-12)
 
     def test_interval_cov_unequal_lengths_against_quadrature(self, fig2_pair):
         lam = math.sqrt(fig2_pair.lambda_i2 * fig2_pair.lambda_j2)
@@ -311,7 +317,9 @@ class TestIntegratedCov:
 
 class TestLogvolIncrements:
     def test_increment_identity(self, fig2_pair):
-        # two independent code paths must agree to 1e-10
+        # the closed form is 2 g (unit(0) - unit(tau)) of the block
+        # covariance: one path with integrated_cov, so only the rounding of
+        # the g Delta^2 scaling separates them
         for delta in (1.0, 4.0, 16.0):
             for tau in (1.0, 5.0, 64.0, 1000.0):
                 direct = logvol_incr_cov(tau, delta, fig2_pair)
@@ -604,7 +612,83 @@ class TestIndexVariance:
             index_logvol_variance([0.5, 0.5], fig2_params, 2 * T_GRID, 1.0)
 
 
+_SMALL_Z = 1e-4
+
+
+def _second_diff_ratio(z, alpha: float):
+    """(|1+z|^(a+2) + |1-z|^(a+2) - 2) / (z^2 (1+a)(2+a)), the normalised
+    second difference of |x|^(a+2) at step z.  Below _SMALL_Z it is the
+    series 1 + a (a-1) z^2/12; at a = 1 it is exactly 1 while z <= 1, since
+    the second difference of |x|^3 there is 6 z^2."""
+    z = np.asarray(z, dtype=float)
+    if alpha == 1.0 and np.all(z <= 1.0):
+        return np.ones_like(z)
+    direct = (
+        np.abs(1.0 + z) ** (alpha + 2.0)
+        + np.abs(1.0 - z) ** (alpha + 2.0)
+        - 2.0
+    ) / (z * z * (1.0 + alpha) * (alpha + 2.0))
+    if alpha == 1.0:
+        return np.where(z <= 1.0, 1.0, direct)
+    small = z < _SMALL_Z
+    if not small.any():
+        return direct
+    series = 1.0 + alpha * (alpha - 1.0) * (z * z / 12.0)
+    return np.where(small, series, direct)
+
+
+def _increment_variance_bracket(z: float, hurst: float) -> float:
+    """Increment-variance shape as a function of z = Delta/tau alone, with
+    the (tau/T)^(2H) factor stripped; extends continuously to hurst = 0."""
+    if hurst == 0.0:
+        if z >= 1.0:
+            raise KernelDomainError("need z = Delta/tau < 1 at the H' -> 0 limit")
+        corr = ((1.0 + z) ** 2 * math.log1p(z)
+                + (1.0 - z) ** 2 * math.log1p(-z)) / (2.0 * z * z)
+        return -math.log(z) + corr
+    h2 = 2.0 * hurst
+    e2 = float(_second_diff_ratio(np.asarray(z), h2))
+    bracket = e2 - z**h2 / ((1.0 + h2) * (1.0 + hurst))
+    return bracket / (h2 * (1.0 - h2))
+
+
+def _finite_ratio_bound_reference(H, Hprime, delta, tau, T, d):
+    """The finite bound as computed before the shared block covariance, from
+    the two routines above (kept verbatim as the oracle)."""
+    z = delta / tau
+    r = _increment_variance_bracket(z, Hprime) / _increment_variance_bracket(z, H)
+    return (d - 1) * (tau / T) ** (2.0 * (H - Hprime)) / r
+
+
+@st.composite
+def ratio_bound_cases(draw, log_marginal=True):
+    # z = Delta/tau in [0.01, 0.99]: the oracle loses about eps/z^2 times
+    # 1/H' to cancellation, which stays below 1e-9 there
+    H = draw(st.floats(0.02, 0.49))
+    Hprime = draw(st.floats(0.01, H, exclude_max=True))
+    if log_marginal:
+        Hprime = draw(st.sampled_from((0.0, Hprime)))
+    delta = draw(st.sampled_from((0.1, 1.0, 16.0)))
+    tau = delta / draw(st.floats(0.01, 0.99))
+    T = (tau + delta) * draw(st.floats(1.0, 1e3))
+    return H, Hprime, delta, tau, T, draw(st.integers(1, 200))
+
+
 class TestIndexRatioBound:
+    @given(ratio_bound_cases())
+    def test_finite_matches_reference(self, case):
+        want = _finite_ratio_bound_reference(*case)
+        assert index_ratio_bound(*case).finite == pytest.approx(want, rel=1e-8)
+
+    @given(ratio_bound_cases(log_marginal=False))
+    def test_finite_is_the_increment_variance_ratio(self, case):
+        # H' > 0: the diagonal PairParams kernels have no H = 0 branch
+        H, Hprime, delta, tau, T, d = case
+        var = [logvol_incr_cov(tau, delta, PairParams.diagonal(0.05, h, T))
+               for h in (H, Hprime)]
+        got = index_ratio_bound(H, Hprime, delta, tau, T, d).finite
+        assert got == pytest.approx((d - 1) * var[0] / var[1], rel=1e-13)
+
     def test_single_asset_is_zero(self):
         rb = index_ratio_bound(0.15, 0.0, 1.0, 5.0, T_GRID, 1)
         assert rb.finite == 0.0

@@ -34,6 +34,7 @@ from mlogsfbm.simulate import (
     write_panel_csv,
     _spectral_matrices,
 )
+from conftest import random_admissible
 
 
 def small_params(t=2**12):
@@ -140,6 +141,22 @@ class TestEmbedding:
         assert validate(border).admissible
         with pytest.raises(InadmissibleParamsError):
             simulate_field(border, 64, 1.0, seed=0)
+
+    def test_log_marginal_with_power_law_cross_kernels_may_not_embed(self):
+        # admissibility does not imply an embedding: a log (H_ii = 0)
+        # marginal next to power-law cross kernels (11 of seeds 0-199 of
+        # this draw raise)
+        from mlogsfbm.params import validate
+        drawn = random_admissible(np.random.default_rng(53), 3, T=32)
+        h = np.array(drawn.H, dtype=float)
+        h[0, 0] = 0.0
+        params = ModelParams(T=drawn.T, H=h, xi=drawn.xi)
+        assert validate(params).admissible
+        with pytest.raises(EmbeddingError) as err:
+            spectral_factor(params, 64, 1.0)
+        mass = err.value.diagnostics.clipped_mass
+        assert mass == pytest.approx(1.46e-2, rel=0.01)
+        assert mass > simulate.CLIP_APPROX
 
 
 class TestSpectralFactor:
