@@ -27,7 +27,6 @@ moment vector at the first-stage estimate (default) or a Bartlett
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .simulate import (
     FieldPanel,
     SimulationError,
     SpectralFactor,
+    default_workers,
     field_to_gaussian_proxy,
     field_to_measure,
     simulate_field,
@@ -86,17 +86,6 @@ class McValidationError(RuntimeError):
     def __init__(self, message: str, failures: tuple = ()):
         super().__init__(message)
         self.failures = tuple(failures)
-
-
-def default_workers() -> int:
-    env = os.environ.get("MSFBM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"MSFBM_WORKERS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

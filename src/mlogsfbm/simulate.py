@@ -16,13 +16,19 @@ path can be regenerated independently of the others.  A path draws M
 complex standard normals z, folds them to their Hermitian half
 w[k] = (z[k] + conj z[M-k]) / 2 (real at k = 0 and M/2), and an inverse
 real FFT of F[k] w[k] gives Re(ifft(F z)) of the full-spectrum sampler.
+
+Paths, and chunks of frequencies in the factorisation, are computed on
+``default_workers()`` threads; each is an independent computation written
+to its own slot, so the result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +54,7 @@ __all__ = [
     "read_panel_csv",
     "write_panel_binary",
     "read_panel_binary",
+    "default_workers",
 ]
 
 PROVENANCES = ("gaussian-field", "logvol-measure", "gaussian-average-proxy", "market")
@@ -62,6 +69,9 @@ _MAGIC = b"MSFB1"
 
 _SEED_MASK = (1 << 64) - 1
 _PRICE_STREAM = 0x9E3779B97F4A7C15  # distinct Philox stream for price noise
+
+# frequencies per eigen-decomposition call: about 1.6 MB of workspace at d = 5
+_EIGH_CHUNK = 8192
 
 
 class EmbeddingError(RuntimeError):
@@ -93,6 +103,29 @@ class EmbeddingDiagnostics:
             "argmin_frequency": int(self.min_eigenvalues.argmin()),
             "flag": self.flag,
         }
+
+
+def default_workers() -> int:
+    env = os.environ.get("MSFBM_WORKERS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"MSFBM_WORKERS={env!r} is not an integer") from None
+    return os.cpu_count() or 1
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(x) for x in items]`` in item order, on min(default_workers(),
+    len(items)) threads; serial, without a pool, when that is 1.  The first
+    exception, in item order, reaches the caller."""
+    items = list(items)
+    workers = min(default_workers(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _check_values(data: np.ndarray, provenance: str):
@@ -220,14 +253,28 @@ class SpectralFactor:
 
 def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> SpectralFactor:
     """Factorize the circulant embedding for paths of length ``n`` at step
-    ``delta``; ``EmbeddingError`` if the clipped mass exceeds CLIP_APPROX."""
+    ``delta``; ``EmbeddingError`` if the clipped mass exceeds CLIP_APPROX.
+
+    The per-frequency eigen-decompositions run in chunks of ``_EIGH_CHUNK``
+    frequencies on ``default_workers()`` threads; LAPACK factors each matrix
+    on its own, so the factor equals that of one whole-array ``eigh`` call
+    bit for bit, whatever the thread count."""
     require_admissible(params, strict_pd=True)
     if n < 2:
         raise ValueError("n must be >= 2")
     if delta <= 0:
         raise ValueError("delta must be positive")
     m, spectra = _spectral_matrices(params, n, delta)
-    eigvals, eigvecs = np.linalg.eigh(spectra)
+    n_freq, d = spectra.shape[:2]
+    eigvals = np.empty((n_freq, d))
+    eigvecs = np.empty((n_freq, d, d))
+
+    def factor_chunk(start: int):
+        chunk = slice(start, start + _EIGH_CHUNK)
+        eigvals[chunk], eigvecs[chunk] = np.linalg.eigh(spectra[chunk])
+
+    _fan_out(factor_chunk, range(0, n_freq, _EIGH_CHUNK))
+    del spectra
     # an interior frequency k also stands for its mirror M - k
     weight = np.full(eigvals.shape[0], 2.0)
     weight[[0, -1]] = 1.0
@@ -290,6 +337,8 @@ def simulate_field(
     A path draws M complex normals z from its stream, folds them to the
     Hermitian half w (see the module docstring) and synthesises only the
     M/2 + 1 frequencies the factor holds, with an inverse real FFT.
+    The paths are drawn on ``default_workers()`` threads (a single path
+    starts no pool); the panels, in path order, do not depend on the count.
     Means are *not* added here; see ``field_to_measure``.
     """
     if n_paths < 1:
@@ -305,8 +354,8 @@ def simulate_field(
                          " does not fit this call's params, n or delta")
     m = factor.diagnostics.embedding_size
     scale = math.sqrt(m)
-    panels = []
-    for path in range(first_path, first_path + n_paths):
+
+    def draw(path: int) -> FieldPanel:
         rng = _path_rng(seed, path)
         re = rng.standard_normal((m, params.d))
         im = rng.standard_normal((m, params.d))
@@ -320,8 +369,10 @@ def simulate_field(
         data = np.ascontiguousarray(draws[:n].T)
         del draws
         data *= scale
-        panels.append(FieldPanel(data=data, delta=delta, seed=seed,
-                                 provenance="gaussian-field", path=path))
+        return FieldPanel(data=data, delta=delta, seed=seed,
+                          provenance="gaussian-field", path=path)
+
+    panels = _fan_out(draw, range(first_path, first_path + n_paths))
     return panels, factor.diagnostics
 
 
@@ -389,7 +440,8 @@ def simulate_prices(
     """Price paths with conditionally Gaussian increments: over block k the
     total increment variance is the measure mass M_Delta'(k), split evenly
     across ``substeps`` sub-increments.  Driving noises are independent
-    across marginals and independent of the volatility field."""
+    across marginals and independent of the volatility field; each path
+    index of ``measure_panel`` has its own noise stream."""
     if measure_panel.provenance != "logvol-measure":
         raise ValueError(
             f"price simulation needs a logvol-measure panel, got "
@@ -401,7 +453,7 @@ def simulate_prices(
         raise ValueError(f"x0 must have length {measure_panel.d}")
     d, n = measure_panel.d, measure_panel.n
     mass = measure_panel.delta * np.exp(measure_panel.data)  # block variances
-    rng = _path_rng(seed, _PRICE_STREAM)
+    rng = _path_rng(seed, _PRICE_STREAM + measure_panel.path)
     z = rng.standard_normal((d, n, substeps))
     incr = np.sqrt(mass / substeps)[:, :, None] * z
     paths = np.empty((d, n * substeps + 1))

@@ -105,6 +105,15 @@ class TestSimulateCommand:
         cfg1.pop("out"), cfg2.pop("out")
         assert cfg1 == cfg2
 
+    def test_malformed_worker_count(self, tmp_path, params_file,
+                                    monkeypatch, capsys):
+        monkeypatch.setenv("MSFBM_WORKERS", "two")
+        code = main(["simulate", "--params", str(params_file), "--n", "512",
+                     "--agg", "8", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "MSFBM_WORKERS='two' is not an integer" in (
+            capsys.readouterr().err)
+
     def test_binary_format(self, tmp_path, params_file):
         out = tmp_path / "bin"
         assert main(["simulate", "--params", str(params_file), "--n", "512",

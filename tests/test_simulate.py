@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -19,7 +22,10 @@ from mlogsfbm import (
 from mlogsfbm import simulate
 from mlogsfbm.params import mu_i
 from mlogsfbm.simulate import (
+    CLIP_APPROX,
+    CLIP_EXACT,
     PROVENANCES,
+    EmbeddingDiagnostics,
     EmbeddingError,
     FieldPanel,
     SimulationError,
@@ -30,6 +36,7 @@ from mlogsfbm.simulate import (
     simulate_field,
     simulate_prices,
     spectral_factor,
+    SpectralFactor,
     write_panel_binary,
     write_panel_csv,
     _spectral_matrices,
@@ -338,6 +345,27 @@ class TestPrices:
         b = simulate_prices(panel, [0.0, 1.0], seed=5, substeps=2)
         assert np.array_equal(a.data, b.data)
 
+    def test_path_zero_noise_is_pinned(self):
+        # the digest of the stream keyed by (seed, _PRICE_STREAM) alone, from
+        # before each path got its own stream: path 0 still draws it
+        data = np.random.default_rng(4).normal(-4.0, 0.3, (2, 64))
+        panel = FieldPanel(data=data, delta=16.0, seed=4,
+                           provenance="logvol-measure", path=0)
+        out = simulate_prices(panel, [0.0, 1.0], seed=4, substeps=2)
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == (
+            "68095171f22a478280f31f91e1ece676a360b20747627fcf74124e7be2b1bde5")
+
+    def test_each_path_has_its_own_noise(self):
+        params = small_params()
+        fields, _ = simulate_field(params, 2**10, 1.0, seed=4, n_paths=2)
+        noises = []
+        for panel in fields:
+            measure = field_to_measure(panel, params, agg=16)
+            prices = simulate_prices(measure, [0.0, 0.0], seed=4)
+            mass = measure.delta * np.exp(measure.data)
+            noises.append(np.diff(prices.data, axis=1) / np.sqrt(mass))
+        assert not np.allclose(noises[0], noises[1])
+
 
 class TestSerialization:
     def make_panel(self):
@@ -514,3 +542,157 @@ class TestSiaMomentMonteCarlo:
             per_path.append(float(np.mean(prods)))
         ok, mean, se = mc_band(per_path, theory)
         assert ok, f"four-factor moment {mean} vs {theory} (se {se})"
+
+
+# ---------------------------------------------------------------------------
+# threaded synthesis against the serial sampler
+# ---------------------------------------------------------------------------
+#
+# The oracle is the sampler as it stood before paths and frequency chunks ran
+# on worker threads: one whole-array ``eigh`` over all M/2 + 1 frequencies
+# and a serial path loop, kept here verbatim.
+
+def serial_spectral_factor(params: ModelParams, n: int,
+                           delta: float = 1.0) -> SpectralFactor:
+    m, spectra = _spectral_matrices(params, n, delta)
+    eigvals, eigvecs = np.linalg.eigh(spectra)
+    # an interior frequency k also stands for its mirror M - k
+    weight = np.full(eigvals.shape[0], 2.0)
+    weight[[0, -1]] = 1.0
+    total = float(weight @ np.abs(eigvals).sum(axis=1))
+    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
+    mass = clipped / total if total > 0 else 0.0
+    half_min = eigvals.min(axis=1)
+    diagnostics = EmbeddingDiagnostics(
+        embedding_size=m,
+        min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
+        clipped_mass=mass,
+        flag="exact" if mass <= CLIP_EXACT else "approximate",
+    )
+    if mass > CLIP_APPROX:
+        raise EmbeddingError(
+            f"clipped spectral mass {mass:.3e} exceeds the tolerance "
+            f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
+            diagnostics,
+        )
+    matrix = eigvecs  # scaled in place: no second (M/2 + 1, d, d) array
+    matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    matrix.setflags(write=False)
+    return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
+                          diagnostics=diagnostics)
+
+
+def serial_field(params: ModelParams, n: int, delta: float, seed: int,
+                 n_paths: int, first_path: int,
+                 factor: SpectralFactor) -> list:
+    m = factor.diagnostics.embedding_size
+    scale = math.sqrt(m)
+    panels = []
+    for path in range(first_path, first_path + n_paths):
+        rng = simulate._path_rng(seed, path)
+        re = rng.standard_normal((m, params.d))
+        im = rng.standard_normal((m, params.d))
+        # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
+        spectral = (factor.matrix @ simulate._hermitian_half(re, im)).view(complex)
+        # each temporary is freed before the next is allocated; otherwise a
+        # many-path call fragments the heap around the panels it keeps
+        del re, im
+        draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
+        del spectral
+        data = np.ascontiguousarray(draws[:n].T)
+        del draws
+        data *= scale
+        panels.append(FieldPanel(data=data, delta=delta, seed=seed,
+                                 provenance="gaussian-field", path=path))
+    return panels
+
+
+def equicorrelated_d5(n: int) -> ModelParams:
+    """The CLI pipeline's model: every eigenvalue but one is repeated."""
+    h = np.full((5, 5), 0.12)
+    np.fill_diagonal(h, 0.02)
+    xi = np.full((5, 5), 0.9 * 0.05)
+    np.fill_diagonal(xi, 0.05)
+    return ModelParams(T=float(n), H=h, xi=xi)
+
+
+# name: (params, n, first_path); n = 2^14 has M/2 + 1 = 16385 frequencies,
+# three eigh chunks of which the last holds one frequency
+THREAD_CASES = {
+    "d2-n16384": (lambda: random_admissible(np.random.default_rng(3), 2),
+                  2**14, 0),
+    "d3-n1000-first2": (lambda: random_admissible(np.random.default_rng(8), 3,
+                                                  T=700.0), 1000, 2),
+    "d5-equicorrelated": (lambda: equicorrelated_d5(2**14), 2**14, 0),
+}
+
+
+class TestThreadedSynthesis:
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("case", sorted(THREAD_CASES))
+    def test_equals_the_serial_sampler(self, case, workers, monkeypatch):
+        make, n, first_path = THREAD_CASES[case]
+        params = make()
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
+        expected = serial_spectral_factor(params, n)
+        expected_panels = serial_field(params, n, 1.0, seed=19, n_paths=4,
+                                       first_path=first_path, factor=expected)
+
+        monkeypatch.setenv("MSFBM_WORKERS", workers)
+        # frequent thread switches, to interleave the workers' writes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            factor = spectral_factor(params, n)
+            panels, _ = simulate_field(params, n, 1.0, seed=19, n_paths=4,
+                                       first_path=first_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(factor.matrix, expected.matrix)
+        diag, want = factor.diagnostics, expected.diagnostics
+        assert (diag.embedding_size, diag.clipped_mass, diag.flag) == (
+            want.embedding_size, want.clipped_mass, want.flag)
+        assert np.array_equal(diag.min_eigenvalues, want.min_eigenvalues)
+
+        assert [p.path for p in panels] == list(range(first_path,
+                                                      first_path + 4))
+        for panel, wanted in zip(panels, expected_panels, strict=True):
+            assert panel.path == wanted.path
+            assert np.array_equal(panel.data, wanted.data)
+
+    def test_fan_out_runs_items_concurrently_in_order(self, monkeypatch):
+        # two items meet at a barrier only if two threads run them at once
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
+        barrier = threading.Barrier(2, timeout=30)
+
+        def meet(x):
+            barrier.wait()
+            return x * x
+
+        assert simulate._fan_out(meet, range(2)) == [0, 1]
+        assert simulate._fan_out(lambda x: -x, range(7)) == [
+            0, -1, -2, -3, -4, -5, -6]
+
+    def test_one_item_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", "3")
+        caller = threading.get_ident()
+        assert simulate._fan_out(lambda _: threading.get_ident(),
+                                 [None]) == [caller]
+
+    def test_a_failed_path_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
+        original = simulate._path_rng
+
+        def failing(seed, stream):
+            if stream == 3:
+                raise SimulationError("path 3 failed")
+            return original(seed, stream)
+
+        monkeypatch.setattr(simulate, "_path_rng", failing)
+        with pytest.raises(SimulationError, match="path 3 failed"):
+            simulate_field(small_params(), 2**10, 1.0, seed=1, n_paths=6)
+
+    def test_malformed_worker_count_fails(self, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", "two")
+        with pytest.raises(ValueError, match="MSFBM_WORKERS='two'"):
+            simulate_field(small_params(), 2**10, 1.0, seed=1)
