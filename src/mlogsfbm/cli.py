@@ -271,22 +271,23 @@ _CAL_DEFAULTS = {
 }
 
 
-def _read_any_panel(path: str, delta_override) -> tuple[FieldPanel, np.ndarray | None]:
+def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
+    """A binary or CSV field panel, or a market panel at delta 1 with its
+    mask of observed (not imputed) entries."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"panel file not found: {path}")
-    head = p.open("rb").read(5)
-    if head == b"MSFB1":
-        return read_panel_binary(p.read_bytes()), None
-    text = p.read_text()
+    raw = p.read_bytes()
+    if raw[:5] == b"MSFB1":
+        return read_panel_binary(raw), None
+    text = raw.decode()
     if text.startswith("#"):
         return read_panel_csv(text), None
     vol = VolPanel.from_csv(text)
     if vol.n < 2:
         raise ConfigError("panel needs at least 2 dates")
-    panel = FieldPanel(data=vol.values,
-                       delta=float(delta_override or 1.0),
-                       seed=0, provenance="market")
+    panel = FieldPanel(data=vol.values, delta=1.0, seed=0,
+                       provenance="market")
     mask = ~vol.imputed
     return panel, mask
 
@@ -295,7 +296,7 @@ def cmd_calibrate(args) -> int:
     resolved = _resolve(args, _load_config(args.config), _CAL_DEFAULTS)
     if resolved["panel"] is None:
         raise ConfigError("a panel file is required (--panel)")
-    panel, mask = _read_any_panel(resolved["panel"], resolved["delta"])
+    panel, mask = _read_any_panel(resolved["panel"])
     if resolved["delta"] is not None:
         panel = FieldPanel(data=panel.data, delta=float(resolved["delta"]),
                            seed=panel.seed, provenance=panel.provenance,

@@ -19,9 +19,8 @@ only) is an outer bounded search over T of the first-stage profiled
 objective, and the fit then runs at the chosen T.  Every model curve is a
 fixed linear map, built once per fit and T, of ``kernels.block_cov_sequence``.
 
-Second-stage weights invert either the exact Gaussian covariance of the
-moment vector at the first-stage estimate (default) or a Bartlett
-(Newey-West) estimate of it.
+The second-stage weight inverts the exact Gaussian covariance of the moment
+vector at the first-stage estimate.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "PanelCalibration",
     "empirical_cross_cov",
     "d_statistic",
-    "newey_west_weight",
     "calibrate_univariate",
     "calibrate_pair",
     "calibrate_panel",
@@ -160,6 +158,10 @@ def empirical_cross_cov(
         raise ValueError(f"max lag {lags[-1]} must be below series length {n}")
     valid_x = np.ones(n, bool) if mask_x is None else np.asarray(mask_x, bool)
     valid_y = np.ones(n, bool) if mask_y is None else np.asarray(mask_y, bool)
+    for name, valid in (("mask_x", valid_x), ("mask_y", valid_y)):
+        if valid.shape != x.shape:
+            raise ValueError(f"{name} shape {valid.shape} does not match the "
+                             f"series shape {x.shape}")
     if not valid_x.any() or not valid_y.any():
         raise ValueError("mask excludes every observation")
     xc = np.where(valid_x, x - x[valid_x].mean(), 0.0)
@@ -182,14 +184,6 @@ def d_statistic(curve: CovCurve) -> CovCurve:
     return CovCurve(curve.lags, curve.values - curve.values[0], meta)
 
 
-@dataclass(frozen=True)
-class NWResult:
-    long_run_cov: np.ndarray
-    weight: np.ndarray
-    bandwidth: int
-    fallback_identity: bool
-
-
 def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
     """V diag(1 / (max(lambda, 0) + eps)) V' over the eigenpairs of sym(s),
     eps = 1e-10 trace / q: inv(s + eps I) on a positive semidefinite ``s``,
@@ -205,26 +199,6 @@ def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
         return np.eye(q), True
     w = (vecs / (np.maximum(lam, 0.0) + 1e-10 * trace / q)) @ vecs.T
     return 0.5 * (w + w.T), False
-
-
-def newey_west_weight(contributions: np.ndarray, bandwidth: int) -> NWResult:
-    """Bartlett long-run covariance of per-observation moment contributions
-    and its regularized inverse, usable as a second-stage GMM weight."""
-    u = np.asarray(contributions, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("contributions must be (n_obs, n_moments)")
-    n = u.shape[0]
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be >= 0")
-    if n <= bandwidth:
-        raise ValueError(f"series length {n} must exceed bandwidth {bandwidth}")
-    u = u - u.mean(axis=0)
-    s = u.T @ u / n
-    for j in range(1, bandwidth + 1):
-        gamma = u[j:].T @ u[:-j] / n
-        s += (1.0 - j / (bandwidth + 1.0)) * (gamma + gamma.T)
-    weight, fallback = _regularized_inverse(s)
-    return NWResult(s, weight, bandwidth, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +357,6 @@ def _profiled_minimize(
                            converged=bool(res.success) or vals[best] < res.fun)
 
 
-def _contribution_matrix(x: np.ndarray, y: np.ndarray,
-                         taus: Sequence[int]) -> np.ndarray:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    kmax = max(taus)
-    n = x.size - kmax
-    cols = [xc[:n] * yc[k:k + n] for k in taus]
-    return np.column_stack(cols)
-
-
 def _prepare_series(series: np.ndarray,
                     mask: np.ndarray | None = None) -> np.ndarray:
     s = np.asarray(series, dtype=float)
@@ -450,25 +414,6 @@ def _cv_adjusted_cross_moments(
             weight, fallback)
 
 
-def _second_stage_weight(
-    weight_mode: str,
-    series_pair: tuple[np.ndarray, np.ndarray],
-    model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n: int,
-    taus: Sequence[int],
-) -> tuple[np.ndarray, bool]:
-    if weight_mode == "model":
-        rxx, ryy, rxy = model_seqs
-        return _regularized_inverse(
-            _product_moment_cov(rxx, ryy, rxy, rxy, n, taus))
-    if weight_mode == "hac":
-        contributions = _contribution_matrix(*series_pair, taus)
-        bandwidth = min(int(n ** (1.0 / 3.0)), contributions.shape[0] - 1)
-        nw = newey_west_weight(contributions, bandwidth)
-        return nw.weight, nw.fallback_identity
-    raise ValueError(f"unknown weight_mode {weight_mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -480,7 +425,6 @@ def calibrate_univariate(
     fix_T: float | None = None,
     t_max: float | None = None,
     finite_sample_adjust: bool = True,
-    weight_mode: str = "model",
     mask: np.ndarray | None = None,
 ) -> GmmResult:
     """Fit (H, lambda^2) from one log-volatility series by matching its
@@ -532,8 +476,8 @@ def calibrate_univariate(
     first = search(observed, np.eye(len(grid.taus)), unit)
     r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
         n, delta, first.h, first.h, fix_T)
-    weight, fallback = _second_stage_weight(
-        weight_mode, (s, s), (r1, r1, r1), n, grid.taus)
+    weight, fallback = _regularized_inverse(
+        _product_moment_cov(r1, r1, r1, r1, n, grid.taus))
     second = search(observed, weight, unit)
     h, lam2 = second.h, second.amp
     notes = ["identity-weight-fallback"] if fallback else []
@@ -566,7 +510,6 @@ def calibrate_pair(
     grid: LagGrid | None = None,
     T: float | None = None,
     finite_sample_adjust: bool = True,
-    weight_mode: str = "model",
     mask_i: np.ndarray | None = None,
     mask_j: np.ndarray | None = None,
 ) -> GmmResult:
@@ -603,18 +546,12 @@ def calibrate_pair(
     r_ii = sequence(H_i, H_i, lambda_i2)
     r_jj = sequence(H_j, H_j, lambda_j2)
     r_ij = sequence(first.h, hbar, first.amp)
-    if weight_mode == "model":
-        # stack the (fixed) marginal moment conditions as control
-        # variates: their errors are strongly correlated with the cross
-        # moments, so the regression adjustment sharpens the fit without
-        # moving its expectation
-        target, weight, fallback = _cv_adjusted_cross_moments(
-            observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus, curve_map,
-            (mask_i, mask_j))
-    else:
-        target = observed
-        weight, fallback = _second_stage_weight(
-            weight_mode, (x, y), (r_ii, r_jj, r_ij), n, grid.taus)
+    # stack the (fixed) marginal moment conditions as control variates:
+    # their errors are strongly correlated with the cross moments, so the
+    # regression adjustment sharpens the fit without moving its expectation
+    target, weight, fallback = _cv_adjusted_cross_moments(
+        observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus, curve_map,
+        (mask_i, mask_j))
     second = _profiled_minimize(target, unit, weight,
                                 h_lo, h_hi, -lam, lam)
     hij = second.h

@@ -305,8 +305,10 @@ def _check_window(tau, delta: float, T: float):
 def integrated_cov(tau, delta: float, pair: PairParams):
     """Covariance of the two normalized block integrals of length Delta whose
     left endpoints are tau apart.  Finite at tau = 0 and symmetric in the
-    marginals; dividing by Delta^2 recovers the instantaneous kernel as
-    Delta -> 0.  On the lags k Delta it is g Delta^2 ``block_cov_sequence``."""
+    marginals.  Its amplitude is g, not xi_ij = g sqrt(lambda_i^2 lambda_j^2),
+    so dividing by Delta^2 recovers ``msfbm_cross_cov`` / sqrt(lambda_i^2
+    lambda_j^2) as Delta -> 0, with a relative error of order (Delta/tau)^2
+    for tau > 0.  On the lags k Delta it is g Delta^2 ``block_cov_sequence``."""
     _check_window(tau, delta, pair.T)
     _pair_coeffs(pair)  # rejects H_ij = 0
 

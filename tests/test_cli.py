@@ -1,12 +1,14 @@
+import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mlogsfbm import ModelParams, PairParams, msfbm_cross_cov
-from mlogsfbm.cli import main
-from mlogsfbm.simulate import read_panel_csv
+from mlogsfbm.cli import _read_any_panel, main
+from mlogsfbm.simulate import read_panel_csv, write_panel_binary
 
 T_SMALL = float(2**10)
 
@@ -248,6 +250,23 @@ class TestCalibrateCommand:
         assert doc["g"][0][0] == 1.0
         _, rows = read_csv_rows(out / "scatter_correlation.csv")
         assert rows == []
+
+    def test_reading_panels_leaks_no_file(self, tmp_path, simulated_panel):
+        panel_path, _ = simulated_panel
+        binary = tmp_path / "panel.bin"
+        binary.write_bytes(write_panel_binary(read_panel_csv(
+            panel_path.read_text())))
+        market = tmp_path / "vol.csv"
+        market.write_text("date,A\n2020-01-01,-9.1\n2020-01-02,-8.9\n")
+        for path in (panel_path, binary, market):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                panel, mask = _read_any_panel(str(path))
+                gc.collect()
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
+            assert (mask is None) == (path != market)
+        assert panel.delta == 1.0 and panel.provenance == "market"
 
     def test_market_panel_roundtrip(self, tmp_path):
         # VolPanel-style CSV goes through the market branch

@@ -27,7 +27,6 @@ from mlogsfbm.estimate import (
     default_workers,
     empirical_cross_cov,
     mc_validate,
-    newey_west_weight,
 )
 from mlogsfbm.kernels import block_cov_sequence, block_support
 from mlogsfbm.simulate import (
@@ -152,6 +151,19 @@ class TestEmpiricalCrossCov:
                                      mask_x=mask, mask_y=mask).values[0]
         assert abs(masked - clean) < 0.1 * abs(clean) + 0.05
 
+    def test_short_mask_rejected(self):
+        x = np.random.default_rng(5).standard_normal(64)
+        grid = LagGrid(Q=1, taus=(1,))
+        with pytest.raises(ValueError, match=r"mask_y shape \(63,\) .* \(64,\)"):
+            empirical_cross_cov(x, x, grid, mask_y=np.ones(63, bool))
+
+    def test_two_dimensional_mask_rejected(self):
+        x = np.random.default_rng(5).standard_normal(64)
+        grid = LagGrid(Q=1, taus=(1,))
+        with pytest.raises(ValueError,
+                           match=r"mask_x shape \(2, 64\) .* \(64,\)"):
+            empirical_cross_cov(x, x, grid, mask_x=np.ones((2, 64), bool))
+
 
 class TestDStatistic:
     def test_constant_curve(self):
@@ -173,51 +185,6 @@ class TestDStatistic:
         curve = CovCurve(np.array([1.0, 2.0]), np.array([0.4, 0.1]))
         with pytest.raises(ValueError):
             d_statistic(curve)
-
-
-class TestNeweyWest:
-    def test_bandwidth_zero_is_sample_covariance(self):
-        rng = np.random.default_rng(6)
-        u = rng.standard_normal((500, 4))
-        nw = newey_west_weight(u, bandwidth=0)
-        centered = u - u.mean(axis=0)
-        assert np.allclose(nw.long_run_cov, centered.T @ centered / 500,
-                           rtol=1e-12)
-        assert not nw.fallback_identity
-
-    def test_iid_series_recovers_true_covariance(self):
-        rng = np.random.default_rng(7)
-        a = np.array([[1.0, 0.3], [0.3, 2.0]])
-        chol = np.linalg.cholesky(a)
-        estimates = []
-        for _ in range(60):
-            u = rng.standard_normal((800, 2)) @ chol.T
-            estimates.append(newey_west_weight(u, bandwidth=3).long_run_cov)
-        est = np.array(estimates)
-        mean = est.mean(axis=0)
-        se = est.std(axis=0, ddof=1) / math.sqrt(60)
-        assert np.all(np.abs(mean - a) <= 3 * se)
-
-    def test_default_bandwidth_arithmetic(self):
-        assert int(16384 ** (1.0 / 3.0)) == 25
-
-    def test_degenerate_falls_back_to_identity(self):
-        nw = newey_west_weight(np.zeros((50, 3)), bandwidth=2)
-        assert nw.fallback_identity
-        assert np.array_equal(nw.weight, np.eye(3))
-
-    def test_weight_is_symmetric_psd(self):
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal((300, 5))
-        nw = newey_west_weight(u, bandwidth=6)
-        assert np.allclose(nw.weight, nw.weight.T)
-        assert np.linalg.eigvalsh(nw.weight).min() > 0
-
-    def test_bandwidth_bounds(self):
-        with pytest.raises(ValueError):
-            newey_west_weight(np.zeros((5, 2)), bandwidth=5)
-        with pytest.raises(ValueError):
-            newey_west_weight(np.zeros((5, 2)), bandwidth=-1)
 
 
 def _expected_curve(r: np.ndarray, n: int, lags: Sequence[int]) -> np.ndarray:
@@ -388,12 +355,10 @@ class TestCurveMapBuilds:
         rng = np.random.default_rng(11)
         return rng.standard_normal((2, 2048)).cumsum(axis=1) * 0.01
 
-    @pytest.mark.parametrize("weight_mode", ["model", "hac"])
-    def test_pair_builds_once(self, monkeypatch, weight_mode):
+    def test_pair_builds_once(self, monkeypatch):
         built = self._count(monkeypatch)
         x, y = self._series()
-        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=1024.0,
-                             weight_mode=weight_mode)
+        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=1024.0)
         assert len(built) == 1
         assert res.iterations > 20
 
@@ -420,11 +385,13 @@ class TestProfiledReduction:
 
     @staticmethod
     def _case():
-        rng = np.random.default_rng(9)
         b = np.array([1.0, 0.5, 0.25, 0.125])
-        contributions = rng.standard_normal((400, 4)) + 2.0 * b
-        observed = contributions.mean(axis=0)
-        weight = newey_west_weight(contributions, 3).weight
+        observed = np.array([2.1, 0.9, 0.6, 0.2])
+        weight = np.array([[4.0, 1.0, -0.5, 0.2],
+                           [1.0, 3.0, 0.8, -0.3],
+                           [-0.5, 0.8, 2.0, 0.4],
+                           [0.2, -0.3, 0.4, 1.5]])
+        assert np.linalg.eigvalsh(weight).min() > 0
         assert not np.allclose(weight, np.diag(np.diag(weight)))
         wls = float(b @ weight @ observed) / float(b @ weight @ b)
         return b, observed, weight, wls
@@ -448,8 +415,8 @@ class TestProfiledReduction:
 
 
 # the non-default options the README documents, each on the profiled path
-ALTERNATIVES = ({"weight_mode": "hac"}, {"finite_sample_adjust": False})
-ALTERNATIVE_IDS = ("hac", "no-finite-sample-adjust")
+ALTERNATIVES = ({"finite_sample_adjust": False},)
+ALTERNATIVE_IDS = ("no-finite-sample-adjust",)
 
 
 @pytest.fixture(scope="module")
@@ -578,8 +545,6 @@ class TestCalibratePair:
     @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
     def test_profiled_alternatives_agree_roughly(self, fig2_proxy_panels,
                                                  options):
-        # compared on the path average: single hac pair fits scatter more
-        # than the default's control-variate weight (H_ij up to 0.11 apart)
         params, proxies = fig2_proxy_panels
         default, alternative = [], []
         for prox in proxies:

@@ -205,6 +205,22 @@ class TestKernelProperties:
         for got in (msfbm_cross_cov(taus, pair), np.array(scalars)):
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * nu2)
 
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ij=st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 2)]),
+           log_t=st.floats(0.0, 5.0), frac=st.floats(1e-3, 0.95))
+    def test_property_small_block_limit(self, seed, ij, log_t, frac):
+        # integrated_cov carries g where msfbm_cross_cov carries
+        # xi_ij = g sqrt(lambda_i^2 lambda_j^2); the error is O((Delta/tau)^2)
+        pair = random_admissible(np.random.default_rng(seed), 3,
+                                 T=10.0**log_t).pair(*ij)
+        tau = frac * pair.T
+        delta = 1e-3 * tau
+        lam = math.sqrt(pair.lambda_i2 * pair.lambda_j2)
+        got = integrated_cov(tau, delta, pair) * lam / delta**2
+        expected = msfbm_cross_cov(tau, pair)
+        assert got == pytest.approx(expected, rel=10.0 * (delta / tau)**2)
+
 
 class TestLogKernelCov:
     def test_vanishes_at_t(self):
