@@ -9,7 +9,7 @@ clock timestamps go to a separate run log.
 
 Exit codes: 0 ok, 2 configuration/validation problem, 3 simulation or
 embedding failure, 4 calibration degradation (fewer than 80% of pairs
-converged).  MSFBM_WORKERS overrides the worker count.
+converged).  MSFBM_WORKERS is the one worker setting; no output depends on it.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def cmd_covariance(args) -> int:
 
 _CAL_DEFAULTS = {
     "panel": None, "delta": None, "T": None, "grid_q": 19,
-    "out": "runs/calibrate", "workers": None,
+    "out": "runs/calibrate",
 }
 
 
@@ -303,10 +303,8 @@ def cmd_calibrate(args) -> int:
                            path=panel.path)
     grid = LagGrid.default(int(resolved["grid_q"]))
     t_val = float(resolved["T"]) if resolved["T"] is not None else None
-    workers = int(resolved["workers"]) if resolved["workers"] is not None else None
     out = _out_dir(resolved)
-    cal = calibrate_panel(panel, grid=grid, T=t_val, workers=workers,
-                          mask=mask)
+    cal = calibrate_panel(panel, grid=grid, T=t_val, mask=mask)
 
     estimate_doc = {
         "T": cal.T,
@@ -365,7 +363,7 @@ def cmd_calibrate(args) -> int:
 
 _MC_DEFAULTS = {
     "params": None, "n_list": "1024", "replicas": 10, "seed": 0, "agg": 16,
-    "proxy": "gaussian", "out": "runs/mc", "workers": None,
+    "proxy": "gaussian", "out": "runs/mc",
 }
 
 
@@ -374,7 +372,6 @@ def cmd_mc_validate(args) -> int:
     if resolved["params"] is None:
         raise ConfigError("a params file is required (--params)")
     params = _load_params(resolved["params"])
-    workers = int(resolved["workers"]) if resolved["workers"] is not None else None
     config = McConfig(
         params=params,
         n_list=tuple(_parse_int_list(str(resolved["n_list"]))),
@@ -382,7 +379,6 @@ def cmd_mc_validate(args) -> int:
         seed=int(resolved["seed"]),
         agg=int(resolved["agg"]),
         proxy=str(resolved["proxy"]),
-        workers=workers,
     )
     out = _out_dir(resolved)
     report = mc_validate(config)
@@ -498,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="panel step override")
     p.add_argument("--T", type=float, help="correlation scale (default N*delta)")
     p.add_argument("--grid-q", dest="grid_q", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("mc-validate", help="simulate/calibrate replication sweep")
@@ -510,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--agg", type=int)
     p.add_argument("--proxy", choices=["gaussian", "measure"])
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_mc_validate)
 
     p = sub.add_parser("analyze-index", help="index-aggregation variance study")

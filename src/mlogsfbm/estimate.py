@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +39,7 @@ from .simulate import (
     FieldPanel,
     SimulationError,
     SpectralFactor,
-    default_workers,
+    fan_out,
     field_to_gaussian_proxy,
     field_to_measure,
     simulate_field,
@@ -63,7 +62,6 @@ __all__ = [
     "calibrate_pair",
     "calibrate_panel",
     "mc_validate",
-    "default_workers",
 ]
 
 _AMP_FLOOR = 1e-10
@@ -611,38 +609,49 @@ class PanelCalibration:
         return ModelParams(T=self.T, H=self.h_mat, xi=self.xi_mat)
 
 
+_ITEM_ERRORS = (CalibrationError, SimulationError, ValueError)
+
+
+def _run_each(fn, items: Sequence) -> tuple[dict, dict]:
+    """``fn`` over ``items`` on ``fan_out``: the results and the (exception
+    type name, message) failures, keyed by item in item order.  Any exception
+    outside ``_ITEM_ERRORS`` is a bug and propagates."""
+
+    def attempt(item):
+        try:
+            return fn(item), None
+        except _ITEM_ERRORS as exc:
+            return None, (type(exc).__name__, str(exc))
+
+    outcomes = dict(zip(items, fan_out(attempt, items)))
+    return ({item: res for item, (res, fail) in outcomes.items() if not fail},
+            {item: fail for item, (_, fail) in outcomes.items() if fail})
+
+
 def calibrate_panel(
     panel: FieldPanel,
     grid: LagGrid | None = None,
     T: float | None = None,
-    workers: int | None = None,
     mask: np.ndarray | None = None,
 ) -> PanelCalibration:
-    """d marginal fits followed by d(d-1)/2 pair fits on an aligned panel of
-    log-volatility proxies.  A failed marginal aborts its dependent pairs
-    (recorded per pair); positive semidefiniteness of the assembled amplitude
-    matrix is reported via its eigenvalues, not enforced.  ``mask`` (d x n,
-    True = valid) excludes imputed entries from the empirical moments."""
+    """d marginal fits, then d(d-1)/2 pair fits, each stage on ``fan_out``,
+    on an aligned panel of log-volatility proxies.  A fit that raises one of
+    ``_ITEM_ERRORS`` is recorded in ``failures``; a failed marginal fails its
+    pairs, and any other exception propagates.  The amplitude matrix's
+    eigenvalues report, not enforce, positive semidefiniteness.  ``mask``
+    (d x n, True = valid) excludes imputed entries from the moments."""
     d = panel.d
     delta = panel.delta
     t_val = T if T is not None else panel.n * delta
-    n_workers = workers if workers is not None else default_workers()
     if mask is not None:
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:
             raise ValueError("mask shape must match the panel")
     row_mask = (lambda i: None) if mask is None else (lambda i: mask[i])
-    marginals: dict = {}
-    failures: dict = {}
-    for i in range(d):
-        try:
-            marginals[i] = calibrate_univariate(
-                panel.data[i], delta, grid=grid, fix_T=t_val, mask=row_mask(i))
-        except (ZeroVarianceError, ValueError, CalibrationError) as exc:
-            failures[f"marginal-{i}"] = str(exc)
 
-    todo = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    pairs: dict = {}
+    def fit_marginal(i):
+        return calibrate_univariate(
+            panel.data[i], delta, grid=grid, fix_T=t_val, mask=row_mask(i))
 
     def fit_pair(ij):
         i, j = ij
@@ -655,14 +664,11 @@ def calibrate_panel(
             H_i=mi["H"], H_j=mj["H"], delta=delta, grid=grid, T=t_val,
             mask_i=row_mask(i), mask_j=row_mask(j))
 
-    if todo:
-        with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-            futures = {ij: pool.submit(fit_pair, ij) for ij in todo}
-        for ij in todo:  # deterministic merge order
-            try:
-                pairs[ij] = futures[ij].result()
-            except Exception as exc:
-                failures[f"pair-{ij[0]}-{ij[1]}"] = str(exc)
+    marginals, failed = _run_each(fit_marginal, range(d))
+    failures = {f"marginal-{i}": msg for i, (_, msg) in failed.items()}
+    pairs, failed = _run_each(
+        fit_pair, [(i, j) for i in range(d) for j in range(i + 1, d)])
+    failures |= {f"pair-{i}-{j}": msg for (i, j), (_, msg) in failed.items()}
 
     h_mat = np.full((d, d), np.nan)
     xi_mat = np.full((d, d), np.nan)
@@ -696,7 +702,8 @@ class McConfig:
     """``n_list`` holds numbers of calibration observations: each replica
     simulates a field of length n * agg at step ``delta`` and aggregates by
     ``agg``, so the calibrated series has exactly n points and T keeps the
-    value from ``params`` across the sweep."""
+    value from ``params`` across the sweep.  The replicas run on ``fan_out``;
+    one that raises one of ``_ITEM_ERRORS`` is recorded as failed."""
 
     params: ModelParams
     n_list: tuple[int, ...]
@@ -706,7 +713,6 @@ class McConfig:
     proxy: str = "gaussian"      # "gaussian" | "measure"
     delta: float = 1.0
     grid: LagGrid | None = None
-    workers: int | None = None
     max_failure_fraction: float = 0.2
 
     def __post_init__(self):
@@ -808,27 +814,14 @@ def mc_validate(config: McConfig) -> McReport:
     fitted per parameter (theory: about -1/2)."""
     runs = []
     notes: list[str] = []
-    workers = config.workers if config.workers is not None else default_workers()
     for n_idx, n in enumerate(config.n_list):
         run_seed = config.seed + 1009 * n_idx
         factor = spectral_factor(config.params, n * config.agg, config.delta)
-        estimates: list = [None] * config.replicas
-        failures = []
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = [
-                pool.submit(_one_replica, config, factor, run_seed, rep)
-                for rep in range(config.replicas)
-            ]
-        for rep, fut in enumerate(futures):
-            try:
-                estimates[rep] = fut.result()
-            except (CalibrationError, SimulationError, ValueError) as exc:
-                # library errors fail the replica; any other is a bug
-                failures.append((rep, type(exc).__name__, str(exc)))
-        # hold one factor at a time; a failed replica's traceback, kept by
-        # its future, holds the factor too
-        del factor, futures
-        kept = [e for e in estimates if e is not None]
+        estimates, failed = _run_each(
+            lambda rep: _one_replica(config, factor, run_seed, rep),
+            range(config.replicas))
+        del factor  # empties the closure's cell too: one factor at a time
+        failures = [(rep, kind, msg) for rep, (kind, msg) in failed.items()]
         if len(failures) > config.max_failure_fraction * config.replicas:
             kinds = Counter(kind for _, kind, _ in failures)
             counts = ", ".join(f"{count} {kind}" for kind, count in kinds.items())
@@ -837,7 +830,8 @@ def mc_validate(config: McConfig) -> McReport:
             if failures:
                 message += "; replica {}, {}: {}".format(*failures[0])
             raise McValidationError(message, failures)
-        samples = {key: np.array([e[key] for e in kept]) for key in _PARAM_KEYS}
+        samples = {key: np.array([e[key] for e in estimates.values()])
+                   for key in _PARAM_KEYS}
         if config.replicas == 1:
             notes.append(f"n={n}: single replica, standard deviations undefined")
         runs.append(McRun(n=n, seed=run_seed, samples=samples,

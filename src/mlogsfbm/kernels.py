@@ -13,9 +13,6 @@ finite at H_ij = 0, where it is that of the log kernel -ln(|x - y|/T).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -92,30 +89,6 @@ class CovCurve:
 
     def __len__(self) -> int:
         return self.lags.size
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lag", "value"])
-        for lag, val in zip(self.lags, self.values):
-            writer.writerow([repr(float(lag)), repr(float(val))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, meta: dict | None = None) -> "CovCurve":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.lower() for c in rows[0]] != ["lag", "value"]:
-            raise ValueError("expected header 'lag,value'")
-        lags = [float(r[0]) for r in rows[1:]]
-        vals = [float(r[1]) for r in rows[1:]]
-        return cls(np.array(lags), np.array(vals), meta or {})
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "lags": self.lags.tolist(),
-            "values": self.values.tolist(),
-            "meta": self.meta,
-        }, indent=2)
 
 
 @dataclass(frozen=True)

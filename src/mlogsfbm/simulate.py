@@ -55,6 +55,7 @@ __all__ = [
     "write_panel_binary",
     "read_panel_binary",
     "default_workers",
+    "fan_out",
 ]
 
 PROVENANCES = ("gaussian-field", "logvol-measure", "gaussian-average-proxy", "market")
@@ -116,7 +117,7 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(fn, items) -> list:
+def fan_out(fn, items) -> list:
     """``[fn(x) for x in items]`` in item order, on min(default_workers(),
     len(items)) threads; serial, without a pool, when that is 1.  The first
     exception, in item order, reaches the caller."""
@@ -273,7 +274,7 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
         chunk = slice(start, start + _EIGH_CHUNK)
         eigvals[chunk], eigvecs[chunk] = np.linalg.eigh(spectra[chunk])
 
-    _fan_out(factor_chunk, range(0, n_freq, _EIGH_CHUNK))
+    fan_out(factor_chunk, range(0, n_freq, _EIGH_CHUNK))
     del spectra
     # an interior frequency k also stands for its mirror M - k
     weight = np.full(eigvals.shape[0], 2.0)
@@ -372,7 +373,7 @@ def simulate_field(
         return FieldPanel(data=data, delta=delta, seed=seed,
                           provenance="gaussian-field", path=path)
 
-    panels = _fan_out(draw, range(first_path, first_path + n_paths))
+    panels = fan_out(draw, range(first_path, first_path + n_paths))
     return panels, factor.diagnostics
 
 
@@ -483,7 +484,22 @@ def read_panel_csv(text: str) -> FieldPanel:
     lines = text.strip().splitlines()
     if len(lines) < 3 or not lines[0].startswith("#"):
         raise ValueError("not a panel CSV (missing metadata comment)")
-    meta = dict(tok.split("=", 1) for tok in lines[0][1:].split())
+    meta = {"path": "0"}
+    for tok in lines[0][1:].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"panel CSV header token {tok!r} is not key=value")
+        meta[key] = value
+    header = {}
+    for key, kind in (("delta", float), ("seed", int), ("provenance", str),
+                      ("path", int)):
+        try:
+            header[key] = kind(meta[key])
+        except KeyError:
+            raise ValueError(f"panel CSV header has no {key}= entry") from None
+        except ValueError:
+            raise ValueError(f"panel CSV header value {key}={meta[key]!r} "
+                             f"is not a valid {kind.__name__}") from None
     width = len(lines[1].split(","))
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):
@@ -496,14 +512,7 @@ def read_panel_csv(text: str) -> FieldPanel:
         except ValueError:
             raise ValueError(
                 f"line {lineno} has a non-numeric field: {line!r}") from None
-    data = np.array(rows).T
-    return FieldPanel(
-        data=data,
-        delta=float(meta["delta"]),
-        seed=int(meta["seed"]),
-        provenance=meta["provenance"],
-        path=int(meta.get("path", 0)),
-    )
+    return FieldPanel(data=np.array(rows).T, **header)
 
 
 def write_panel_binary(panel: FieldPanel) -> bytes:

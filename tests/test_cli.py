@@ -286,11 +286,12 @@ class TestCalibrateCommand:
 
 
 class TestMcValidateCommand:
-    def test_report_and_replica_csv(self, tmp_path, params_file):
+    def test_report_and_replica_csv(self, tmp_path, params_file, monkeypatch):
         out = tmp_path / "mc"
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
         code = main(["mc-validate", "--params", str(params_file),
                      "--n-list", "256", "--replicas", "3", "--seed", "1",
-                     "--agg", "4", "--workers", "2", "--out", str(out)])
+                     "--agg", "4", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["replicas"] == 3
@@ -308,10 +309,10 @@ class TestMcValidateCommand:
             raise ZeroVarianceError("series has zero variance")
 
         monkeypatch.setattr(est, "_one_replica", flat)
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
         code = main(["mc-validate", "--params", str(params_file),
                      "--n-list", "256", "--replicas", "3", "--seed", "1",
-                     "--agg", "4", "--workers", "1",
-                     "--out", str(tmp_path / "mc")])
+                     "--agg", "4", "--out", str(tmp_path / "mc")])
         assert code == 2
         err = capsys.readouterr().err
         assert "3/3 replicas failed at n=256 (3 ZeroVarianceError)" in err
@@ -385,3 +386,21 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["simulate", "--config", str(cfg), "--params",
                      str(params_file), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["calibrate", "mc-validate"])
+    def test_worker_count_is_not_an_option(self, tmp_path, params_file,
+                                           simulated_panel, command, capsys):
+        # MSFBM_WORKERS is the one worker setting
+        panel_path, _ = simulated_panel
+        args = {"calibrate": ["--panel", str(panel_path)],
+                "mc-validate": ["--params", str(params_file), "--n-list",
+                                "256", "--replicas", "2", "--agg", "4"]}
+        base = [command, *args[command], "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as info:
+            main(base + ["--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert "unknown config keys: ['workers']" in capsys.readouterr().err

@@ -24,13 +24,13 @@ from mlogsfbm.estimate import (
     calibrate_panel,
     calibrate_univariate,
     d_statistic,
-    default_workers,
     empirical_cross_cov,
     mc_validate,
 )
 from mlogsfbm.kernels import block_cov_sequence, block_support
 from mlogsfbm.simulate import (
     FieldPanel,
+    default_workers,
     field_to_gaussian_proxy,
     simulate_field,
     spectral_factor,
@@ -639,9 +639,10 @@ class TestWeightDefects:
 
 
 class TestCalibratePanel:
-    def test_two_asset_panel(self, fig2_proxy_panels):
+    def test_two_asset_panel(self, fig2_proxy_panels, monkeypatch):
         params, proxies = fig2_proxy_panels
-        cal = calibrate_panel(proxies[0], T=params.T, workers=2)
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
+        cal = calibrate_panel(proxies[0], T=params.T)
         assert cal.complete
         assert cal.h_mat.shape == (2, 2)
         assert np.array_equal(cal.h_mat, cal.h_mat.T)
@@ -661,17 +662,69 @@ class TestCalibratePanel:
         assert 0 in cal.marginals
         assert cal.complete
 
-    def test_constant_row_isolated(self, fig2_proxy_panels):
+    def test_constant_row_isolated(self, fig2_proxy_panels, monkeypatch):
         params, proxies = fig2_proxy_panels
         data = np.vstack([proxies[0].data, np.zeros(proxies[0].n)])
         panel = FieldPanel(data=data, delta=proxies[0].delta, seed=0,
                            provenance="gaussian-average-proxy")
-        cal = calibrate_panel(panel, T=params.T, workers=2)
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
+        cal = calibrate_panel(panel, T=params.T)
         assert "marginal-2" in cal.failures
         assert (0, 1) in cal.pairs
         assert "pair-0-2" in cal.failures and "pair-1-2" in cal.failures
         with pytest.raises(CalibrationError):
             cal.to_params()
+
+    @staticmethod
+    def three_rows(proxies) -> FieldPanel:
+        data = np.vstack([proxies[0].data, proxies[1].data[:1]])
+        return FieldPanel(data=data, delta=proxies[0].delta, seed=0,
+                          provenance="gaussian-average-proxy")
+
+    def test_fits_independent_of_worker_count(self, fig2_proxy_panels,
+                                              monkeypatch):
+        params, proxies = fig2_proxy_panels
+        cals = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MSFBM_WORKERS", workers)
+            cals.append(calibrate_panel(self.three_rows(proxies), T=params.T))
+        one, two = cals
+        assert one.complete and two.complete
+        for name in ("h_mat", "xi_mat", "g_mat", "xi_eigenvalues"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        for key in ("marginals", "pairs"):
+            fits_one, fits_two = getattr(one, key), getattr(two, key)
+            assert list(fits_one) == list(fits_two)
+            for item, fit in fits_one.items():
+                other = fits_two[item]
+                assert fit.to_dict() == other.to_dict(), item
+                assert np.array_equal(fit.weight, other.weight), item
+                assert np.array_equal(fit.residuals.values,
+                                      other.residuals.values), item
+
+    def test_only_library_errors_fail_a_pair(self, fig2_proxy_panels,
+                                             monkeypatch):
+        import mlogsfbm.estimate as est
+        params, proxies = fig2_proxy_panels
+        panel = self.three_rows(proxies)
+        fit = est.calibrate_pair
+
+        def forced(kind):
+            def failing(x, y, *args, **kwargs):
+                if np.shares_memory(y, panel.data[2]):
+                    raise kind(f"forced {kind.__name__}")
+                return fit(x, y, *args, **kwargs)
+            return failing
+
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
+        monkeypatch.setattr(est, "calibrate_pair", forced(CalibrationError))
+        cal = calibrate_panel(panel, T=params.T)
+        assert cal.failures == {"pair-0-2": "forced CalibrationError",
+                                "pair-1-2": "forced CalibrationError"}
+        assert list(cal.pairs) == [(0, 1)]
+        monkeypatch.setattr(est, "calibrate_pair", forced(TypeError))
+        with pytest.raises(TypeError, match="forced TypeError"):
+            calibrate_panel(panel, T=params.T)
 
 
 class TestMcValidate:
@@ -679,16 +732,17 @@ class TestMcValidate:
         params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
                              xi=[[0.05, 0.02], [0.02, 0.05]])
         cfg = McConfig(params=params, n_list=(2**8,), replicas=1, seed=3,
-                       agg=4, workers=1)
+                       agg=4)
         report = mc_validate(cfg)
         assert math.isnan(report.runs[0].stds()["H_01"])
         assert any("single replica" in note for note in report.notes)
 
-    def test_replica_rows_structure(self):
+    def test_replica_rows_structure(self, monkeypatch):
         params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
                              xi=[[0.05, 0.02], [0.02, 0.05]])
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
         cfg = McConfig(params=params, n_list=(2**8,), replicas=2, seed=3,
-                       agg=4, workers=1)
+                       agg=4)
         report = mc_validate(cfg)
         rows = list(report.replica_rows())
         assert len(rows) == 2 * 7  # replicas x tracked parameters
@@ -704,8 +758,9 @@ class TestMcValidate:
             raise CalibrationError("boom")
 
         monkeypatch.setattr(est, "_one_replica", exploding)
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
         cfg = McConfig(params=params, n_list=(2**8,), replicas=4, seed=3,
-                       agg=4, workers=1)
+                       agg=4)
         with pytest.raises(McValidationError):
             est.mc_validate(cfg)
 
@@ -716,8 +771,9 @@ class TestMcValidate:
             raise ZeroVarianceError(f"flat series in replica {replica}")
 
         monkeypatch.setattr(est, "_one_replica", flat)
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
         with pytest.raises(McValidationError) as info:
-            est.mc_validate(self.sweep(n_list=(2**8,), replicas=4, workers=2))
+            est.mc_validate(self.sweep(n_list=(2**8,), replicas=4))
         assert info.value.failures == tuple(
             (rep, "ZeroVarianceError", f"flat series in replica {rep}")
             for rep in range(4))
@@ -750,17 +806,22 @@ class TestMcValidate:
 
         monkeypatch.setattr(est, "spectral_factor", counting)
         monkeypatch.setattr(est, "_one_replica", replica)
+        monkeypatch.setenv("MSFBM_WORKERS", "2")
         gc.disable()  # reference counting alone must free each factor
         try:
             est.mc_validate(self.sweep(n_list=(2**7, 2**8), replicas=3,
-                                       workers=2, max_failure_fraction=0.5))
+                                       max_failure_fraction=0.5))
         finally:
             gc.enable()
         assert len(built) == 2
 
-    def test_samples_independent_of_worker_count(self):
-        one, two = (mc_validate(self.sweep(n_list=(2**7, 2**8), replicas=3,
-                                           workers=w)) for w in (1, 2))
+    def test_samples_independent_of_worker_count(self, monkeypatch):
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MSFBM_WORKERS", workers)
+            reports.append(mc_validate(self.sweep(n_list=(2**7, 2**8),
+                                                  replicas=3)))
+        one, two = reports
         for run_one, run_two in zip(one.runs, two.runs):
             assert run_one.samples.keys() == run_two.samples.keys()
             for key, values in run_one.samples.items():
@@ -776,8 +837,9 @@ class TestMcValidate:
             return one_replica(config, factor, run_seed, replica)
 
         monkeypatch.setattr(est, "_one_replica", failing)
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
         report = est.mc_validate(self.sweep(
-            n_list=(2**8,), replicas=3, workers=1, max_failure_fraction=0.5))
+            n_list=(2**8,), replicas=3, max_failure_fraction=0.5))
         run = report.runs[0]
         assert run.failures == ((1, "CalibrationError", "forced"),)
         assert run.n_failures == 1 and run.samples["H_0"].size == 2
@@ -791,8 +853,9 @@ class TestMcValidate:
             raise TypeError("not a replica failure")
 
         monkeypatch.setattr(est, "_one_replica", broken)
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
         with pytest.raises(TypeError, match="not a replica failure"):
-            est.mc_validate(self.sweep(n_list=(2**8,), replicas=2, workers=1,
+            est.mc_validate(self.sweep(n_list=(2**8,), replicas=2,
                                        max_failure_fraction=1.0))
 
     def test_invalid_config(self):

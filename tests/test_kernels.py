@@ -742,17 +742,3 @@ class TestCovCurve:
             CovCurve(np.array([1.0, 2.0]), np.array([0.1, np.inf]))
         with pytest.raises(ValueError):
             CovCurve(np.array([]), np.array([]))
-
-    def test_csv_roundtrip(self):
-        curve = CovCurve(np.array([0.0, 1.0, 2.0]),
-                         np.array([1.5, 0.25, -0.125]),
-                         {"kernel": "test"})
-        back = CovCurve.from_csv(curve.to_csv(), meta={"kernel": "test"})
-        assert np.array_equal(back.lags, curve.lags)
-        assert np.array_equal(back.values, curve.values)
-
-    def test_json_has_meta(self):
-        import json
-        curve = CovCurve(np.array([1.0]), np.array([2.0]), {"n": 5})
-        doc = json.loads(curve.to_json())
-        assert doc["meta"]["n"] == 5

@@ -1,0 +1,35 @@
+import ast
+from pathlib import Path
+
+import mlogsfbm
+
+PACKAGE = Path(mlogsfbm.__file__).parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_cross_module_access():
+    """No module imports ``_name`` from a sibling or reads ``sibling._name``:
+    what one module shares with another is public."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1
+                    or (node.module or "").split(".")[0] == "mlogsfbm"):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} imports "
+                                     f"{alias.name}")
+                    if node.module in (None, "mlogsfbm"):
+                        modules.add(alias.asname or alias.name)
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert not found, found

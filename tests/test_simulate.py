@@ -438,6 +438,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 5 has a non-numeric"):
             read_panel_csv("\n".join(lines))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("delta=16.0 ", "", "header has no delta= entry"),
+        ("path=2", "path=2 stray", "header token 'stray' is not key=value"),
+        ("seed=99", "seed=x", "header value seed='x' is not a valid int"),
+    ], ids=["missing-key", "token-without-equals", "non-numeric-value"])
+    def test_csv_malformed_header(self, old, new, message):
+        text = write_panel_csv(self.make_panel())
+        assert old in text.splitlines()[0]
+        with pytest.raises(ValueError, match=message):
+            read_panel_csv(text.replace(old, new, 1))
+
 
 @st.composite
 def panels(draw):
@@ -669,15 +680,15 @@ class TestThreadedSynthesis:
             barrier.wait()
             return x * x
 
-        assert simulate._fan_out(meet, range(2)) == [0, 1]
-        assert simulate._fan_out(lambda x: -x, range(7)) == [
+        assert simulate.fan_out(meet, range(2)) == [0, 1]
+        assert simulate.fan_out(lambda x: -x, range(7)) == [
             0, -1, -2, -3, -4, -5, -6]
 
     def test_one_item_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv("MSFBM_WORKERS", "3")
         caller = threading.get_ident()
-        assert simulate._fan_out(lambda _: threading.get_ident(),
-                                 [None]) == [caller]
+        assert simulate.fan_out(lambda _: threading.get_ident(),
+                                [None]) == [caller]
 
     def test_a_failed_path_reaches_the_caller(self, monkeypatch):
         monkeypatch.setenv("MSFBM_WORKERS", "2")
