@@ -165,7 +165,9 @@ def empirical_cross_cov(
     xc = np.where(valid_x, x - x[valid_x].mean(), 0.0)
     yc = np.where(valid_y, y - y[valid_y].mean(), 0.0)
     values = np.empty(len(lags))
-    # einsum, not BLAS ddot: see _product_moment_cov
+    # einsum, not BLAS ddot: OpenBLAS threads ddot above 10 000 entries,
+    # and two processes doing that at once on the same cores ran each dot
+    # about 1000 times slower
     for pos, k in enumerate(lags):
         values[pos] = float(np.einsum("i,i", xc[: n - k], yc[k:])) / n
     return CovCurve(np.array(lags, dtype=float), values,
@@ -229,14 +231,64 @@ def _curve_map(n: int, taus: Sequence[int], support: int,
     return curve_map
 
 
-def _product_moment_cov(rxu: np.ndarray, ryv: np.ndarray, rxv: np.ndarray,
-                        ryu: np.ndarray, n: int,
+@dataclass(frozen=True)
+class _SeqTransforms:
+    """A covariance sequence on the FFT grid of one ``_seq_transforms`` call:
+    ``r`` is r(j), zero from ``support`` (one past its last non-zero entry)
+    to the grid length, and the real FFTs are those of the even extension
+    r(|j|) (``full``), of j r(j) (``weighted``) and of r(j) for j > 0
+    (``positive``)."""
+
+    r: np.ndarray
+    support: int
+    full: np.ndarray
+    weighted: np.ndarray
+    positive: np.ndarray
+
+
+def _seq_transforms(seqs: Sequence[np.ndarray], n: int,
+                    taus: Sequence[int]) -> tuple[_SeqTransforms, ...]:
+    """The sequences (truncated to n) on one grid for ``_product_moment_cov``.
+    With M the largest support, an FFT length of at least 2M - 1 +
+    2 max(taus) keeps every correlation at shifts up to 2 max(taus) free of
+    wrap-around."""
+    import scipy.fft  # already loaded by .simulate
+
+    seqs = [np.asarray(r, dtype=float)[:n] for r in seqs]
+    supports = [int(np.flatnonzero(r)[-1]) + 1 if r.any() else 0
+                for r in seqs]
+    length = scipy.fft.next_fast_len(
+        max(2 * max(supports) - 1, 1) + 2 * max(taus, default=0), real=True)
+    out = []
+    for r, support in zip(seqs, supports):
+        one_sided = np.zeros(length)
+        one_sided[:support] = r[:support]
+        even = one_sided.copy()
+        even[length - support + 1:] = one_sided[1:support][::-1]
+        positive = one_sided.copy()
+        positive[0] = 0.0
+        out.append(_SeqTransforms(
+            r=one_sided, support=support, full=scipy.fft.rfft(even),
+            weighted=scipy.fft.rfft(np.arange(length) * one_sided),
+            positive=scipy.fft.rfft(positive)))
+    return tuple(out)
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entry, i) for i = 1..counts[entry] over every entry, flattened."""
+    counts = np.maximum(counts, 0)
+    entry = np.repeat(np.arange(counts.size), counts)
+    return entry, np.arange(entry.size) - (np.cumsum(counts) - counts)[entry] + 1
+
+
+def _product_moment_cov(rxu: _SeqTransforms, ryv: _SeqTransforms,
+                        rxv: _SeqTransforms, ryu: _SeqTransforms, n: int,
                         taus: Sequence[int]) -> np.ndarray:
     """Exact Gaussian covariance between two families of product moments,
     cov((1/N) sum_t x_t y_{t+k}, (1/N) sum_s u_s v_{s+l}), given the four
     cross-covariance sequences of the underlying jointly Gaussian series
-    (demeaning ignored: it only lowers the variance slightly and these
-    matrices act as weights).
+    from one ``_seq_transforms`` call (demeaning ignored: it only lowers the
+    variance slightly and these matrices act as weights).
 
     By Isserlis' theorem entry (k, l) is
 
@@ -244,52 +296,87 @@ def _product_moment_cov(rxu: np.ndarray, ryv: np.ndarray, rxv: np.ndarray,
                                + r_xv(|m+l|) r_yu(|m-k|)],
 
     where w_kl(m) = max(0, min(N-k, N-l, N-k+m, N-l-m)) counts the
-    (t, s) pairs at offset m = s - t, and r(tau) = 0 for tau >= N.
+    (t, s) pairs at offset m = s - t, and r(tau) = 0 for tau >= N.  The
+    matrix is symmetric in (k, l) for any four sequences, since they enter
+    only through r(|.|): m -> -m maps the first term of (k, l) onto that of
+    (l, k), and m -> m + l - k the second.  Only l >= k is computed.
 
-    * Support truncation: with M one past the last non-zero index of the
-      four sequences (the model sequences vanish beyond T), every non-zero
-      term has |m| < M, so m runs over [max(1-M, k-N+1), min(M-1, N-l-1)].
-    * Slices: each sequence is laid out once as its even, zero-padded
-      extension r(|j|), |j| <= M-1+max(taus); the four factors are then
-      contiguous slices of it and each entry is one dot product with w.
-      It is an ``einsum``, not BLAS: OpenBLAS threads ``ddot`` above
-      10 000 entries, and two processes doing that at once on the same
-      cores ran each dot about 1000 times slower.
-    * Symmetry: the matrix is symmetric in (k, l) for any four sequences,
-      since they enter only through r(|.|): m -> -m maps the first term of
-      (k, l) onto that of (l, k), and m -> m + l - k the second.  Only the
-      upper triangle is computed and mirrored.
+    * FFT form.  For l >= k, with s = l - k and sigma = k + l, the weight
+      is w(m) = N - l - max(0, m) - max(0, -s - m) where that is positive.
+      With a, b, c, d = r_xu, r_yv, r_xv, r_yu, C_uv(t) = sum_j u(|j|)
+      v(|j+t|) and D_uv(t) = sum_{j>0} j u(j) v(j+t), the entry times N^2 is
+
+          (N-l) [C_ab(s) + C_dc(sigma)] - D_ab(s) - D_ba(s)
+          - D_dc(sigma) - D_cd(sigma) - k [E_dc(sigma) + E_cd(sigma)]
+          - sum_{0<i<k} (k-i) [d(i) c(sigma-i) + c(i) d(sigma-i)]
+          + sum_{0<i<M-N+k} i [a(N-l+i) b(N-k+i) + a(N-k+i) b(N-l+i)],
+
+      with E_uv(t) = sum_{j>=0} u(j) v(j+t).  The correlations take 5
+      inverse real FFTs of products of the inputs' transforms (C_ab, C_dc,
+      D_ab + D_ba, D_dc + D_cd and E_dc + E_cd); the two direct sums have
+      fewer than k terms each, and the last one (the clipped ends of the
+      first term) is empty unless the support M exceeds N - k.
+    * Near-N fallback.  Where N - l < M/16 the weight counts a few pairs
+      while the correlations are of size M sum r^2, so the FFT pieces
+      cancel (to 2e-12 of the largest entry on random sequences at
+      l = N - 1).  Those entries are the direct dot product of w with the
+      summand over m in [max(1-M, k-N+1), min(M-1, N-l-1)], O(M) each.  On
+      the default grid at N = 2^14, N - l >= 15 660, so every entry takes
+      the FFT form.
+    * Cost: O((M + max(taus)) log(M + max(taus))) for the correlations
+      plus O(q^2 max(taus)) for the direct sums, against the O(q^2 M) of a
+      dot product per entry.
     """
+    import scipy.fft  # already loaded by .simulate
+
     q = len(taus)
-    seqs = [np.asarray(r, dtype=float)[:n] for r in (rxu, ryv, rxv, ryu)]
-    support = max((int(np.flatnonzero(r)[-1]) + 1 for r in seqs if r.any()),
-                  default=0)
     s = np.zeros((q, q))
+    a, b, c, d = rxu, ryv, rxv, ryu
+    support = max(a.support, b.support, c.support, d.support)
     if support == 0 or q == 0:
         return s
-    # r(|j|) for |j| <= M-1+max(taus), with lag 0 at index `zero`
-    zero = support - 1 + max(taus)
-    pad = np.zeros(max(taus))
-    e_xu, e_yv, e_xv, e_yu = (
-        np.concatenate([pad, r[support - 1:0:-1], r[:support], pad])
-        for r in seqs)
-    for a, k in enumerate(taus):
-        for b in range(a, q):
-            l = taus[b]
-            lo = max(1 - support, k - n + 1)
-            hi = min(support - 1, n - l - 1)
-            if hi < lo:
-                continue
-            m = np.arange(lo, hi + 1, dtype=float)
-            w = np.minimum(min(n - k, n - l),
-                           np.minimum(n - k + m, n - l - m))
-            i = zero + lo
-            j = zero + hi + 1
-            t = (e_xu[i:j] * e_yv[i + l - k:j + l - k]
-                 + e_xv[i + l:j + l] * e_yu[i - k:j - k])
-            s[a, b] = float(np.einsum("i,i", w, t)) / n**2
-    lower = np.tril_indices(q, -1)
-    s[lower] = s.T[lower]
+    length = a.r.size
+
+    def corr(x, y, *spectra):
+        # the correlations sum_j u(j) v(j+t) of x's and y's sequences whose
+        # spectra conj(U) V are given: zero from t = M_x + M_y - 1 on, which
+        # keeps a block that vanishes exactly free of rounding
+        out = scipy.fft.irfft(sum(spectra), n=length)
+        out[max(x.support + y.support - 1, 0):] = 0.0
+        return out
+
+    row, col = np.triu_indices(q)
+    tau = np.asarray(taus)
+    k, l = tau[row], tau[col]
+    shift, span = l - k, k + l
+    val = ((n - l) * (corr(a, b, np.conj(a.full) * b.full)[shift]
+                      + corr(c, d, np.conj(d.full) * c.full)[span])
+           - corr(a, b, np.conj(a.weighted) * b.full,
+                  np.conj(b.weighted) * a.full)[shift]
+           - corr(c, d, np.conj(d.weighted) * c.full,
+                  np.conj(c.weighted) * d.full)[span]
+           - k * (corr(c, d, np.conj(d.positive) * c.full,
+                       np.conj(c.positive) * d.full)[span]
+                  + d.r[0] * c.r[span] + c.r[0] * d.r[span]))
+    entry, i = _ragged(k - 1)
+    rest = span[entry] - i
+    val -= np.bincount(entry, (k[entry] - i) * (d.r[i] * c.r[rest]
+                                                + c.r[i] * d.r[rest]),
+                       minlength=val.size)
+    entry, i = _ragged(support - n + k - 1)
+    near_l, near_k = (n - l)[entry] + i, (n - k)[entry] + i
+    val += np.bincount(entry, i * (a.r[near_l] * b.r[near_k]
+                                   + a.r[near_k] * b.r[near_l]),
+                       minlength=val.size)
+    for e in np.flatnonzero(n - l < support / 16):
+        ke, le = int(k[e]), int(l[e])
+        m = np.arange(max(1 - support, ke - n + 1),
+                      min(support - 1, n - le - 1) + 1)
+        w = np.minimum(n - le, np.minimum(n - ke + m, n - le - m))
+        t = (a.r[np.abs(m)] * b.r[np.abs(m + le - ke)]
+             + c.r[np.abs(m + le)] * d.r[np.abs(m - ke)])
+        val[e] = float(np.einsum("i,i", w, t))
+    s[row, col] = s[col, row] = val / n**2
     return s
 
 
@@ -370,6 +457,22 @@ def _prepare_series(series: np.ndarray,
     return s
 
 
+def _joint_moment_cov(model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      n: int, taus: Sequence[int]) -> np.ndarray:
+    """The 3q x 3q covariance of the [cross; marginal-i; marginal-j] moments
+    from the model sequences (r_ii, r_jj, r_ij): six ``_product_moment_cov``
+    blocks on the forward transforms of the three sequences."""
+    t_ii, t_jj, t_ij = _seq_transforms(model_seqs, n, taus)
+    s_cc = _product_moment_cov(t_ii, t_jj, t_ij, t_ij, n, taus)
+    s_c_ii = _product_moment_cov(t_ii, t_ij, t_ii, t_ij, n, taus)
+    s_c_jj = _product_moment_cov(t_ij, t_jj, t_ij, t_jj, n, taus)
+    s_ii_ii = _product_moment_cov(t_ii, t_ii, t_ii, t_ii, n, taus)
+    s_jj_jj = _product_moment_cov(t_jj, t_jj, t_jj, t_jj, n, taus)
+    s_ii_jj = _product_moment_cov(t_ij, t_ij, t_ij, t_ij, n, taus)
+    return np.block([[s_cc, s_c_ii, s_c_jj], [s_c_ii.T, s_ii_ii, s_ii_jj],
+                     [s_c_jj.T, s_ii_jj.T, s_jj_jj]])
+
+
 def _cv_adjusted_cross_moments(
     observed: np.ndarray,
     series: tuple[np.ndarray, np.ndarray],
@@ -397,16 +500,9 @@ def _cv_adjusted_cross_moments(
     marg_resid = np.concatenate([obs_ii - curve_map @ r_ii[:support],
                                  obs_jj - curve_map @ r_jj[:support]])
 
-    s_cc = _product_moment_cov(r_ii, r_jj, r_ij, r_ij, n, taus)
-    s_c_ii = _product_moment_cov(r_ii, r_ij, r_ii, r_ij, n, taus)
-    s_c_jj = _product_moment_cov(r_ij, r_jj, r_ij, r_jj, n, taus)
-    s_ii_ii = _product_moment_cov(r_ii, r_ii, r_ii, r_ii, n, taus)
-    s_jj_jj = _product_moment_cov(r_jj, r_jj, r_jj, r_jj, n, taus)
-    s_ii_jj = _product_moment_cov(r_ij, r_ij, r_ij, r_ij, n, taus)
     q = len(taus)
-    precision, fallback = _regularized_inverse(np.block(
-        [[s_cc, s_c_ii, s_c_jj], [s_c_ii.T, s_ii_ii, s_ii_jj],
-         [s_c_jj.T, s_ii_jj.T, s_jj_jj]]))
+    precision, fallback = _regularized_inverse(
+        _joint_moment_cov(model_seqs, n, taus))
     weight = precision[:q, :q]
     return (observed + np.linalg.solve(weight, precision[:q, q:] @ marg_resid),
             weight, fallback)
@@ -474,8 +570,9 @@ def calibrate_univariate(
     first = search(observed, np.eye(len(grid.taus)), unit)
     r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
         n, delta, first.h, first.h, fix_T)
+    (t1,) = _seq_transforms([r1], n, grid.taus)
     weight, fallback = _regularized_inverse(
-        _product_moment_cov(r1, r1, r1, r1, n, grid.taus))
+        _product_moment_cov(t1, t1, t1, t1, n, grid.taus))
     second = search(observed, weight, unit)
     h, lam2 = second.h, second.amp
     notes = ["identity-weight-fallback"] if fallback else []

@@ -621,18 +621,26 @@ class TestWeightDefects:
     def test_indefinite_covariance_gives_definite_weight(self, monkeypatch):
         import mlogsfbm.estimate as est
         exact = est._product_moment_cov
+        calls = []
 
         def indefinite(*args):
             # a negative first diagonal entry, with the trace kept positive
+            calls.append(args)
             s = exact(*args)
             s[0, 0] -= 0.5 * np.trace(s)
             return s
 
         monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         x, y = self._series()
-        for res in (calibrate_univariate(x, 1.0, fix_T=2048.0),
-                    calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0,
-                                   T=2048.0)):
+        fits = (lambda: calibrate_univariate(x, 1.0, fix_T=2048.0),
+                lambda: calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0,
+                                       T=2048.0))
+        for fit, blocks in zip(fits, (1, 6)):
+            calls.clear()
+            res = fit()
+            # the weight was built from the patched blocks: one for a
+            # marginal, six for a pair
+            assert len(calls) == blocks
             assert "identity-weight-fallback" not in res.notes
             assert np.array_equal(res.weight, res.weight.T)
             assert np.linalg.eigvalsh(res.weight)[0] > 0.0
