@@ -2,22 +2,26 @@
 
 The d-dimensional stationary Gaussian field is drawn by multivariate
 circulant embedding (Dietrich & Newsam 1997; Chan & Wood 1999): per-pair
-covariance sequences are folded onto a circle of size M = 2^ceil(log2(2N)).
-The folded sequences are even, so the spectral matrix at frequency M - k
-equals the one at k; only frequencies k = 0..M/2 are computed (a DCT-I of
-the first M/2 + 1 folded entries) and factorized, once, into a
-``SpectralFactor`` that the caller owns and shares across paths.  As every
-kernel here is compactly supported (zero beyond the correlation scale T),
-the folded spectrum samples the true spectral density and is non-negative
-up to rounding; negative eigenvalues are clipped and counted.
+covariance sequences, at lags |k| <= floor(T/delta) = m_max, are laid out on
+a circle of size M = 2^ceil(log2(2 max(N, m_max))), so no lag wraps onto
+another and the path covariance is exact at every lag.  The sequences are
+even, so the spectral matrix at frequency M - k equals the one at k; only
+frequencies k = 0..M/2 are computed (a DCT-I of the first M/2 + 1 entries)
+and factorized, once, into a ``SpectralFactor`` that the caller owns and
+shares across paths.  As every kernel here is compactly supported (zero
+beyond the correlation scale T), the spectrum samples the true spectral
+density and is non-negative up to rounding; negative eigenvalues are
+clipped and counted.
 
-Randomness is counter-based (Philox) keyed by (seed, path index), so any
-path can be regenerated independently of the others.  A path draws M
-complex standard normals z, folds them to their Hermitian half
-w[k] = (z[k] + conj z[M-k]) / 2 (real at k = 0 and M/2), and an inverse
-real FFT of F[k] w[k] gives Re(ifft(F z)) of the full-spectrum sampler.
+Randomness is counter-based (Philox).  Philox stream (seed, s) draws M
+complex standard normals z and yields two independent exact paths: path 2s
+from the Hermitian half w[k] = (z[k] + conj z[M-k]) / 2 and path 2s + 1
+from the anti-Hermitian half v[k] = (z[k] - conj z[M-k]) / 2i (real at
+k = 0 and M/2).  An inverse real FFT of F[k] w[k] gives Re(ifft(F z)) of
+the full-spectrum sampler, and one of F[k] v[k] gives Im(ifft(F z)).  Any
+path can be regenerated on its own from its stream.
 
-Paths, and chunks of frequencies in the factorisation, are computed on
+Streams, and chunks of frequencies in the factorisation, are computed on
 ``default_workers()`` threads; each is an independent computation written
 to its own slot, so the result does not depend on the thread count.
 """
@@ -211,27 +215,21 @@ def _covariance_sequence(params: ModelParams, i: int, j: int,
     return kernels.msfbm_cross_cov(lags, params.pair(i, j))
 
 
-def _fold(base: np.ndarray, m: int) -> np.ndarray:
-    """Entries 0..m/2 of the symmetric sequence base[|t|], |t| <= m_max,
-    wrapped onto a circle of size m."""
-    m_max = base.size - 1
-    lags = np.arange(-m_max, m_max + 1)
-    folded = np.bincount(lags % m, weights=base[np.abs(lags)], minlength=m)
-    return folded[: m // 2 + 1]
-
-
 def _spectral_matrices(params: ModelParams, n: int, delta: float):
     """Embedding size M and the spectral matrices at frequencies 0..M/2,
     shape (M/2 + 1, d, d); the matrix at M - k equals the one at k."""
-    m = 1 << int(math.ceil(math.log2(2 * n)))
     m_max = int(math.floor(params.T / delta))
+    m = 1 << int(math.ceil(math.log2(2 * max(n, m_max))))
     d = params.d
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    folded = np.array([
-        _fold(_covariance_sequence(params, i, j, delta, m_max), m)
-        for i, j in pairs])
+    # m_max <= M/2, so no lag wraps onto another: entries 0..M/2 are the
+    # sequence, zero-padded, except that lags M/2 and -M/2 are one point
+    padded = np.zeros((len(pairs), m // 2 + 1))
+    for row, (i, j) in zip(padded, pairs):
+        row[: m_max + 1] = _covariance_sequence(params, i, j, delta, m_max)
+    padded[:, -1] *= 2.0
     # the DFT of an even sequence of length m is the DCT-I of its half
-    half_spectra = scipy.fft.dct(folded, type=1, axis=1)
+    half_spectra = scipy.fft.dct(padded, type=1, axis=1)
     spectra = np.empty((m // 2 + 1, d, d))
     for (i, j), values in zip(pairs, half_spectra):
         spectra[:, i, j] = values
@@ -329,17 +327,18 @@ def simulate_field(
     first_path: int = 0,
     factor: SpectralFactor | None = None,
 ) -> tuple[list[FieldPanel], EmbeddingDiagnostics]:
-    """Draw ``n_paths`` independent centered field panels of length ``n``.
+    """Draw ``n_paths`` independent centered field panels of length ``n``,
+    paths ``first_path`` to ``first_path + n_paths - 1``.
 
     ``factor`` is ``spectral_factor(params, n, delta)``, built here if not
-    given.  Each path consumes its own Philox stream keyed by (seed, path), so
-    results are reproducible under any execution order and a sweep can be
-    streamed in batches via ``first_path``, all passing one ``factor``.
-    A path draws M complex normals z from its stream, folds them to the
-    Hermitian half w (see the module docstring) and synthesises only the
-    M/2 + 1 frequencies the factor holds, with an inverse real FFT.
-    The paths are drawn on ``default_workers()`` threads (a single path
-    starts no pool); the panels, in path order, do not depend on the count.
+    given.  Path p is the Hermitian (p even) or anti-Hermitian (p odd) half
+    of Philox stream (seed, p // 2), see the module docstring, so results
+    are reproducible under any execution order, any path can be drawn alone
+    and a sweep can be streamed in batches via ``first_path``, all passing
+    one ``factor``.  Each half synthesises only the M/2 + 1 frequencies the
+    factor holds, with an inverse real FFT.  The streams are drawn on
+    ``default_workers()`` threads (a single stream starts no pool); the
+    panels, in path order, do not depend on the count.
     Means are *not* added here; see ``field_to_measure``.
     """
     if n_paths < 1:
@@ -355,25 +354,35 @@ def simulate_field(
                          " does not fit this call's params, n or delta")
     m = factor.diagnostics.embedding_size
     scale = math.sqrt(m)
+    end = first_path + n_paths
 
-    def draw(path: int) -> FieldPanel:
-        rng = _path_rng(seed, path)
+    def draw(stream: int) -> list[FieldPanel]:
+        """The panels of this stream's paths that fall in the call's range."""
+        rng = _path_rng(seed, stream)
         re = rng.standard_normal((m, params.d))
         im = rng.standard_normal((m, params.d))
-        # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
-        spectral = (factor.matrix @ _hermitian_half(re, im)).view(complex)
+        paths = range(max(first_path, 2 * stream), min(end, 2 * stream + 2))
+        # z = re + i im; the Hermitian half of -i z = im - i re is v
+        halves = [_hermitian_half(re, im) if path % 2 == 0
+                  else _hermitian_half(im, -re) for path in paths]
         # each temporary is freed before the next is allocated; otherwise a
         # many-path call fragments the heap around the panels it keeps
         del re, im
-        draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
-        del spectral
-        data = np.ascontiguousarray(draws[:n].T)
-        del draws
-        data *= scale
-        return FieldPanel(data=data, delta=delta, seed=seed,
-                          provenance="gaussian-field", path=path)
+        panels = []
+        for path in paths:
+            # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
+            spectral = (factor.matrix @ halves.pop(0)).view(complex)
+            draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
+            del spectral
+            data = np.ascontiguousarray(draws[:n].T)
+            del draws
+            data *= scale
+            panels.append(FieldPanel(data=data, delta=delta, seed=seed,
+                                     provenance="gaussian-field", path=path))
+        return panels
 
-    panels = fan_out(draw, range(first_path, first_path + n_paths))
+    streams = range(first_path // 2, (end + 1) // 2)
+    panels = [panel for pair in fan_out(draw, streams) for panel in pair]
     return panels, factor.diagnostics
 
 

@@ -4,7 +4,10 @@ The oracle is the sampler as it stood before the embedding kept only
 frequencies 0..M/2: ``_periodize``, the full-FFT ``_spectral_matrices``,
 the factorisation over all M frequencies and the full-M synthesis, kept
 here verbatim (the covariance sequence is looked up on the module, so a
-patched sequence reaches both samplers).
+patched sequence reaches both samplers) but for two changes: the embedding
+size M = 2^ceil(log2(2 max(N, floor(T/delta)))), which keeps every lag of
+the support on the circle, and the stream layout, path p being the real
+(p even) or imaginary (p odd) part of the synthesis of stream p // 2.
 """
 
 import math
@@ -46,8 +49,8 @@ def _periodize(base: np.ndarray, m: int) -> np.ndarray:
 
 
 def oracle_spectral_matrices(params: ModelParams, n: int, delta: float):
-    m = 1 << int(math.ceil(math.log2(2 * n)))
     m_max = int(math.floor(params.T / delta))
+    m = 1 << int(math.ceil(math.log2(2 * max(n, m_max))))
     d = params.d
     seq = np.empty((m, d, d))
     for i in range(d):
@@ -86,18 +89,20 @@ def oracle_spectral_factor(params: ModelParams, n: int, delta: float):
 
 def oracle_field(matrix: np.ndarray, n: int, seed: int, n_paths: int = 1,
                  first_path: int = 0) -> list:
-    """Panel data of the full-M synthesis with an (M, d, d) factor."""
+    """Panel data of the full-M synthesis with an (M, d, d) factor: the real
+    part for an even path, the imaginary part for an odd one."""
     m, d = matrix.shape[:2]
     scale = math.sqrt(m)
     out = []
     for path in range(first_path, first_path + n_paths):
-        rng = simulate._path_rng(seed, path)
+        rng = simulate._path_rng(seed, path // 2)
         z = rng.standard_normal((m, d)) + 1j * rng.standard_normal(
             (m, d)
         )
         spectral = np.einsum("mij,mj->mi", matrix, z)
         draws = np.fft.ifft(spectral, axis=0) * scale
-        out.append(np.ascontiguousarray(draws.real[:n].T))
+        part = draws.imag if path % 2 else draws.real
+        out.append(np.ascontiguousarray(part[:n].T))
     return out
 
 
@@ -137,10 +142,14 @@ def embedding_cases(draw):
     d = draw(st.integers(1, 4))
     n = draw(st.integers(2, 200))
     delta = draw(st.floats(0.1, 4.0))
-    m = 1 << int(math.ceil(math.log2(2 * n)))
-    regime = draw(st.sampled_from(["m_max<M/2", "M/2<=m_max<M", "m_max>=M"]))
-    lo, hi = {"m_max<M/2": (1, m // 2 - 1), "M/2<=m_max<M": (m // 2, m - 1),
-              "m_max>=M": (m, 3 * m)}[regime]
+    # regimes of T against the circle m_n that N alone needs; beyond
+    # m_n / 2 the embedding grows to keep the support on the circle
+    m_n = 1 << int(math.ceil(math.log2(2 * n)))
+    regime = draw(st.sampled_from(["m_max<m_n/2", "m_n/2<=m_max<m_n",
+                                   "m_max>=m_n"]))
+    lo, hi = {"m_max<m_n/2": (1, m_n // 2 - 1),
+              "m_n/2<=m_max<m_n": (m_n // 2, m_n - 1),
+              "m_max>=m_n": (m_n, 3 * m_n)}[regime]
     m_max = draw(st.integers(lo, hi))
     params = random_admissible(np.random.default_rng(draw(st.integers(0, 2**32))),
                                d, T=(m_max + 0.5) * delta)
@@ -188,10 +197,12 @@ class TestHalfSpectrumOracle:
         assert factor.matrix.shape == (m // 2 + 1, params.d, params.d)
         assert np.abs(rebuilt - clipped).max() <= 1e-12 * top
 
-        # the same Philox stream through the full-M synthesis of this factor
-        panels, _ = simulate_field(params, n, delta, seed=seed, n_paths=2,
-                                   factor=factor)
-        expected = oracle_field(_mirrored(factor.matrix), n, seed, n_paths=2)
+        # the same Philox streams through the full-M synthesis of this
+        # factor: the odd half of stream 0 alone, then both halves of stream 1
+        panels, _ = simulate_field(params, n, delta, seed=seed, n_paths=3,
+                                   first_path=1, factor=factor)
+        expected = oracle_field(_mirrored(factor.matrix), n, seed, n_paths=3,
+                                first_path=1)
         for panel, data in zip(panels, expected):
             assert np.abs(panel.data - data).max() <= 1e-12 * np.abs(data).max()
 
@@ -200,6 +211,7 @@ class TestHalfSpectrumOracle:
         (1500.0, 2**10, 1.0),     # M/2 <= m_max < M
         (2.0**12, 2**10, 1.0),    # m_max >= M
         (2.0**12, 2**10, 0.5),
+        (2048.5, 1000, 1.0),      # m_max = M/2: lags M/2 and -M/2 meet
     ])
     @pytest.mark.parametrize("h_0", [0.02, 0.0], ids=["H0=0.02", "H0=0"])
     def test_d2_panels_equal_the_oracle(self, T, n, delta, h_0):

@@ -115,6 +115,37 @@ class TestEmbedding:
         assert diag.embedding_size == 2**13
         assert diag.min_eigenvalues.min() >= 0.0
 
+    @pytest.mark.parametrize("ratio", [1.5, 4.0, 16.0])
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    @pytest.mark.parametrize("h_0", [0.02, 0.0], ids=["H0=0.02", "H0=0"])
+    def test_implied_covariance_is_the_kernel_when_T_exceeds_N_delta(
+            self, ratio, delta, h_0):
+        # F F^T over all M frequencies is the spectrum of the circulant the
+        # paths are drawn from; its inverse DFT at lags < N is their
+        # covariance, whatever the support T/delta beyond N
+        n = 2**10
+        params = ModelParams(T=ratio * n * delta, H=[[h_0, 0.15], [0.15, 0.02]],
+                             xi=[[0.05, 0.025], [0.025, 0.05]])
+        factor = spectral_factor(params, n, delta)
+        assert factor.diagnostics.embedding_size >= 2 * ratio * n
+        full = np.concatenate([factor.matrix, factor.matrix[-2:0:-1]])
+        implied = np.fft.ifft(full @ full.swapaxes(1, 2), axis=0).real[:n]
+        for i in range(2):
+            for j in range(2):
+                kernel = simulate._covariance_sequence(params, i, j, delta,
+                                                       n - 1)
+                error = np.abs(implied[:, i, j] - kernel).max()
+                assert error <= 1e-12 * np.abs(kernel).max(), (i, j)
+
+    @given(st.integers(2, 5000), st.floats(0.01, 10.0),
+           st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    def test_property_embedding_size_depends_on_n_alone_for_T_up_to_N_delta(
+            self, n, delta, fraction):
+        # T = fraction * n * delta; at fraction 1, T / delta can round above n
+        params = ModelParams(T=fraction * n * delta, H=[[0.1]], xi=[[0.05]])
+        m, _ = _spectral_matrices(params, n, delta)
+        assert m == 1 << int(math.ceil(math.log2(2 * n)))
+
     def test_determinism_bit_identical(self):
         params = small_params()
         a, _ = simulate_field(params, 2**10, 1.0, seed=42, n_paths=3)
@@ -559,9 +590,11 @@ class TestSiaMomentMonteCarlo:
 # threaded synthesis against the serial sampler
 # ---------------------------------------------------------------------------
 #
-# The oracle is the sampler as it stood before paths and frequency chunks ran
-# on worker threads: one whole-array ``eigh`` over all M/2 + 1 frequencies
-# and a serial path loop, kept here verbatim.
+# The oracles are the factorisation as it stood before frequency chunks ran
+# on worker threads, one whole-array ``eigh`` over all M/2 + 1 frequencies,
+# kept here verbatim; the serial per-path loop of that time, which drew one
+# path per Philox stream, also kept verbatim; and a serial full-spectrum
+# synthesis in the layout of two paths per stream.
 
 def serial_spectral_factor(params: ModelParams, n: int,
                            delta: float = 1.0) -> SpectralFactor:
@@ -593,9 +626,11 @@ def serial_spectral_factor(params: ModelParams, n: int,
                           diagnostics=diagnostics)
 
 
-def serial_field(params: ModelParams, n: int, delta: float, seed: int,
-                 n_paths: int, first_path: int,
-                 factor: SpectralFactor) -> list:
+def per_path_field(params: ModelParams, n: int, delta: float, seed: int,
+                   n_paths: int, first_path: int,
+                   factor: SpectralFactor) -> list:
+    """The sampler before two paths per stream, kept verbatim: path p is
+    the Hermitian half of Philox stream (seed, p)."""
     m = factor.diagnostics.embedding_size
     scale = math.sqrt(m)
     panels = []
@@ -614,6 +649,28 @@ def serial_field(params: ModelParams, n: int, delta: float, seed: int,
         del draws
         data *= scale
         panels.append(FieldPanel(data=data, delta=delta, seed=seed,
+                                 provenance="gaussian-field", path=path))
+    return panels
+
+
+def serial_field(params: ModelParams, n: int, delta: float, seed: int,
+                 n_paths: int, first_path: int,
+                 factor: SpectralFactor) -> list:
+    """Full-spectrum synthesis sqrt(M) ifft(F z) of Philox stream
+    (seed, p // 2), path by path: its real part for an even path p, its
+    imaginary part for an odd one."""
+    m = factor.diagnostics.embedding_size
+    full = np.concatenate([factor.matrix, factor.matrix[-2:0:-1]])
+    panels = []
+    for path in range(first_path, first_path + n_paths):
+        rng = simulate._path_rng(seed, path // 2)
+        z = rng.standard_normal((m, params.d)) + 1j * rng.standard_normal(
+            (m, params.d))
+        draws = np.fft.ifft(np.einsum("mij,mj->mi", full, z), axis=0)
+        draws *= math.sqrt(m)
+        part = draws.imag if path % 2 else draws.real
+        panels.append(FieldPanel(data=np.ascontiguousarray(part[:n].T),
+                                 delta=delta, seed=seed,
                                  provenance="gaussian-field", path=path))
     return panels
 
@@ -648,6 +705,8 @@ class TestThreadedSynthesis:
         expected = serial_spectral_factor(params, n)
         expected_panels = serial_field(params, n, 1.0, seed=19, n_paths=4,
                                        first_path=first_path, factor=expected)
+        one_worker, _ = simulate_field(params, n, 1.0, seed=19, n_paths=4,
+                                       first_path=first_path, factor=expected)
 
         monkeypatch.setenv("MSFBM_WORKERS", workers)
         # frequent thread switches, to interleave the workers' writes
@@ -667,9 +726,12 @@ class TestThreadedSynthesis:
 
         assert [p.path for p in panels] == list(range(first_path,
                                                       first_path + 4))
-        for panel, wanted in zip(panels, expected_panels, strict=True):
-            assert panel.path == wanted.path
-            assert np.array_equal(panel.data, wanted.data)
+        for panel, alone, wanted in zip(panels, one_worker, expected_panels,
+                                        strict=True):
+            assert panel.path == alone.path == wanted.path
+            assert np.array_equal(panel.data, alone.data)
+            top = np.abs(wanted.data).max()
+            assert np.abs(panel.data - wanted.data).max() <= 1e-12 * top
 
     def test_fan_out_runs_items_concurrently_in_order(self, monkeypatch):
         # two items meet at a barrier only if two threads run them at once
@@ -695,15 +757,84 @@ class TestThreadedSynthesis:
         original = simulate._path_rng
 
         def failing(seed, stream):
-            if stream == 3:
-                raise SimulationError("path 3 failed")
+            if stream == 2:
+                raise SimulationError("stream 2 (paths 4 and 5) failed")
             return original(seed, stream)
 
         monkeypatch.setattr(simulate, "_path_rng", failing)
-        with pytest.raises(SimulationError, match="path 3 failed"):
+        with pytest.raises(SimulationError, match="stream 2"):
             simulate_field(small_params(), 2**10, 1.0, seed=1, n_paths=6)
+        with pytest.raises(SimulationError, match="stream 2"):
+            simulate_field(small_params(), 2**10, 1.0, seed=1, first_path=5)
+        panels, _ = simulate_field(small_params(), 2**10, 1.0, seed=1,
+                                   n_paths=4)
+        assert [p.path for p in panels] == [0, 1, 2, 3]
 
     def test_malformed_worker_count_fails(self, monkeypatch):
         monkeypatch.setenv("MSFBM_WORKERS", "two")
         with pytest.raises(ValueError, match="MSFBM_WORKERS='two'"):
             simulate_field(small_params(), 2**10, 1.0, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# two paths per Philox stream
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def layout_case():
+    """(params, n, factor) shared by the layout property's examples."""
+    params = small_params(48.0)
+    return params, 64, spectral_factor(params, 64)
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_even_path_equals_the_per_path_sampler(self, d):
+        params = (equicorrelated_d5(1000) if d == 5 else
+                  random_admissible(np.random.default_rng(d), d, T=700.0))
+        factor = spectral_factor(params, 1000)
+        panels, _ = simulate_field(params, 1000, 1.0, seed=23, n_paths=8,
+                                   factor=factor)
+        before = per_path_field(params, 1000, 1.0, seed=23, n_paths=4,
+                                first_path=0, factor=factor)
+        for j, old in enumerate(before):
+            assert panels[2 * j].path == 2 * j
+            assert np.array_equal(panels[2 * j].data, old.data)
+        (odd,), _ = simulate_field(params, 1000, 1.0, seed=23, first_path=1,
+                                   factor=factor)
+        assert np.array_equal(odd.data, panels[1].data)
+        assert not np.array_equal(odd.data, before[1].data)
+
+    @given(first_path=st.integers(0, 9), n_paths=st.integers(1, 7))
+    def test_property_batch_equals_paths_drawn_alone(self, layout_case,
+                                                     first_path, n_paths):
+        params, n, factor = layout_case
+        batch, _ = simulate_field(params, n, 1.0, seed=3, n_paths=n_paths,
+                                  first_path=first_path, factor=factor)
+        assert [p.path for p in batch] == list(range(first_path,
+                                                     first_path + n_paths))
+        for panel in batch:
+            (alone,), _ = simulate_field(params, n, 1.0, seed=3,
+                                         first_path=panel.path, factor=factor)
+            assert alone.path == panel.path
+            assert np.array_equal(alone.data, panel.data)
+
+    def test_partner_paths_are_independent_and_each_half_is_exact(self):
+        n = 2**10
+        params = small_params(float(n))
+        pair = params.pair(0, 1)
+        panels, _ = simulate_field(params, n, 1.0, seed=61, n_paths=2000)
+        data = np.array([p.data for p in panels])  # (paths, d, n)
+        even, odd = data[0::2], data[1::2]
+        for a in range(2):
+            for b in range(2):
+                per_stream = np.mean(even[:, a] * odd[:, b], axis=1)
+                ok, mean, se = mc_band(per_stream, 0.0)
+                assert ok, f"partners {a}, {b}: {mean} (se {se})"
+        for name, half in (("even", even), ("odd", odd)):
+            for lag in (0, 1, 4):
+                per_path = np.mean(half[:, 0, : n - lag] * half[:, 1, lag:],
+                                   axis=1)
+                theory = msfbm_cross_cov(float(lag), pair)
+                ok, mean, se = mc_band(per_path, theory)
+                assert ok, f"{name} lag {lag}: {mean} vs {theory} (se {se})"
