@@ -323,6 +323,15 @@ def _product_moment_cov(rxu: _SeqTransforms, ryv: _SeqTransforms,
       summand over m in [max(1-M, k-N+1), min(M-1, N-l-1)], O(M) each.  On
       the default grid at N = 2^14, N - l >= 15 660, so every entry takes
       the FFT form.
+    * Rounding fallback.  The FFT pieces of an entry are at most of size
+      (N - l + 2M + k)(|a| |b| + |c| |d|) (2-norms of the one-sided
+      sequences), and round to a few ulps of that.  Where this bound
+      exceeds 64 times the block's largest |entry| the pieces may cancel
+      to the size of their rounding (as for a(0)^2 at l = N - 1 with
+      M = 2, whose pieces are of size a(1)^2), so the entry is the direct
+      sum too.  On the default shapes (N = 2^14 at T = N delta and at
+      T = 1024 delta) the bound is at most 1.9 times that entry, and no
+      entry switches.
     * Cost: O((M + max(taus)) log(M + max(taus))) for the correlations
       plus O(q^2 max(taus)) for the direct sums, against the O(q^2 M) of a
       dot product per entry.
@@ -368,7 +377,11 @@ def _product_moment_cov(rxu: _SeqTransforms, ryv: _SeqTransforms,
     val += np.bincount(entry, i * (a.r[near_l] * b.r[near_k]
                                    + a.r[near_k] * b.r[near_l]),
                        minlength=val.size)
-    for e in np.flatnonzero(n - l < support / 16):
+    norms = [float(np.linalg.norm(x.r)) for x in (a, b, c, d)]
+    pieces = (n - l + 2 * support + k) * (norms[0] * norms[1]
+                                          + norms[2] * norms[3])
+    direct = (n - l < support / 16) | (pieces > 64 * np.abs(val).max())
+    for e in np.flatnonzero(direct):
         ke, le = int(k[e]), int(l[e])
         m = np.arange(max(1 - support, ke - n + 1),
                       min(support - 1, n - le - 1) + 1)

@@ -11,7 +11,10 @@ and factorized, once, into a ``SpectralFactor`` that the caller owns and
 shares across paths.  As every kernel here is compactly supported (zero
 beyond the correlation scale T), the spectrum samples the true spectral
 density and is non-negative up to rounding; negative eigenvalues are
-clipped and counted.
+clipped and counted.  At d = 2 a frequency's factor is the closed-form
+symmetric square root of its clipped matrix; at any other d it is the
+eigenvectors of ``eigh`` scaled by the roots of the clipped eigenvalues,
+bit for bit those of one whole-array ``eigh`` call.
 
 Randomness is counter-based (Philox).  Philox stream (seed, s) draws M
 complex standard normals z and yields two independent exact paths: path 2s
@@ -75,7 +78,7 @@ _MAGIC = b"MSFB1"
 _SEED_MASK = (1 << 64) - 1
 _PRICE_STREAM = 0x9E3779B97F4A7C15  # distinct Philox stream for price noise
 
-# frequencies per eigen-decomposition call: about 1.6 MB of workspace at d = 5
+# frequencies per factorisation call: about 1.6 MB of eigh workspace at d = 5
 _EIGH_CHUNK = 8192
 
 
@@ -250,14 +253,48 @@ class SpectralFactor:
     diagnostics: EmbeddingDiagnostics
 
 
+def _symmetric_root_2x2(block: np.ndarray, eigvals: np.ndarray) -> None:
+    """Overwrite each symmetric S = [[a, b], [b, c]] of ``block`` (k, 2, 2)
+    with its clipped symmetric square root F, so that F F^T keeps the
+    positive part of S, and write its eigenvalues, ascending, to ``eigvals``
+    (k, 2).  Closed form (Higham 2008, Functions of Matrices, sec. 6): with
+    mid = (a + c)/2 and r = hypot((a - c)/2, b), lambda+ = mid + r and
+    lambda- = det S / lambda+ (mid - r where lambda+ <= 0; the quotient
+    does not cancel), F = (S + s I) q where
+      lambda- >= 0: s = sqrt(lambda+ lambda-), q = 1/sqrt(a + c + 2s)
+                    (F^2 = S by Cayley-Hamilton);
+      lambda- < 0:  s = -lambda-, q = sqrt(max(lambda+, 0))/(lambda+ - lambda-)
+                    (sqrt(lambda+) times the projector onto its eigenvector);
+    and F = 0 where q is not finite (S = 0, or S a negative multiple of I)."""
+    a, b, c = block[:, 0, 0], block[:, 0, 1], block[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = 0.5 * (a + c)
+        r = np.hypot(0.5 * (a - c), b)
+        upper = mid + r
+        lower = np.where(upper > 0, (a * c - b * b) / upper, mid - r)
+        psd = lower >= 0
+        shift = np.where(psd, np.sqrt(upper * lower), -lower)
+        scale = np.where(psd, 1.0 / np.sqrt(a + c + 2.0 * shift),
+                         np.sqrt(np.maximum(upper, 0.0)) / (upper - lower))
+    scale[~np.isfinite(scale)] = 0.0
+    eigvals[:, 0], eigvals[:, 1] = lower, upper
+    block[:, 0, 0] += shift
+    block[:, 1, 1] += shift
+    block *= scale[:, None, None]
+
+
 def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> SpectralFactor:
     """Factorize the circulant embedding for paths of length ``n`` at step
     ``delta``; ``EmbeddingError`` if the clipped mass exceeds CLIP_APPROX.
 
-    The per-frequency eigen-decompositions run in chunks of ``_EIGH_CHUNK``
-    frequencies on ``default_workers()`` threads; LAPACK factors each matrix
-    on its own, so the factor equals that of one whole-array ``eigh`` call
-    bit for bit, whatever the thread count."""
+    The per-frequency factors run in chunks of ``_EIGH_CHUNK`` frequencies
+    on ``default_workers()`` threads, each frequency on its own, so the
+    factor does not depend on the thread count.  At d = 2 each factor is
+    the closed-form symmetric root of ``_symmetric_root_2x2``, computed in
+    place.  At any other d it is the eigenvectors scaled by the square
+    roots of the clipped eigenvalues: LAPACK factors each matrix on its own,
+    so the factor equals that of one whole-array ``eigh`` call bit for
+    bit."""
     require_admissible(params, strict_pd=True)
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -266,11 +303,14 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
     m, spectra = _spectral_matrices(params, n, delta)
     n_freq, d = spectra.shape[:2]
     eigvals = np.empty((n_freq, d))
-    eigvecs = np.empty((n_freq, d, d))
+    matrix = spectra if d == 2 else np.empty((n_freq, d, d))
 
     def factor_chunk(start: int):
         chunk = slice(start, start + _EIGH_CHUNK)
-        eigvals[chunk], eigvecs[chunk] = np.linalg.eigh(spectra[chunk])
+        if d == 2:
+            _symmetric_root_2x2(matrix[chunk], eigvals[chunk])
+        else:
+            eigvals[chunk], matrix[chunk] = np.linalg.eigh(spectra[chunk])
 
     fan_out(factor_chunk, range(0, n_freq, _EIGH_CHUNK))
     del spectra
@@ -293,8 +333,9 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
             f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
             diagnostics,
         )
-    matrix = eigvecs  # scaled in place: no second (M/2 + 1, d, d) array
-    matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    if d != 2:
+        # eigenvectors scaled in place: no second (M/2 + 1, d, d) array
+        matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
     matrix.setflags(write=False)
     return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
                           diagnostics=diagnostics)

@@ -1,8 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
+from mlogsfbm import simulate
+from mlogsfbm.simulate import (
+    CLIP_APPROX,
+    CLIP_EXACT,
+    EmbeddingDiagnostics,
+    EmbeddingError,
+    SpectralFactor,
+    _spectral_matrices,
+)
 
 # the property tests share a loaded machine: no per-example time limit
 settings.register_profile("mlogsfbm", deadline=None)
@@ -45,3 +56,59 @@ def random_admissible(rng: np.random.Generator, d: int, T: float = T_GRID) -> Mo
             hbar = 0.5 * (h_diag[i] + h_diag[j])
             h[i, j] = h[j, i] = rng.uniform(hbar, 0.49)
     return ModelParams(T=T, H=h, xi=xi)
+
+
+def serial_spectral_factor(params: ModelParams, n: int,
+                           delta: float = 1.0) -> SpectralFactor:
+    """The factorisation as it stood before frequency chunks ran on worker
+    threads and before the closed-form d = 2 root, kept verbatim: one
+    whole-array ``eigh`` over all M/2 + 1 frequencies, its eigenvectors
+    scaled by the square roots of the clipped eigenvalues."""
+    m, spectra = _spectral_matrices(params, n, delta)
+    eigvals, eigvecs = np.linalg.eigh(spectra)
+    # an interior frequency k also stands for its mirror M - k
+    weight = np.full(eigvals.shape[0], 2.0)
+    weight[[0, -1]] = 1.0
+    total = float(weight @ np.abs(eigvals).sum(axis=1))
+    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
+    mass = clipped / total if total > 0 else 0.0
+    half_min = eigvals.min(axis=1)
+    diagnostics = EmbeddingDiagnostics(
+        embedding_size=m,
+        min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
+        clipped_mass=mass,
+        flag="exact" if mass <= CLIP_EXACT else "approximate",
+    )
+    if mass > CLIP_APPROX:
+        raise EmbeddingError(
+            f"clipped spectral mass {mass:.3e} exceeds the tolerance "
+            f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
+            diagnostics,
+        )
+    matrix = eigvecs  # scaled in place: no second (M/2 + 1, d, d) array
+    matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    matrix.setflags(write=False)
+    return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
+                          diagnostics=diagnostics)
+
+
+def factor_or_diagnostics(build, *args):
+    """(result or None, diagnostics) of a factorisation that may refuse."""
+    try:
+        result = build(*args)
+    except EmbeddingError as exc:
+        return None, exc.diagnostics
+    diagnostics = result[1] if isinstance(result, tuple) else result.diagnostics
+    return result, diagnostics
+
+
+def with_box(eps: float):
+    """Patch the covariance sequences to base + eps base[0] (box of ones on
+    the support): for eps > 0 the spectra are indefinite."""
+    original = simulate._covariance_sequence
+
+    def boxed(params, i, j, delta, m_max):
+        base = original(params, i, j, delta, m_max)
+        return base + eps * base[0]
+
+    return mock.patch.object(simulate, "_covariance_sequence", boxed)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serial_spectral_factor
 import mlogsfbm.estimate as est
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
@@ -230,10 +231,13 @@ def long_window_fit():
     was indefinite, and which moved between (H_ij, g) = (0.027, 0) and
     (0.16, -1) under rounding-level scalings of the model sequence, before
     the joint precision replaced the Schur subtraction.  Also returns the
-    two marginal fits, the second of which ends at its roughness floor."""
+    two marginal fits, the second of which ends at its roughness floor.
+    The path is drawn through the ``eigh`` factor it was found with, which
+    differs from the closed-form d = 2 root by an orthogonal factor."""
     params = ModelParams(T=2.0**18, H=[[0.02, 0.15], [0.15, 0.02]],
                          xi=[[0.05, 0.025], [0.025, 0.05]])
-    (panel,), _ = simulate_field(params, 2**18, 1.0, seed=5)
+    (panel,), _ = simulate_field(params, 2**18, 1.0, seed=5,
+                                 factor=serial_spectral_factor(params, 2**18))
     proxy = field_to_gaussian_proxy(panel, params, 16)
     t_val = proxy.n * proxy.delta
     mi, mj = (calibrate_univariate(proxy.data[i], proxy.delta, fix_T=t_val)

@@ -4,21 +4,22 @@ The oracle is the sampler as it stood before the embedding kept only
 frequencies 0..M/2: ``_periodize``, the full-FFT ``_spectral_matrices``,
 the factorisation over all M frequencies and the full-M synthesis, kept
 here verbatim (the covariance sequence is looked up on the module, so a
-patched sequence reaches both samplers) but for two changes: the embedding
-size M = 2^ceil(log2(2 max(N, floor(T/delta)))), which keeps every lag of
-the support on the circle, and the stream layout, path p being the real
-(p even) or imaginary (p odd) part of the synthesis of stream p // 2.
+patched sequence reaches both samplers) but for three changes: the
+embedding size M = 2^ceil(log2(2 max(N, floor(T/delta)))), which keeps
+every lag of the support on the circle; the stream layout, path p being the
+real (p even) or imaginary (p odd) part of the synthesis of stream p // 2;
+and, at d = 2, the factor V sqrt(Lambda) V^T, the symmetric root that the
+sampler computes in closed form, in place of V sqrt(Lambda).
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible
+from conftest import factor_or_diagnostics, random_admissible, with_box
 from mlogsfbm import ModelParams
 from mlogsfbm import simulate
 from mlogsfbm.simulate import (
@@ -84,6 +85,8 @@ def oracle_spectral_factor(params: ModelParams, n: int, delta: float):
             diagnostics,
         )
     matrix = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    if params.d == 2:
+        matrix = matrix @ eigvecs.swapaxes(1, 2)
     return matrix, diagnostics
 
 
@@ -110,31 +113,9 @@ def oracle_field(matrix: np.ndarray, n: int, seed: int, n_paths: int = 1,
 # helpers
 # ---------------------------------------------------------------------------
 
-def _factor_or_diagnostics(build, *args):
-    """(result or None, diagnostics) of a factorisation that may refuse."""
-    try:
-        result = build(*args)
-    except EmbeddingError as exc:
-        return None, exc.diagnostics
-    diagnostics = result[1] if isinstance(result, tuple) else result.diagnostics
-    return result, diagnostics
-
-
 def _mirrored(half: np.ndarray) -> np.ndarray:
     """Full length-M array from frequencies 0..M/2, using X[M-k] = X[k]."""
     return np.concatenate([half, half[-2:0:-1]])
-
-
-def _with_box(eps: float):
-    """Patch the covariance sequences to base + eps base[0] (box of ones on
-    the support): for eps > 0 the spectra are indefinite."""
-    original = simulate._covariance_sequence
-
-    def boxed(params, i, j, delta, m_max):
-        base = original(params, i, j, delta, m_max)
-        return base + eps * base[0]
-
-    return mock.patch.object(simulate, "_covariance_sequence", boxed)
 
 
 @st.composite
@@ -170,11 +151,11 @@ class TestHalfSpectrumOracle:
     @given(embedding_cases(), st.integers(0, 2**32))
     def test_factor_and_paths_match_full_spectrum(self, case, seed):
         params, n, delta, eps = case
-        with _with_box(eps):
+        with with_box(eps):
             m, half = simulate._spectral_matrices(params, n, delta)
             m_full, full = oracle_spectral_matrices(params, n, delta)
-            factor, diag = _factor_or_diagnostics(spectral_factor, params, n, delta)
-            _, diag_full = _factor_or_diagnostics(oracle_spectral_factor,
+            factor, diag = factor_or_diagnostics(spectral_factor, params, n, delta)
+            _, diag_full = factor_or_diagnostics(oracle_spectral_factor,
                                                   params, n, delta)
         top = np.abs(full).max()
         assert m == m_full and half.shape == (m // 2 + 1, params.d, params.d)

@@ -22,10 +22,7 @@ from mlogsfbm import (
 from mlogsfbm import simulate
 from mlogsfbm.params import mu_i
 from mlogsfbm.simulate import (
-    CLIP_APPROX,
-    CLIP_EXACT,
     PROVENANCES,
-    EmbeddingDiagnostics,
     EmbeddingError,
     FieldPanel,
     SimulationError,
@@ -41,7 +38,12 @@ from mlogsfbm.simulate import (
     write_panel_csv,
     _spectral_matrices,
 )
-from conftest import random_admissible
+from conftest import (
+    factor_or_diagnostics,
+    random_admissible,
+    serial_spectral_factor,
+    with_box,
+)
 
 
 def small_params(t=2**12):
@@ -591,40 +593,12 @@ class TestSiaMomentMonteCarlo:
 # ---------------------------------------------------------------------------
 #
 # The oracles are the factorisation as it stood before frequency chunks ran
-# on worker threads, one whole-array ``eigh`` over all M/2 + 1 frequencies,
-# kept here verbatim; the serial per-path loop of that time, which drew one
-# path per Philox stream, also kept verbatim; and a serial full-spectrum
-# synthesis in the layout of two paths per stream.
-
-def serial_spectral_factor(params: ModelParams, n: int,
-                           delta: float = 1.0) -> SpectralFactor:
-    m, spectra = _spectral_matrices(params, n, delta)
-    eigvals, eigvecs = np.linalg.eigh(spectra)
-    # an interior frequency k also stands for its mirror M - k
-    weight = np.full(eigvals.shape[0], 2.0)
-    weight[[0, -1]] = 1.0
-    total = float(weight @ np.abs(eigvals).sum(axis=1))
-    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
-    mass = clipped / total if total > 0 else 0.0
-    half_min = eigvals.min(axis=1)
-    diagnostics = EmbeddingDiagnostics(
-        embedding_size=m,
-        min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
-        clipped_mass=mass,
-        flag="exact" if mass <= CLIP_EXACT else "approximate",
-    )
-    if mass > CLIP_APPROX:
-        raise EmbeddingError(
-            f"clipped spectral mass {mass:.3e} exceeds the tolerance "
-            f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
-            diagnostics,
-        )
-    matrix = eigvecs  # scaled in place: no second (M/2 + 1, d, d) array
-    matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
-    matrix.setflags(write=False)
-    return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
-                          diagnostics=diagnostics)
-
+# on worker threads, one whole-array ``eigh`` over all M/2 + 1 frequencies
+# (``conftest.serial_spectral_factor``), which d >= 3 factors still equal
+# byte for byte; at d = 2, one whole-array call of the closed-form root; the
+# serial per-path loop of that time, which drew one path per Philox stream,
+# kept here verbatim; and a serial full-spectrum synthesis in the layout of
+# two paths per stream.
 
 def per_path_field(params: ModelParams, n: int, delta: float, seed: int,
                    n_paths: int, first_path: int,
@@ -685,7 +659,7 @@ def equicorrelated_d5(n: int) -> ModelParams:
 
 
 # name: (params, n, first_path); n = 2^14 has M/2 + 1 = 16385 frequencies,
-# three eigh chunks of which the last holds one frequency
+# three chunks of which the last holds one frequency
 THREAD_CASES = {
     "d2-n16384": (lambda: random_admissible(np.random.default_rng(3), 2),
                   2**14, 0),
@@ -702,7 +676,12 @@ class TestThreadedSynthesis:
         make, n, first_path = THREAD_CASES[case]
         params = make()
         monkeypatch.setenv("MSFBM_WORKERS", "1")
-        expected = serial_spectral_factor(params, n)
+        if params.d == 2:
+            expected = spectral_factor(params, n)
+            whole, _ = closed_form_root(_spectral_matrices(params, n, 1.0)[1])
+            assert np.array_equal(expected.matrix, whole)
+        else:
+            expected = serial_spectral_factor(params, n)
         expected_panels = serial_field(params, n, 1.0, seed=19, n_paths=4,
                                        first_path=first_path, factor=expected)
         one_worker, _ = simulate_field(params, n, 1.0, seed=19, n_paths=4,
@@ -838,3 +817,90 @@ class TestStreamLayout:
                 theory = msfbm_cross_cov(float(lag), pair)
                 ok, mean, se = mc_band(per_path, theory)
                 assert ok, f"{name} lag {lag}: {mean} vs {theory} (se {se})"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form d = 2 root against the eigh factor
+# ---------------------------------------------------------------------------
+
+def eigh_clipped(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, V max(Lambda, 0) V^T) of each symmetric matrix."""
+    vals, vecs = np.linalg.eigh(spectra)
+    clipped = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.swapaxes(1, 2)
+    return vals, clipped
+
+
+def closed_form_root(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    root = spectra.copy()
+    eigvals = np.empty(spectra.shape[:2])
+    simulate._symmetric_root_2x2(root, eigvals)
+    return root, eigvals
+
+
+@st.composite
+def d2_embedding_cases(draw):
+    """d = 2 admissible sets, a log marginal at times, and boxed sequences
+    whose spectra have clipped frequencies, from a trace to a refusal."""
+    n = draw(st.integers(2, 300))
+    delta = draw(st.floats(0.1, 4.0))
+    m_max = draw(st.integers(1, 4 * n))
+    params = random_admissible(np.random.default_rng(draw(st.integers(0, 2**32))),
+                               2, T=(m_max + 0.5) * delta)
+    if draw(st.booleans()):
+        h = params.H.copy()
+        h[0, 0] = 0.0
+        params = ModelParams(T=params.T, H=h, xi=params.xi)
+    eps = draw(st.sampled_from([0.0, 0.0, 1e-5, 1e-3, 0.1, 1.0]))
+    return params, n, delta, eps
+
+
+class TestClosedFormRoot:
+    @given(d2_embedding_cases())
+    def test_property_matches_the_eigh_factor(self, case):
+        params, n, delta, eps = case
+        with with_box(eps):
+            m, spectra = _spectral_matrices(params, n, delta)
+            factor, diag = factor_or_diagnostics(spectral_factor, params, n,
+                                                 delta)
+            _, want = factor_or_diagnostics(serial_spectral_factor, params, n,
+                                            delta)
+        top = np.abs(spectra).max()
+        root, eigvals = closed_form_root(spectra)
+        vals, clipped = eigh_clipped(spectra)
+        assert np.array_equal(root, root.swapaxes(1, 2))
+        assert np.abs(root @ root - clipped).max() <= 1e-12 * top
+        assert np.abs(eigvals - vals).max() <= 1e-12 * top
+
+        assert diag.embedding_size == want.embedding_size == m
+        assert np.abs(diag.min_eigenvalues
+                      - want.min_eigenvalues).max() <= 1e-12 * top
+        assert diag.clipped_mass == pytest.approx(want.clipped_mass,
+                                                  rel=1e-9, abs=1e-12)
+        assert diag.flag == want.flag
+        assert (factor is None) == (diag.clipped_mass > simulate.CLIP_APPROX)
+        if factor is not None:
+            assert np.array_equal(factor.matrix, root)
+
+    @pytest.mark.parametrize("s, root, eigvals", [
+        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]),
+        ([[3.0, 0.0], [0.0, 3.0]], [[math.sqrt(3.0), 0.0], [0.0, math.sqrt(3.0)]],
+         [3.0, 3.0]),
+        ([[1.0, 2.0], [2.0, 4.0]],  # det = 0: S / sqrt(tr S)
+         [[1 / math.sqrt(5.0), 2 / math.sqrt(5.0)],
+          [2 / math.sqrt(5.0), 4 / math.sqrt(5.0)]], [0.0, 5.0]),
+        ([[1.0, 2.0], [2.0, 1.0]],  # eigenvalue -1 clipped: sqrt(3) P+
+         [[math.sqrt(0.75), math.sqrt(0.75)], [math.sqrt(0.75), math.sqrt(0.75)]],
+         [-1.0, 3.0]),
+        ([[-2.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]], [-2.0, -2.0]),
+    ], ids=["zero", "multiple-of-identity", "singular", "rank-one-clipped",
+            "negative-definite"])
+    def test_closed_cases(self, s, root, eigvals):
+        spectra = np.array([s])
+        got, got_vals = closed_form_root(spectra)
+        assert np.abs(got[0] - np.array(root)).max() <= 4e-16 * max(
+            1.0, np.abs(root).max())
+        assert np.abs(got_vals[0] - np.array(eigvals)).max() <= 1e-15 * max(
+            1.0, np.abs(eigvals).max())
+        _, clipped = eigh_clipped(spectra)
+        assert np.abs(got[0] @ got[0] - clipped[0]).max() <= 1e-12 * max(
+            1.0, np.abs(spectra).max())
