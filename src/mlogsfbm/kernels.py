@@ -6,6 +6,10 @@ integrated (block-averaged) variants additionally require the whole
 integration rectangle to fit inside the support, i.e. tau + Delta <= T.
 Functions accepting a lag are vectorized over it; ``msfbm_cross_cov``
 additionally has a plain-float path for scalar lags (see its docstring).
+The kernel coefficients have one implementation,
+``PairParams.kernel_constants`` (C in ``params.linear_coeff``): each pair
+computes its constants (xi_ij, A, B, C, T, 2 H_ij) once and caches them,
+so a kernel call reads them instead of deriving them.
 The block covariance has one implementation, shared by ``integrated_cov``,
 ``block_cov_sequence``, ``logvol_incr_cov`` and ``index_ratio_bound``; it is
 finite at H_ij = 0, where it is that of the log kernel -ln(|x - y|/T).
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ModelParams, PairParams, require_admissible
+from .params import ModelParams, PairParams, linear_coeff, require_admissible
 from .special import power_exp_integral
 
 __all__ = [
@@ -53,6 +57,9 @@ _SERIES_TERMS = 5
 _TINY = np.finfo(float).tiny  # stands in for y = 0 where y^2 ln y -> 0
 
 _DOMAIN_SLACK = 1.0 + 1e-12
+
+_NO_POWER_LAW = ("H_ij = 0 has no power-law kernel; use log_kernel_cov for "
+                 "the multifractal branch")
 
 
 class KernelDomainError(ValueError):
@@ -108,25 +115,14 @@ class RatioBound:
     c_h: float
 
 
-def _linear_coeff(h2: float, h_bar: float) -> float:
-    """C of the cross kernel at h2 = 2 H_ij, finite at h2 = 0 (see
-    ``_pair_coeffs``)."""
-    return (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
-
-
 def _pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the cross kernel
-    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)] of a pair, where A = B + C;
+    """The pair's cached coefficients (A, B, C) of the cross kernel
+    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)], where A = B + C;
     H_ij = 0 has no power-law kernel."""
-    if pair.H_ij <= 0:
-        raise KernelDomainError(
-            "H_ij = 0 has no power-law kernel; use log_kernel_cov for the "
-            "multifractal branch"
-        )
-    h2, h_bar = 2.0 * pair.H_ij, pair.h_bar
-    a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
-    b = 1.0 / (h2 * (1.0 - h2))
-    return a, b, _linear_coeff(h2, h_bar)
+    constants = pair.kernel_constants
+    if constants is None:
+        raise KernelDomainError(_NO_POWER_LAW)
+    return constants[1:4]
 
 
 def _dispatch(tau, fn):
@@ -143,15 +139,18 @@ def msfbm_cross_cov(tau, pair: PairParams):
     Vanishes for tau >= T; at i = j it reduces to
     (nu^2/2) (1 - (tau/T)^(2H)) with nu^2 = lambda^2 / (H (1 - 2H)).
 
-    A scalar lag (``int`` or ``float``, including ``np.float64``) takes a
-    path of plain float arithmetic with no numpy dispatch, since quadrature
-    calls the kernel once per node; it returns the same ``float`` as the lag
-    wrapped in a 0-d array.  Arrays, 0-d included, take the numpy path.
+    Both paths read the per-pair constants that ``PairParams`` computes
+    once (``kernel_constants``).  A scalar lag (``int`` or ``float``,
+    including ``np.float64``) takes a path of plain float arithmetic with no
+    numpy dispatch, since quadrature calls the kernel once per node; it
+    returns the same ``float`` as the lag wrapped in a 0-d array.  Arrays,
+    0-d included, take the numpy path.
     """
-    a, b, c = _pair_coeffs(pair)
-    xi = pair.xi_ij
-    T = pair.T
-    h2 = 2.0 * pair.H_ij
+    # the check of _pair_coeffs, inline: a call costs a tenth of a node
+    constants = pair.kernel_constants
+    if constants is None:
+        raise KernelDomainError(_NO_POWER_LAW)
+    xi, a, b, c, T, h2 = constants
 
     if isinstance(tau, (float, int)):
         t = float(tau)
@@ -242,7 +241,7 @@ def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
     u^a E is its z -> infinity limit (Delta/T)^a 2/((1+a)(2+a)).  z falls
     as tau grows, so each form is a slice."""
     alpha = 2.0 * h_ij
-    c = _linear_coeff(alpha, h_bar)
+    c = linear_coeff(alpha, h_bar)
     # ends of the lags tau = 0, tau < Delta and z >= _SERIES_Z
     i0, i1, i2 = np.searchsorted(
         tau, (0.0, math.nextafter(delta, 0.0), delta / _SERIES_Z), side="right")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "validate",
     "g_from_xi",
     "mu_i",
+    "linear_coeff",
 ]
 
 # eigenvalue floor used in the positive-semidefiniteness check; tolerates
@@ -175,10 +178,20 @@ class ModelParams:
         return params
 
 
+def linear_coeff(h2: float, h_bar: float) -> float:
+    """C of the cross kernel at h2 = 2 H_ij (see
+    ``PairParams.kernel_constants``); finite at h2 = 0."""
+    return (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
+
+
 @dataclass(frozen=True)
 class PairParams:
     """Parameters of one (i, j) pair: correlation g, joint roughness H_ij,
-    the two marginal intermittencies and Hurst exponents, and the scale T."""
+    the two marginal intermittencies and Hurst exponents, and the scale T.
+
+    The derived values ``h_bar``, ``xi_ij`` and ``kernel_constants`` are
+    computed on first use and cached on the instance (they are not fields:
+    ``==``, ``hash`` and ``repr`` see the seven fields only)."""
 
     g: float
     H_ij: float
@@ -211,13 +224,25 @@ class PairParams:
                 "co-hurst-floor", (),
                 f"H_ij={self.H_ij} below (H_i+H_j)/2={self.h_bar}"),)))
 
-    @property
+    @cached_property
     def h_bar(self) -> float:
         return 0.5 * (self.H_i + self.H_j)
 
-    @property
+    @cached_property
     def xi_ij(self) -> float:
         return self.g * math.sqrt(self.lambda_i2 * self.lambda_j2)
+
+    @cached_property
+    def kernel_constants(self) -> tuple[float, ...] | None:
+        """(xi_ij, A, B, C, T, 2 H_ij) of the cross kernel
+        xi_ij [A - B (tau/T)^(2 H_ij) - C (tau/T)], where A = B + C, or None
+        at H_ij = 0, which has no power-law kernel."""
+        if self.H_ij <= 0:
+            return None
+        h2, h_bar = 2.0 * self.H_ij, self.h_bar
+        a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
+        b = 1.0 / (h2 * (1.0 - h2))
+        return (self.xi_ij, a, b, linear_coeff(h2, h_bar), self.T, h2)
 
     @classmethod
     def diagonal(cls, lambda2: float, H: float, T: float) -> "PairParams":

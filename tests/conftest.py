@@ -1,7 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
@@ -56,6 +58,30 @@ def random_admissible(rng: np.random.Generator, d: int, T: float = T_GRID) -> Mo
             hbar = 0.5 * (h_diag[i] + h_diag[j])
             h[i, j] = h[j, i] = rng.uniform(hbar, 0.49)
     return ModelParams(T=T, H=h, xi=xi)
+
+
+def scatter_spectral_matrices(params: ModelParams, n: int, delta: float):
+    """``simulate._spectral_matrices`` as it stood before its matrices were
+    gathered through a pair-row index, kept verbatim: one strided column
+    write per matrix entry."""
+    m_max = int(math.floor(params.T / delta))
+    m = 1 << int(math.ceil(math.log2(2 * max(n, m_max))))
+    d = params.d
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    # m_max <= M/2, so no lag wraps onto another: entries 0..M/2 are the
+    # sequence, zero-padded, except that lags M/2 and -M/2 are one point
+    padded = np.zeros((len(pairs), m // 2 + 1))
+    for row, (i, j) in zip(padded, pairs):
+        row[: m_max + 1] = simulate._covariance_sequence(params, i, j, delta,
+                                                         m_max)
+    padded[:, -1] *= 2.0
+    # the DFT of an even sequence of length m is the DCT-I of its half
+    half_spectra = scipy.fft.dct(padded, type=1, axis=1)
+    spectra = np.empty((m // 2 + 1, d, d))
+    for (i, j), values in zip(pairs, half_spectra):
+        spectra[:, i, j] = values
+        spectra[:, j, i] = values
+    return m, spectra
 
 
 def serial_spectral_factor(params: ModelParams, n: int,

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlogsfbm import CovCurve, ModelParams, PairParams, integrated_cov
@@ -230,6 +230,23 @@ def assert_close_to_largest(got, want, rtol=1e-13):
     assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
 
 
+def assert_within_rounding(curve_map, r, n, want):
+    """Each entry of curve_map @ r[:M] lies within its rounding error of the
+    exact value ``want`` (Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), to first order in the unit roundoff u:
+    M u sum_tau |A_ktau r_tau| for the M-term dot product,
+    u (5 |A_ktau| + 20/n) |r_tau| for the five roundings of each entry in
+    ``_curve_map`` (its two terms are at most 1 + 2/n and 4/n, so an entry
+    that cancels keeps an error of order u/n), and u/2 |want| for the
+    rounding of the exact value; M + 6 covers M + 5 + 1/2."""
+    support = curve_map.shape[1]
+    r = r[:support]
+    u = np.finfo(float).eps / 2
+    bound = u * ((support + 6) * (np.abs(curve_map) @ np.abs(r))
+                 + 20.0 / n * np.abs(r).sum())
+    assert np.all(np.abs(curve_map @ r - want) <= bound)
+
+
 def _sequence(n, support, seed):
     r = np.zeros(n)
     r[:support] = np.random.default_rng(seed).standard_normal(support)
@@ -307,12 +324,27 @@ class TestCurveMap:
 
     @settings(max_examples=60, deadline=None)
     @given(curve_map_cases(max_n=40))
+    # the products cancel: sum |A r| = 0.18 against an entry of 1.4e-4
+    @example((6, [3], 6, 0))
     def test_property_matches_exact_rationals(self, case):
         n, lags, support, seed = case
         r = _sequence(n, support, seed)
-        assert_close_to_largest(_curve_map(n, lags, support, True)
-                                @ r[:support],
-                                _exact_expectation(r, n, lags))
+        assert_within_rounding(_curve_map(n, lags, support, True), r, n,
+                               _exact_expectation(r, n, lags))
+
+    @pytest.mark.parametrize("case", [(6, [3], 6, 0), (40, [0, 7, 39], 40, 1),
+                                      (17, [2, 5, 16], 9, 2)])
+    def test_exact_rationals_bound_sees_a_perturbed_entry(self, case):
+        n, lags, support, seed = case
+        r = _sequence(n, support, seed)
+        curve_map = _curve_map(n, lags, support, True)
+        want = _exact_expectation(r, n, lags)
+        assert_within_rounding(curve_map, r, n, want)
+        terms = np.abs(curve_map * r[:support])
+        row, col = np.unravel_index(np.argmax(terms), terms.shape)
+        curve_map[row, col] *= 1.0 + 1e-12
+        with pytest.raises(AssertionError):
+            assert_within_rounding(curve_map, r, n, want)
 
     @pytest.mark.parametrize("t_over_delta", [1024, 2**14],
                              ids=["T-1024-delta", "T-N-delta"])

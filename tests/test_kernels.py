@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pickle
+import struct
 
 import mpmath
 import numpy as np
@@ -28,6 +31,7 @@ from mlogsfbm import (
     zeta_exponent,
 )
 from mlogsfbm.kernels import (
+    _dispatch,
     _pair_coeffs,
     block_cov_sequence,
     index_variance_decomposition,
@@ -220,6 +224,117 @@ class TestKernelProperties:
         got = integrated_cov(tau, delta, pair) * lam / delta**2
         expected = msfbm_cross_cov(tau, pair)
         assert got == pytest.approx(expected, rel=10.0 * (delta / tau)**2)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the kernel as it stood before PairParams cached its constants,
+# kept verbatim; it derives A, B, C, xi_ij and 2 H_ij on every call
+# ---------------------------------------------------------------------------
+
+def _linear_coeff(h2: float, h_bar: float) -> float:
+    return (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
+
+
+def _uncached_pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
+    if pair.H_ij <= 0:
+        raise KernelDomainError(
+            "H_ij = 0 has no power-law kernel; use log_kernel_cov for the "
+            "multifractal branch"
+        )
+    h2, h_bar = 2.0 * pair.H_ij, pair.h_bar
+    a = (1.0 + h2 - 2.0 * h_bar) / (h2 * (1.0 - 2.0 * h_bar))
+    b = 1.0 / (h2 * (1.0 - h2))
+    return a, b, _linear_coeff(h2, h_bar)
+
+
+def uncached_msfbm_cross_cov(tau, pair: PairParams):
+    a, b, c = _uncached_pair_coeffs(pair)
+    xi = pair.xi_ij
+    T = pair.T
+    h2 = 2.0 * pair.H_ij
+
+    if isinstance(tau, (float, int)):
+        t = float(tau)
+        if t < 0:
+            raise KernelDomainError("lags must be non-negative")
+        if t >= T:
+            return 0.0
+        u = t / T
+        return float(xi * (a - b * u**h2 - c * u))
+
+    def compute(t):
+        u = np.minimum(t / T, 1.0)
+        val = xi * (a - b * u**h2 - c * u)
+        return np.where(t >= T, 0.0, val)
+
+    return _dispatch(tau, compute)
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _fields(pair: PairParams) -> dict:
+    return {f.name: getattr(pair, f.name) for f in dataclasses.fields(pair)}
+
+
+class TestPairConstantsCache:
+    """``PairParams`` computes its kernel constants once; the kernel that
+    reads them gives the uncached kernel's bits."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), log_t=st.floats(0.0, 6.0),
+           ij=st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]),
+           fracs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=8))
+    def test_property_scalar_matches_uncached_oracle(self, seed, log_t, ij,
+                                                     fracs):
+        pair = random_admissible(np.random.default_rng(seed), 3,
+                                 T=10.0**log_t).pair(*ij)
+        t_scale = pair.T
+        lags = [0.0, t_scale, 2.0 * t_scale, math.nan] + [
+            f * t_scale for f in fracs]
+        lags += [np.float64(t) for t in lags]
+        lags += [0, int(t_scale), int(t_scale) + 1] + [
+            int(f * t_scale) for f in fracs]
+        for t in lags:
+            got = msfbm_cross_cov(t, pair)
+            want = uncached_msfbm_cross_cov(t, pair)
+            assert type(got) is float
+            assert _bits(got) == _bits(want), t
+        taus = np.array([0.0, t_scale, math.nan] + [f * t_scale for f in fracs])
+        assert np.array_equal(msfbm_cross_cov(taus, pair),
+                              uncached_msfbm_cross_cov(taus, pair),
+                              equal_nan=True)
+
+    def test_replace_gives_the_new_pairs_values(self, fig2_pair):
+        before = msfbm_cross_cov(100.0, fig2_pair)
+        moved = dataclasses.replace(fig2_pair, H_ij=0.3)
+        fresh = PairParams(**{**_fields(fig2_pair), "H_ij": 0.3})
+        assert msfbm_cross_cov(100.0, moved) == msfbm_cross_cov(100.0, fresh)
+        assert msfbm_cross_cov(100.0, moved) != before
+        assert moved.kernel_constants == fresh.kernel_constants
+        assert msfbm_cross_cov(100.0, fig2_pair) == before
+
+    def test_zero_co_hurst_raises_on_every_call(self):
+        pair = PairParams.diagonal(0.05, 0.0, 100.0)
+        for tau in (1.0, 1.0, np.array([1.0, 2.0]), np.array([1.0, 2.0])):
+            with pytest.raises(KernelDomainError, match="log_kernel_cov"):
+                msfbm_cross_cov(tau, pair)
+        assert pair.kernel_constants is None
+
+    def test_cache_leaves_identity_unchanged(self, fig2_pair):
+        fresh = PairParams(**_fields(fig2_pair))
+        msfbm_cross_cov(100.0, fig2_pair)
+        mrm_cross_cov_series(200.0, 16.0, fig2_pair)
+        assert "kernel_constants" in vars(fig2_pair)
+        assert fig2_pair == fresh
+        assert hash(fig2_pair) == hash(fresh)
+        assert repr(fig2_pair) == repr(fresh)
+        restored = pickle.loads(pickle.dumps(fig2_pair))
+        assert restored == fresh and hash(restored) == hash(fresh)
+        assert repr(restored) == repr(fresh)
+        assert (msfbm_cross_cov(100.0, restored)
+                == msfbm_cross_cov(100.0, fresh))
 
 
 class TestLogKernelCov:

@@ -41,6 +41,7 @@ from mlogsfbm.simulate import (
 from conftest import (
     factor_or_diagnostics,
     random_admissible,
+    scatter_spectral_matrices,
     serial_spectral_factor,
     with_box,
 )
@@ -166,6 +167,18 @@ class TestEmbedding:
         _, s_swapped = _spectral_matrices(swapped, 512, 1.0)
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(perm @ s @ perm, s_swapped, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_spectral_matrices_match_scatter_oracle(self, d):
+        # the index gather gives the scatter's bits, in C order
+        rng = np.random.default_rng(100 + d)
+        for t_scale, n in ((2.0**10, 2**10), (300.0, 2**11), (5000.0, 2**9)):
+            params = random_admissible(rng, d, T=t_scale)
+            m, spectra = _spectral_matrices(params, n, 1.0)
+            m_old, oracle = scatter_spectral_matrices(params, n, 1.0)
+            assert m == m_old
+            assert spectra.flags["C_CONTIGUOUS"]
+            assert np.array_equal(spectra, oracle)
 
     def test_inadmissible_params_rejected(self):
         bad = ModelParams(T=100.0, H=[[0.02, 0.01], [0.01, 0.02]],
