@@ -492,7 +492,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--panel", help="panel CSV/binary (simulated or market)")
     p.add_argument("--delta", type=float, help="panel step override")
-    p.add_argument("--T", type=float, help="correlation scale (default N*delta)")
+    p.add_argument("--T", type=float, help=(
+        "correlation scale, finite and at least 2*delta (default N*delta); "
+        "lambda^2 and xi are reported at this T, and when T >= N*delta a "
+        "marginal fixes only lambda^2 T^(-2H)"))
     p.add_argument("--grid-q", dest="grid_q", type=int)
     p.set_defaults(func=cmd_calibrate)
 

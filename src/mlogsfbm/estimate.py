@@ -1,8 +1,8 @@
 """Moment estimators and two-stage GMM calibration.
 
 The workflow mirrors the simulation study: each marginal is fitted on its
-own (roughness H, amplitude lambda^2; the scale T is given or searched), then
-every pair is fitted for its correlation g and joint roughness H_ij with the
+own (roughness H, amplitude lambda^2, at the given scale T), then every
+pair is fitted for its correlation g and joint roughness H_ij with the
 marginals held fixed.  Moment conditions are empirical autocovariances of
 the log-volatility series on a geometric lag grid, matched against the exact
 model-implied expectation of the estimator (the demeaned 1/N estimator is
@@ -14,10 +14,10 @@ or g times the marginal amplitudes) enters the moment curve linearly and is
 profiled out by weighted least squares clipped to its box, and the roughness
 is searched on a bounded bracket.  This optimizes the same objective as the
 tanh/logistic reparametrization but deterministically, without ridge
-wandering.  This is the one optimiser path: a free scale T (univariate fits
-only) is an outer bounded search over T of the first-stage profiled
-objective, and the fit then runs at the chosen T.  Every model curve is a
-fixed linear map, built once per fit and T, of ``kernels.block_cov_sequence``.
+wandering.  This is the one optimiser path, at one given T: when T >= N
+delta the moment curves fix only lambda^2 T^(-2H), so a search over T would
+have nothing to find.  Every model curve is a fixed linear map, built once
+per fit, of ``kernels.block_cov_sequence``.
 
 The second-stage weight inverts the exact Gaussian covariance of the moment
 vector at the first-stage estimate.
@@ -57,7 +57,6 @@ __all__ = [
     "McValidationError",
     "PanelCalibration",
     "empirical_cross_cov",
-    "d_statistic",
     "calibrate_univariate",
     "calibrate_pair",
     "calibrate_panel",
@@ -175,15 +174,6 @@ def empirical_cross_cov(
                           "lag_units": "delta"})
 
 
-def d_statistic(curve: CovCurve) -> CovCurve:
-    """Dhat(k) = Chat(k) - Chat(0); requires lag 0 in the input curve."""
-    if curve.lags[0] != 0.0:
-        raise ValueError("d_statistic needs the lag-0 value in the curve")
-    meta = dict(curve.meta)
-    meta["statistic"] = "d"
-    return CovCurve(curve.lags, curve.values - curve.values[0], meta)
-
-
 def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
     """V diag(1 / (max(lambda, 0) + eps)) V' over the eigenpairs of sym(s),
     eps = 1e-10 trace / q: inv(s + eps I) on a positive semidefinite ``s``,
@@ -205,20 +195,17 @@ def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
 # model curves
 # ---------------------------------------------------------------------------
 
-def _curve_map(n: int, taus: Sequence[int], support: int,
-               finite_sample_adjust: bool) -> np.ndarray:
+def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
     """The q x M matrix A whose product A @ r[:M] is the model side of the
     moment conditions for a symmetric cross-covariance sequence r that
-    vanishes from M = ``support`` on: r at the lags, or with
-    ``finite_sample_adjust`` the exact expectation of ``empirical_cross_cov``,
+    vanishes from M = ``support`` on: the exact expectation of
+    ``empirical_cross_cov`` at the lags ``taus``,
     (n-k)/n ([tau=k] + v_tau) - (W_tau(n-k) + W_tau(n) - W_tau(k)) / n^2 at
     (k, tau).  v_tau = (2 - [tau=0]) (n-tau) / n^2 weighs r(tau) in the
     sample-mean variance; W_tau(L) = max(0, min(L, n-tau)) + max(0, L-tau)
     - L [tau=0] counts it in n sum_{l<=L} E[x_l mean(y)]."""
     tau = np.arange(support)
     curve_map = (tau == np.asarray(taus)[:, None]).astype(float)
-    if not finite_sample_adjust:
-        return curve_map
     zero = tau == 0
     v = np.where(zero, 1.0, 2.0) * (n - tau) / n**2
 
@@ -525,22 +512,38 @@ def _cv_adjusted_cross_moments(
 # calibration
 # ---------------------------------------------------------------------------
 
+def _check_scale(T: float, delta: float) -> None:
+    """Reject a correlation scale in which no lag fits: T must be finite and
+    at least 2 delta, the window of the lag-1 block."""
+    if not (math.isfinite(T) and T >= 2.0 * delta):
+        raise ValueError(f"correlation scale T={T!r} must be finite and at "
+                         f"least 2 delta = {2.0 * delta!r}")
+
+
+def _window_grid(grid: LagGrid | None, n: int, delta: float,
+                 T: float) -> LagGrid:
+    """The lags of ``grid`` (default ``LagGrid.default()``) below n whose
+    blocks fit inside the correlation window T."""
+    _check_scale(T, delta)
+    grid = (grid or LagGrid.default()).restrict(n)
+    if max(grid.taus) * delta + delta > T:
+        grid = grid.restrict(int(math.floor((T - delta) / delta)))
+    return grid
+
+
 def calibrate_univariate(
     logvol: np.ndarray,
     delta: float,
+    T: float,
     grid: LagGrid | None = None,
-    fix_T: float | None = None,
-    t_max: float | None = None,
-    finite_sample_adjust: bool = True,
     mask: np.ndarray | None = None,
 ) -> GmmResult:
-    """Fit (H, lambda^2) from one log-volatility series by matching its
-    autocovariance curve.  The scale T is fixed by the caller or, when
-    ``fix_T`` is None, chosen in [N delta, t_max] (default 16 N delta) by a
-    bounded search over T of the first-stage (identity-weight) profiled
-    objective; second-stage objectives are not compared across T, since
-    their weights depend on it.  The fit then runs at that T exactly as with
-    ``fix_T`` given, and ``iterations`` includes the outer evaluations.
+    """Fit (H, lambda^2) at the correlation scale T from one log-volatility
+    series by matching its autocovariance curve.  When T >= N delta every
+    lag's block fits the window and the demeaning removes the kernel's
+    constant, so the expected curve is lambda^2 T^(-2H) times a shape in H
+    alone: the fit identifies H and lambda^2 T^(-2H), and lambda^2 is
+    reported at the given T.
 
     The theoretical guarantees behind the moment matching are proved for
     H < 1/4; the estimator is exposed on the whole (0, 1/2) box.  ``mask``
@@ -548,45 +551,25 @@ def calibrate_univariate(
     empirical moments; the theoretical side assumes the gaps are sparse)."""
     s = _prepare_series(logvol, mask)
     n = s.size
-    grid = (grid or LagGrid.default()).restrict(n)
+    grid = _window_grid(grid, n, delta, T)
+    observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
+    support = block_support(n, delta, T)
+    curve_map = _curve_map(n, grid.taus, support)
 
-    def unit_curve(t_val: float) -> Callable[[float], np.ndarray]:
-        # one map per T: only the roughness varies within a search
-        support = block_support(n, delta, t_val)
-        curve_map = _curve_map(n, grid.taus, support, finite_sample_adjust)
-        return lambda h: curve_map @ block_cov_sequence(
-            n, delta, h, h, t_val)[:support]
+    def unit(h: float) -> np.ndarray:
+        return curve_map @ block_cov_sequence(n, delta, h, h, T)[:support]
 
-    def search(observed, weight, unit) -> _ProfileOutcome:
+    def search(weight) -> _ProfileOutcome:
         return _profiled_minimize(observed, unit, weight, 1e-4, 0.4999,
                                   _AMP_FLOOR, math.inf)
 
-    scale_evals = 0
-    if fix_T is None:
-        t_floor = n * delta
-        t_cap = t_max if t_max is not None else 16.0 * t_floor
-        if t_cap <= t_floor:
-            raise ValueError("t_max must exceed N * delta for a free scale")
-        observed = empirical_cross_cov(s, s, grid, mask_x=mask,
-                                       mask_y=mask).values
-        identity = np.eye(len(grid.taus))
-        outer = sopt.minimize_scalar(
-            lambda t_val: search(observed, identity,
-                                 unit_curve(t_val)).objective,
-            bounds=(t_floor, t_cap), method="bounded")
-        fix_T, scale_evals = float(outer.x), int(outer.nfev)
-    if max(grid.taus) * delta + delta > fix_T:
-        # keep only lags whose blocks fit inside the correlation window
-        grid = grid.restrict(int(math.floor((fix_T - delta) / delta)))
-    observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
-    unit = unit_curve(fix_T)
-    first = search(observed, np.eye(len(grid.taus)), unit)
+    first = search(np.eye(len(grid.taus)))
     r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
-        n, delta, first.h, first.h, fix_T)
+        n, delta, first.h, first.h, T)
     (t1,) = _seq_transforms([r1], n, grid.taus)
     weight, fallback = _regularized_inverse(
         _product_moment_cov(t1, t1, t1, t1, n, grid.taus))
-    second = search(observed, weight, unit)
+    second = search(weight)
     h, lam2 = second.h, second.amp
     notes = ["identity-weight-fallback"] if fallback else []
     if second.amp_at_bound:
@@ -600,9 +583,9 @@ def calibrate_univariate(
     residuals = CovCurve(grid.taus, observed - lam2 * unit(h),
                          meta={"statistic": "gmm-residual", "n": n,
                                "lag_units": "delta"})
-    return GmmResult(params={"H": h, "lambda2": lam2, "T": fix_T},
+    return GmmResult(params={"H": h, "lambda2": lam2, "T": T},
                      objective=float(second.objective),
-                     iterations=int(first.evals + second.evals + scale_evals),
+                     iterations=int(first.evals + second.evals),
                      converged=bool(first.converged and second.converged),
                      weight=weight, residuals=residuals, notes=tuple(notes))
 
@@ -615,13 +598,13 @@ def calibrate_pair(
     H_i: float,
     H_j: float,
     delta: float,
+    T: float,
     grid: LagGrid | None = None,
-    T: float | None = None,
-    finite_sample_adjust: bool = True,
     mask_i: np.ndarray | None = None,
     mask_j: np.ndarray | None = None,
 ) -> GmmResult:
-    """Fit (g, H_ij) for one pair with the marginal parameters held fixed.
+    """Fit (g, H_ij) at the correlation scale T for one pair with the
+    marginal parameters held fixed.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
     (amplitude box / bounded roughness bracket, equivalent to the tanh and
@@ -633,20 +616,17 @@ def calibrate_pair(
     if x.size != y.size:
         raise ValueError("series must be aligned")
     n = x.size
-    t_val = T if T is not None else n * delta
-    grid = (grid or LagGrid.default()).restrict(n)
-    if max(grid.taus) * delta + delta > t_val:
-        grid = grid.restrict(int(math.floor((t_val - delta) / delta)))
+    grid = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
     hbar = 0.5 * (H_i + H_j)
 
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
-        return scale * block_cov_sequence(n, delta, hij, h_bar, t_val)
+        return scale * block_cov_sequence(n, delta, hij, h_bar, T)
 
-    support = block_support(n, delta, t_val)
-    curve_map = _curve_map(n, grid.taus, support, finite_sample_adjust)
+    support = block_support(n, delta, T)
+    curve_map = _curve_map(n, grid.taus, support)
     unit = lambda hij: curve_map @ sequence(hij, hbar, 1.0)[:support]
     h_lo, h_hi = hbar + 1e-6, 0.4999
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
@@ -678,7 +658,7 @@ def calibrate_pair(
                          meta={"statistic": "gmm-residual", "n": n,
                                "lag_units": "delta"})
     return GmmResult(
-        params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": t_val},
+        params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
         objective=float(second.objective),
         iterations=int(first.evals + second.evals),
         converged=bool(first.converged and second.converged),
@@ -749,10 +729,13 @@ def calibrate_panel(
     ``_ITEM_ERRORS`` is recorded in ``failures``; a failed marginal fails its
     pairs, and any other exception propagates.  The amplitude matrix's
     eigenvalues report, not enforce, positive semidefiniteness.  ``mask``
-    (d x n, True = valid) excludes imputed entries from the moments."""
+    (d x n, True = valid) excludes imputed entries from the moments.  T
+    defaults to N delta; a T that is not finite and at least 2 delta raises
+    ``ValueError`` before any fit runs."""
     d = panel.d
     delta = panel.delta
     t_val = T if T is not None else panel.n * delta
+    _check_scale(t_val, delta)
     if mask is not None:
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:
@@ -761,7 +744,7 @@ def calibrate_panel(
 
     def fit_marginal(i):
         return calibrate_univariate(
-            panel.data[i], delta, grid=grid, fix_T=t_val, mask=row_mask(i))
+            panel.data[i], delta, t_val, grid=grid, mask=row_mask(i))
 
     def fit_pair(ij):
         i, j = ij
@@ -901,10 +884,10 @@ def _one_replica(config: McConfig, factor: SpectralFactor, run_seed: int,
     else:
         agg_panel = field_to_measure(panel, config.params, config.agg)
     t_true = config.params.T
-    res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta,
-                                grid=config.grid, fix_T=t_true)
-    res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta,
-                                grid=config.grid, fix_T=t_true)
+    res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta, t_true,
+                                grid=config.grid)
+    res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta, t_true,
+                                grid=config.grid)
     pair = calibrate_pair(
         agg_panel.data[0], agg_panel.data[1],
         lambda_i2=res0.params["lambda2"], lambda_j2=res1.params["lambda2"],

@@ -268,6 +268,21 @@ class TestCalibrateCommand:
             assert (mask is None) == (path != market)
         assert panel.delta == 1.0 and panel.provenance == "market"
 
+    @pytest.mark.parametrize("t_arg", ["0", "-3", "nan", "inf", "1.5"])
+    def test_bad_scale_exits_before_any_fit(self, tmp_path, simulated_panel,
+                                            t_arg, capsys, monkeypatch):
+        import mlogsfbm.estimate as est
+        calls = []
+        monkeypatch.setattr(est, "calibrate_univariate",
+                            lambda *args, **kwargs: calls.append(args))
+        panel_path, _ = simulated_panel
+        out = tmp_path / "bad"
+        assert main(["calibrate", "--panel", str(panel_path), "--delta", "1",
+                     f"--T={t_arg}", "--out", str(out)]) == 2
+        assert f"T={float(t_arg)!r}" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "params_estimate.json").exists()
+
     def test_market_panel_roundtrip(self, tmp_path):
         # VolPanel-style CSV goes through the market branch
         rng = np.random.default_rng(3)

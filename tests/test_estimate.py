@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 from typing import Sequence
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlogsfbm import CovCurve, ModelParams, PairParams, integrated_cov
+from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     CalibrationError,
     LagGrid,
@@ -23,7 +24,6 @@ from mlogsfbm.estimate import (
     calibrate_pair,
     calibrate_panel,
     calibrate_univariate,
-    d_statistic,
     empirical_cross_cov,
     mc_validate,
 )
@@ -165,28 +165,6 @@ class TestEmpiricalCrossCov:
             empirical_cross_cov(x, x, grid, mask_x=np.ones((2, 64), bool))
 
 
-class TestDStatistic:
-    def test_constant_curve(self):
-        curve = CovCurve(np.array([0.0, 1.0, 2.0]), np.full(3, 0.7))
-        assert np.allclose(d_statistic(curve).values, 0.0)
-
-    def test_arithmetic(self):
-        curve = CovCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.4, 0.1]))
-        assert np.allclose(d_statistic(curve).values, [0.0, -0.6, -0.9])
-
-    def test_matches_kernel_difference(self, fig2_pair):
-        lags = np.array([0.0, 1.0, 4.0, 16.0])
-        vals = integrated_cov(lags, 1.0, fig2_pair)
-        curve = CovCurve(lags, vals)
-        expected = vals - vals[0]
-        assert np.allclose(d_statistic(curve).values, expected, rtol=1e-14)
-
-    def test_requires_lag_zero(self):
-        curve = CovCurve(np.array([1.0, 2.0]), np.array([0.4, 0.1]))
-        with pytest.raises(ValueError):
-            d_statistic(curve)
-
-
 def _expected_curve(r: np.ndarray, n: int, lags: Sequence[int]) -> np.ndarray:
     """Exact finite-sample expectation of ``empirical_cross_cov`` under a
     model with (symmetric) cross-covariance sequence r(tau), tau = 0..n-1."""
@@ -302,8 +280,8 @@ class TestCurveMap:
     """``_curve_map`` against the oracle: A @ r[:M] is the model curve."""
 
     @settings(max_examples=300, deadline=None)
-    @given(curve_map_cases(), st.booleans())
-    def test_property_matches_oracle(self, case, adjust):
+    @given(curve_map_cases())
+    def test_property_matches_oracle(self, case):
         # the scale is the curve's largest entry over every lag: where the
         # drawn lags lie past the support they see only the sample-mean
         # bias, and there the oracle's prefix sums lose digits against
@@ -312,12 +290,9 @@ class TestCurveMap:
         # value, see test_property_matches_exact_rationals)
         n, lags, support, seed = case
         r = _sequence(n, support, seed)
-        curve_map = _curve_map(n, lags, support, adjust)
+        curve_map = _curve_map(n, lags, support)
         assert curve_map.shape == (len(lags), support)
-        if adjust:
-            curve = _expected_curve(r, n, range(n))
-        else:
-            curve = r
+        curve = _expected_curve(r, n, range(n))
         got = curve_map @ r[:support]
         scale = float(np.max(np.abs(curve)))
         assert np.max(np.abs(got - curve[lags])) <= 1e-13 * scale
@@ -329,7 +304,7 @@ class TestCurveMap:
     def test_property_matches_exact_rationals(self, case):
         n, lags, support, seed = case
         r = _sequence(n, support, seed)
-        assert_within_rounding(_curve_map(n, lags, support, True), r, n,
+        assert_within_rounding(_curve_map(n, lags, support), r, n,
                                _exact_expectation(r, n, lags))
 
     @pytest.mark.parametrize("case", [(6, [3], 6, 0), (40, [0, 7, 39], 40, 1),
@@ -337,7 +312,7 @@ class TestCurveMap:
     def test_exact_rationals_bound_sees_a_perturbed_entry(self, case):
         n, lags, support, seed = case
         r = _sequence(n, support, seed)
-        curve_map = _curve_map(n, lags, support, True)
+        curve_map = _curve_map(n, lags, support)
         want = _exact_expectation(r, n, lags)
         assert_within_rounding(curve_map, r, n, want)
         terms = np.abs(curve_map * r[:support])
@@ -353,22 +328,17 @@ class TestCurveMap:
         taus = LagGrid.default().restrict(
             min(n, t_over_delta - 1)).taus
         support = block_support(n, delta, t_over_delta * delta)
-        curve_map = _curve_map(n, taus, support, True)
+        curve_map = _curve_map(n, taus, support)
         for hij, h_bar in ((0.02, 0.02), (0.15, 0.02), (0.25, 0.25)):
             r = 0.05 * block_cov_sequence(n, delta, hij, h_bar,
                                           t_over_delta * delta)
             assert_close_to_largest(curve_map @ r[:support],
                                     _expected_curve(r, n, taus))
 
-    def test_without_adjustment_selects_the_lags(self):
-        curve_map = _curve_map(50, (1, 2, 4, 8, 49), 40, False)
-        r = np.arange(40.0) + 1.0
-        assert np.array_equal(curve_map @ r, [2.0, 3.0, 5.0, 9.0, 0.0])
-
 
 class TestCurveMapBuilds:
-    """One map per fit, or per T in the free-scale search: a per-evaluation
-    rebuild costs about as much as a hundred evaluations at T = N delta."""
+    """One map per fit: a per-evaluation rebuild costs about as much as a
+    hundred evaluations at T = N delta."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -396,19 +366,65 @@ class TestCurveMapBuilds:
 
     def test_univariate_fixed_scale_builds_once(self, monkeypatch):
         built = self._count(monkeypatch)
-        calibrate_univariate(self._series()[0], 1.0, fix_T=1024.0)
+        calibrate_univariate(self._series()[0], 1.0, T=1024.0)
         assert len(built) == 1
 
-    def test_univariate_free_scale_builds_once_per_scale(self, monkeypatch):
-        built = self._count(monkeypatch)
-        x = self._series()[0]
-        free = calibrate_univariate(x, 1.0, t_max=4 * 2048.0)
-        outer = len(built) - 1  # the last build is the fit at the chosen T
-        built.clear()
-        fixed = calibrate_univariate(x, 1.0, fix_T=free.params["T"])
-        assert len(built) == 1
-        # iterations count the outer evaluations on top of the fit's own
-        assert outer == free.iterations - fixed.iterations >= 2
+
+class TestScaleInvariance:
+    """At T >= N delta every block fits the window, the marginal kernel is a
+    constant minus lambda^2 T^(-2H) tau^(2H) / (2H (1 - 2H)), and the
+    demeaned moments cannot see the constant: the curves at T and T' differ
+    by the factor (T'/T)^(-2H) alone, so a marginal identifies H and
+    lambda^2 T^(-2H), not T."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.floats(1e-3, 0.45), n=st.integers(8, 2048),
+           base=st.floats(1.0, 4.0), ratio=st.floats(1.0, 16.0),
+           delta=st.sampled_from([1.0, 16.0]), seed=st.integers(0, 2**32 - 1))
+    @example(h=0.05, n=4096, base=1.0, ratio=16.0, delta=16.0, seed=0)
+    def test_curves_scale_and_first_stage_is_blind(self, h, n, base, ratio,
+                                                   delta, seed):
+        t, t2 = base * n * delta, base * ratio * n * delta
+        assert block_support(n, delta, t) == block_support(n, delta, t2) == n
+        taus = LagGrid.default().restrict(n).taus
+        curve_map = _curve_map(n, taus, n)
+
+        # a constant sequence has expectation 0: exactly when the entries
+        # are dyadic (n a power of two), else within their rounding
+        zero = curve_map @ np.ones(n)
+        if n & (n - 1) == 0:
+            assert np.all(zero == 0.0)
+        else:
+            assert_within_rounding(curve_map, np.ones(n), n,
+                                   np.zeros(len(taus)))
+
+        # the unit curves scale by (T'/T)^(-2h); the scale is the size of
+        # the terms before the constant cancels
+        def unit(t_val):
+            return lambda hh: curve_map @ block_cov_sequence(
+                n, delta, hh, hh, t_val)
+
+        r2 = block_cov_sequence(n, delta, h, h, t2)
+        got, want = unit(t2)(h), ratio ** (-2.0 * h) * unit(t)(h)
+        scale = float(np.max(np.abs(curve_map) @ np.abs(r2)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+        # the first-stage profiled fit: the same objective, H to the search's
+        # resolution (bounded Brent stops within about 1e-7 of the minimum),
+        # and at that H the amplitude scales by (T'/T)^(2H)
+        noise = np.random.default_rng(seed).standard_normal(len(taus))
+        observed = 0.05 * unit(t)(h) * (1.0 + 0.2 * noise)
+        eye = np.eye(len(taus))
+        fits = [_profiled_minimize(observed, unit(t_val), eye, 1e-4, 0.4999,
+                                   _AMP_FLOOR, math.inf) for t_val in (t, t2)]
+        assert not any(fit.amp_at_bound for fit in fits)
+        assert fits[1].objective == pytest.approx(fits[0].objective,
+                                                  rel=1e-9, abs=0.0)
+        assert abs(fits[1].h - fits[0].h) <= 1e-6
+        c = unit(t)(fits[1].h)
+        amp_at_t = float(observed @ c) / float(c @ c)
+        assert fits[1].amp == pytest.approx(
+            amp_at_t * ratio ** (2.0 * fits[1].h), rel=1e-12, abs=0.0)
 
 
 class TestProfiledReduction:
@@ -446,11 +462,6 @@ class TestProfiledReduction:
         assert out.amp_at_bound
 
 
-# the non-default options the README documents, each on the profiled path
-ALTERNATIVES = ({"finite_sample_adjust": False},)
-ALTERNATIVE_IDS = ("no-finite-sample-adjust",)
-
-
 @pytest.fixture(scope="module")
 def smooth_panels():
     """Shared simulated panels: H = 0.25, lambda^2 = 0.06, 12 paths."""
@@ -465,7 +476,7 @@ class TestCalibrateUnivariate:
         lam2s, hs = [], []
         for prox in proxies:
             res = calibrate_univariate(prox.data[0], prox.delta,
-                                       fix_T=params.T)
+                                       T=params.T)
             assert res.converged
             lam2s.append(res.params["lambda2"])
             hs.append(res.params["H"])
@@ -474,7 +485,7 @@ class TestCalibrateUnivariate:
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVarianceError):
-            calibrate_univariate(np.full(512, 1.0), 1.0, fix_T=512.0)
+            calibrate_univariate(np.full(512, 1.0), 1.0, T=512.0)
 
     def test_amplitude_at_bound_is_a_note_not_a_failure(self):
         # differenced white noise has a negative lag-1 autocovariance that
@@ -482,7 +493,7 @@ class TestCalibrateUnivariate:
         # as with the pair's correlation bound, converged reports the
         # optimiser alone
         e = np.random.default_rng(3).standard_normal(2049)
-        res = calibrate_univariate(np.diff(e), 1.0, fix_T=2048.0)
+        res = calibrate_univariate(np.diff(e), 1.0, T=2048.0)
         assert res.params["lambda2"] == _AMP_FLOOR
         assert "amplitude-at-bound" in res.notes
         assert res.converged
@@ -490,45 +501,14 @@ class TestCalibrateUnivariate:
     def test_estimates_inside_boxes(self, smooth_panels):
         params, proxies = smooth_panels
         res = calibrate_univariate(proxies[0].data[0], proxies[0].delta,
-                                   fix_T=params.T)
+                                   T=params.T)
         assert 0.0 < res.params["H"] < 0.5
         assert res.params["lambda2"] > 0
-
-    def test_free_scale_stays_in_box(self, smooth_panels):
-        # the free scale is an outer search over T; the fit at its T-hat is
-        # the fixed-scale fit there
-        params, proxies = smooth_panels
-        prox = proxies[0]
-        free = calibrate_univariate(prox.data[0], prox.delta, fix_T=None,
-                                    t_max=8.0 * prox.n * prox.delta)
-        floor = prox.n * prox.delta
-        t_hat = free.params["T"]
-        assert floor <= t_hat <= 8.0 * floor
-        fixed = calibrate_univariate(prox.data[0], prox.delta, fix_T=t_hat)
-        assert free.params == fixed.params
-        assert free.objective == fixed.objective
-        assert free.converged == fixed.converged
-        assert free.notes == fixed.notes
-        assert free.iterations > fixed.iterations
-
-    @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
-    def test_profiled_alternatives_agree_roughly(self, smooth_panels,
-                                                 options):
-        params, proxies = smooth_panels
-        for prox in proxies:
-            a = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T)
-            b = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T,
-                                     **options)
-            assert b.converged
-            assert 0.0 < b.params["H"] < 0.5 and b.params["lambda2"] > 0.0
-            assert b.params["H"] == pytest.approx(a.params["H"], abs=0.08)
-            assert b.params["lambda2"] == pytest.approx(a.params["lambda2"],
-                                                        rel=0.5)
 
     def test_objective_non_negative(self, smooth_panels):
         params, proxies = smooth_panels
         res = calibrate_univariate(proxies[1].data[0], proxies[1].delta,
-                                   fix_T=params.T)
+                                   T=params.T)
         assert res.objective >= 0.0
         assert len(res.residuals) == len(res.residuals.lags)
 
@@ -546,8 +526,8 @@ class TestCalibratePair:
         params, proxies = fig2_proxy_panels
         gs, hs = [], []
         for prox in proxies:
-            m0 = calibrate_univariate(prox.data[0], prox.delta, fix_T=params.T)
-            m1 = calibrate_univariate(prox.data[1], prox.delta, fix_T=params.T)
+            m0 = calibrate_univariate(prox.data[0], prox.delta, T=params.T)
+            m1 = calibrate_univariate(prox.data[1], prox.delta, T=params.T)
             res = calibrate_pair(
                 prox.data[0], prox.data[1],
                 m0.params["lambda2"], m1.params["lambda2"],
@@ -574,31 +554,52 @@ class TestCalibratePair:
         assert res.params["xi_ij"] == pytest.approx(
             res.params["g"] * 0.05, rel=1e-12)
 
-    @pytest.mark.parametrize("options", ALTERNATIVES, ids=ALTERNATIVE_IDS)
-    def test_profiled_alternatives_agree_roughly(self, fig2_proxy_panels,
-                                                 options):
-        params, proxies = fig2_proxy_panels
-        default, alternative = [], []
-        for prox in proxies:
-            args = (prox.data[0], prox.data[1], 0.05, 0.05, 0.02, 0.02,
-                    prox.delta)
-            a = calibrate_pair(*args, T=params.T)
-            b = calibrate_pair(*args, T=params.T, **options)
-            assert b.converged
-            assert abs(b.params["g"]) <= 1.0
-            assert 0.02 <= b.params["H_ij"] < 0.5
-            default.append((a.params["g"], a.params["H_ij"]))
-            alternative.append((b.params["g"], b.params["H_ij"]))
-        g_a, h_a = np.mean(default, axis=0)
-        g_b, h_b = np.mean(alternative, axis=0)
-        assert h_b == pytest.approx(h_a, abs=0.08)
-        assert g_b == pytest.approx(g_a, rel=0.5)
-
     def test_misaligned_series_rejected(self):
         with pytest.raises(ValueError):
             calibrate_pair(np.zeros(100) + np.arange(100),
                            np.zeros(50) + np.arange(50),
-                           0.05, 0.05, 0.02, 0.02, 1.0)
+                           0.05, 0.05, 0.02, 0.02, 1.0, T=100.0)
+
+
+BAD_SCALES = (0.0, -3.0, math.nan, math.inf, 1.5)
+
+
+class TestBadScale:
+    """At delta = 1 a T that is not finite or is below 2, where the lag-1
+    block leaves the window, is a ValueError that names T: from each fit,
+    and from a panel before any fit runs."""
+
+    @staticmethod
+    def _series():
+        return np.random.default_rng(7).standard_normal((2, 256))
+
+    @pytest.mark.parametrize("t_val", BAD_SCALES)
+    def test_fits_reject(self, t_val):
+        x, y = self._series()
+        named = re.escape(f"T={t_val!r}")
+        with pytest.raises(ValueError, match=named):
+            calibrate_univariate(x, 1.0, t_val)
+        with pytest.raises(ValueError, match=named):
+            calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, t_val)
+
+    @pytest.mark.parametrize("t_val", BAD_SCALES)
+    def test_panel_rejects_before_any_fit(self, t_val, monkeypatch):
+        import mlogsfbm.estimate as est
+        calls = []
+        monkeypatch.setattr(est, "calibrate_univariate",
+                            lambda *args, **kwargs: calls.append(args))
+        panel = FieldPanel(data=self._series(), delta=1.0, seed=0,
+                           provenance="gaussian-average-proxy")
+        with pytest.raises(ValueError, match=re.escape(f"T={t_val!r}")):
+            calibrate_panel(panel, T=t_val)
+        assert calls == []
+
+    def test_two_delta_fits_lag_one(self):
+        x, y = self._series()
+        grid = LagGrid(Q=0, taus=(1,))
+        assert calibrate_univariate(x, 1.0, 2.0, grid=grid).params["T"] == 2.0
+        assert calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, 2.0,
+                              grid=grid).params["T"] == 2.0
 
 
 class TestOutOfBoxFit:
@@ -621,7 +622,7 @@ class TestOutOfBoxFit:
                             self._profile_returning(0.7))
         x = np.random.default_rng(5).standard_normal(2048)
         with pytest.raises(CalibrationError, match="H=0.7"):
-            calibrate_univariate(x, 1.0, fix_T=2048.0)
+            calibrate_univariate(x, 1.0, T=2048.0)
 
     def test_pair(self, monkeypatch):
         import mlogsfbm.estimate as est
@@ -664,7 +665,7 @@ class TestWeightDefects:
 
         monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         x, y = self._series()
-        fits = (lambda: calibrate_univariate(x, 1.0, fix_T=2048.0),
+        fits = (lambda: calibrate_univariate(x, 1.0, T=2048.0),
                 lambda: calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0,
                                        T=2048.0))
         for fit, blocks in zip(fits, (1, 6)):
@@ -980,9 +981,9 @@ class TestMaskedCalibration:
         bad = rng.choice(series.size, size=5, replace=False)
         series[bad] = math.log(1e-12)   # floored zero-range entries
         mask[bad] = False
-        clean = calibrate_univariate(prox.data[0], 16.0, fix_T=params.T)
-        masked = calibrate_univariate(series, 16.0, fix_T=params.T, mask=mask)
-        spoiled = calibrate_univariate(series, 16.0, fix_T=params.T)
+        clean = calibrate_univariate(prox.data[0], 16.0, T=params.T)
+        masked = calibrate_univariate(series, 16.0, T=params.T, mask=mask)
+        spoiled = calibrate_univariate(series, 16.0, T=params.T)
         assert masked.params["lambda2"] == pytest.approx(
             clean.params["lambda2"], rel=0.15)
         # without the mask the floored spikes wreck the amplitude

@@ -143,7 +143,7 @@ class TestAgainstSchurReference:
         # the two ridges differ at about 1e-10 cond; 1e-6 leaves room
         joint, q, x, y, seqs, observed = case
         taus = TAUS[:q]
-        curve_map = _curve_map(N_SMALL, taus, N_SMALL, True)
+        curve_map = _curve_map(N_SMALL, taus, N_SMALL)
         fake = _blocks_of(joint, q, seqs)
         module = globals()
         saved = (est._product_moment_cov, module["_product_moment_cov"],
@@ -164,7 +164,7 @@ class TestAgainstSchurReference:
         assert_close_to_largest(_regularized_inverse(joint)[0],
                                 _regularized_inverse_reference(joint)[0], 1e-6)
 
-    @pytest.mark.parametrize("t_val", [1024.0, None],
+    @pytest.mark.parametrize("t_val", [1024.0, 2048.0],
                              ids=["T/delta=1024", "T=N*delta"])
     def test_one_inverse_per_pair_weight(self, monkeypatch, t_val):
         calls = []
@@ -240,7 +240,7 @@ def long_window_fit():
                                  factor=serial_spectral_factor(params, 2**18))
     proxy = field_to_gaussian_proxy(panel, params, 16)
     t_val = proxy.n * proxy.delta
-    mi, mj = (calibrate_univariate(proxy.data[i], proxy.delta, fix_T=t_val)
+    mi, mj = (calibrate_univariate(proxy.data[i], proxy.delta, T=t_val)
               for i in range(2))
 
     def fit():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import mlogsfbm
@@ -33,3 +34,16 @@ def test_no_private_cross_module_access():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert not found, found
+
+
+def test_every_export_resolves():
+    """Each name a module lists in ``__all__`` exists in it: a deleted
+    function leaves no stale export behind."""
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "mlogsfbm" if path.stem == "__init__" else f"mlogsfbm.{path.stem}")
+        missing += [f"{module.__name__}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing, missing
