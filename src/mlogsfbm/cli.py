@@ -173,10 +173,10 @@ def cmd_simulate(args) -> int:
                  f"logvol_proxy_p{panel.path:03d}")
         prices = simulate_prices(measure, x0, int(resolved["seed"]),
                                  int(resolved["substeps"]))
-        rows = ["t," + ",".join(f"x{i}" for i in range(prices.d))]
-        for k in range(prices.data.shape[1]):
+        rows = ["t," + ",".join(f"x{i}" for i in range(prices.shape[0]))]
+        for k in range(prices.shape[1]):
             rows.append(f"{k}," + ",".join(repr(float(v))
-                                           for v in prices.data[:, k]))
+                                           for v in prices[:, k]))
         (out / f"prices_p{panel.path:03d}.csv").write_text("\n".join(rows) + "\n")
     (out / "diagnostics.json").write_text(
         json.dumps(diagnostics.to_dict(), indent=2))

@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _AMP_FLOOR = 1e-10
+_N_SCAN = 24  # roughness points of the coarse scan before Brent
 
 
 class ZeroVarianceError(ValueError):
@@ -85,9 +86,9 @@ class McValidationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LagGrid:
-    """Geometric lag grid floor(sqrt(2^k)), k = 0..Q, duplicates removed."""
+    """Strictly increasing positive lags, in units of the series step; the
+    default is the geometric grid floor(sqrt(2^k)), k = 0..q."""
 
-    Q: int
     taus: tuple[int, ...]
 
     def __post_init__(self):
@@ -100,15 +101,14 @@ class LagGrid:
 
     @classmethod
     def default(cls, q: int = 19) -> "LagGrid":
-        taus = sorted({int(math.isqrt(2**k)) for k in range(q + 1)})
-        return cls(Q=q, taus=tuple(taus))
+        return cls(tuple(sorted({math.isqrt(2**k) for k in range(q + 1)})))
 
     def restrict(self, max_lag_exclusive: int) -> "LagGrid":
         kept = tuple(t for t in self.taus if t < max_lag_exclusive)
         if not kept:
             raise CalibrationError(
                 f"no grid lags below {max_lag_exclusive}; series too short")
-        return LagGrid(Q=self.Q, taus=kept)
+        return LagGrid(kept)
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,7 @@ def empirical_cross_cov(
     # about 1000 times slower
     for pos, k in enumerate(lags):
         values[pos] = float(np.einsum("i,i", xc[: n - k], yc[k:])) / n
-    return CovCurve(np.array(lags, dtype=float), values,
-                    meta={"estimator": "empirical-cross-cov", "n": n,
-                          "lag_units": "delta"})
+    return CovCurve(np.array(lags, dtype=float), values)
 
 
 def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -403,7 +401,6 @@ def _profiled_minimize(
     h_hi: float,
     amp_lo: float,
     amp_hi: float,
-    n_scan: int = 24,
 ) -> _ProfileOutcome:
     """Minimize (obs - a c(h))' W (obs - a c(h)) with the amplitude a solved
     in closed form (clipped to its box) at each roughness h: a coarse scan
@@ -419,14 +416,14 @@ def _profiled_minimize(
         resid = observed - a * c
         return a, float(resid @ weight @ resid)
 
-    hs = np.linspace(h_lo, h_hi, n_scan)
+    hs = np.linspace(h_lo, h_hi, _N_SCAN)
     vals = []
     for h in hs:
         vals.append(amp_and_value(h)[1])
         evals += 1
     best = int(np.argmin(vals))
     lo = hs[max(0, best - 1)]
-    hi = hs[min(n_scan - 1, best + 1)]
+    hi = hs[min(_N_SCAN - 1, best + 1)]
     res = sopt.minimize_scalar(lambda h: amp_and_value(h)[1],
                                bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-7})
@@ -491,10 +488,10 @@ def _cv_adjusted_cross_moments(
     x, y = series
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
-    grid_obj = LagGrid(Q=len(taus), taus=tuple(taus))
-    obs_ii = empirical_cross_cov(x, x, grid_obj, mask_x=mask_i,
+    grid = LagGrid(tuple(taus))
+    obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i,
                                  mask_y=mask_i).values
-    obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j,
+    obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j,
                                  mask_y=mask_j).values
     support = curve_map.shape[1]
     marg_resid = np.concatenate([obs_ii - curve_map @ r_ii[:support],
@@ -521,14 +518,13 @@ def _check_scale(T: float, delta: float) -> None:
 
 
 def _window_grid(grid: LagGrid | None, n: int, delta: float,
-                 T: float) -> LagGrid:
-    """The lags of ``grid`` (default ``LagGrid.default()``) below n whose
-    blocks fit inside the correlation window T."""
+                 T: float) -> tuple[LagGrid, int]:
+    """The support M = ``block_support(n, delta, T)`` of the model sequences
+    and the lags of ``grid`` (default ``LagGrid.default()``) below it: those
+    below n whose blocks fit inside the window, (tau + 1) delta <= T."""
     _check_scale(T, delta)
-    grid = (grid or LagGrid.default()).restrict(n)
-    if max(grid.taus) * delta + delta > T:
-        grid = grid.restrict(int(math.floor((T - delta) / delta)))
-    return grid
+    support = block_support(n, delta, T)
+    return (grid or LagGrid.default()).restrict(support), support
 
 
 def calibrate_univariate(
@@ -551,9 +547,8 @@ def calibrate_univariate(
     empirical moments; the theoretical side assumes the gaps are sparse)."""
     s = _prepare_series(logvol, mask)
     n = s.size
-    grid = _window_grid(grid, n, delta, T)
+    grid, support = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
-    support = block_support(n, delta, T)
     curve_map = _curve_map(n, grid.taus, support)
 
     def unit(h: float) -> np.ndarray:
@@ -580,9 +575,7 @@ def calibrate_univariate(
         raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
     if not lam2 > 0.0:
         raise CalibrationError(f"fitted lambda2={lam2!r} not positive")
-    residuals = CovCurve(grid.taus, observed - lam2 * unit(h),
-                         meta={"statistic": "gmm-residual", "n": n,
-                               "lag_units": "delta"})
+    residuals = CovCurve(grid.taus, observed - lam2 * unit(h))
     return GmmResult(params={"H": h, "lambda2": lam2, "T": T},
                      objective=float(second.objective),
                      iterations=int(first.evals + second.evals),
@@ -616,19 +609,22 @@ def calibrate_pair(
     if x.size != y.size:
         raise ValueError("series must be aligned")
     n = x.size
-    grid = _window_grid(grid, n, delta, T)
+    hbar = 0.5 * (H_i + H_j)
+    h_lo, h_hi = hbar + 1e-6, 0.4999
+    if not h_lo < h_hi:
+        raise CalibrationError(
+            f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
+            f"(h_bar + 1e-6, {h_hi!r}) empty")
+    grid, support = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
-    hbar = 0.5 * (H_i + H_j)
 
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
         return scale * block_cov_sequence(n, delta, hij, h_bar, T)
 
-    support = block_support(n, delta, T)
     curve_map = _curve_map(n, grid.taus, support)
     unit = lambda hij: curve_map @ sequence(hij, hbar, 1.0)[:support]
-    h_lo, h_hi = hbar + 1e-6, 0.4999
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)
     r_ii = sequence(H_i, H_i, lambda_i2)
@@ -654,9 +650,7 @@ def calibrate_pair(
     if not hbar <= hij < 0.5:
         raise CalibrationError(
             f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
-    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij),
-                         meta={"statistic": "gmm-residual", "n": n,
-                               "lag_units": "delta"})
+    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij))
     return GmmResult(
         params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
         objective=float(second.objective),
@@ -793,10 +787,12 @@ def calibrate_panel(
 @dataclass(frozen=True)
 class McConfig:
     """``n_list`` holds numbers of calibration observations: each replica
-    simulates a field of length n * agg at step ``delta`` and aggregates by
+    simulates a field of length n * agg at unit step and aggregates by
     ``agg``, so the calibrated series has exactly n points and T keeps the
-    value from ``params`` across the sweep.  The replicas run on ``fan_out``;
-    one that raises one of ``_ITEM_ERRORS`` is recorded as failed."""
+    value from ``params`` across the sweep.  A replica fits marginals 0 and 1
+    and their pair on the default lag grid, so ``params`` must have d = 2.
+    The replicas run on ``fan_out``; one that raises one of ``_ITEM_ERRORS``
+    is recorded as failed."""
 
     params: ModelParams
     n_list: tuple[int, ...]
@@ -804,8 +800,6 @@ class McConfig:
     seed: int
     agg: int = 16
     proxy: str = "gaussian"      # "gaussian" | "measure"
-    delta: float = 1.0
-    grid: LagGrid | None = None
     max_failure_fraction: float = 0.2
 
     def __post_init__(self):
@@ -813,8 +807,9 @@ class McConfig:
             raise ValueError("proxy mode must be 'gaussian' or 'measure'")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.params.d < 2:
-            raise ValueError("the validation harness needs d >= 2")
+        if self.params.d != 2:
+            raise ValueError(f"the validation harness fits one pair and needs "
+                             f"d = 2, got d = {self.params.d}")
 
 
 @dataclass(frozen=True)
@@ -876,23 +871,21 @@ _PARAM_KEYS = ("H_0", "lambda2_0", "H_1", "lambda2_1", "H_01", "g_01", "xi_01")
 
 def _one_replica(config: McConfig, factor: SpectralFactor, run_seed: int,
                  replica: int) -> dict:
-    panels, _ = simulate_field(config.params, factor.n, config.delta,
-                               seed=run_seed, first_path=replica, factor=factor)
+    panels, _ = simulate_field(config.params, factor.n, seed=run_seed,
+                               first_path=replica, factor=factor)
     panel = panels[0]
     if config.proxy == "gaussian":
         agg_panel = field_to_gaussian_proxy(panel, config.params, config.agg)
     else:
         agg_panel = field_to_measure(panel, config.params, config.agg)
     t_true = config.params.T
-    res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta, t_true,
-                                grid=config.grid)
-    res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta, t_true,
-                                grid=config.grid)
+    res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta, t_true)
+    res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta, t_true)
     pair = calibrate_pair(
         agg_panel.data[0], agg_panel.data[1],
         lambda_i2=res0.params["lambda2"], lambda_j2=res1.params["lambda2"],
         H_i=res0.params["H"], H_j=res1.params["H"],
-        delta=agg_panel.delta, grid=config.grid, T=t_true)
+        delta=agg_panel.delta, T=t_true)
     return {
         "H_0": res0.params["H"], "lambda2_0": res0.params["lambda2"],
         "H_1": res1.params["H"], "lambda2_1": res1.params["lambda2"],
@@ -909,7 +902,7 @@ def mc_validate(config: McConfig) -> McReport:
     notes: list[str] = []
     for n_idx, n in enumerate(config.n_list):
         run_seed = config.seed + 1009 * n_idx
-        factor = spectral_factor(config.params, n * config.agg, config.delta)
+        factor = spectral_factor(config.params, n * config.agg)
         estimates, failed = _run_each(
             lambda rep: _one_replica(config, factor, run_seed, rep),
             range(config.replicas))

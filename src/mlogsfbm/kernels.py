@@ -18,7 +18,7 @@ finite at H_ij = 0, where it is that of the log kernel -ln(|x - y|/T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,11 @@ _TINY = np.finfo(float).tiny  # stands in for y = 0 where y^2 ln y -> 0
 
 _DOMAIN_SLACK = 1.0 + 1e-12
 
+# ``mrm_cross_cov_series`` stops when a term falls below _MRM_RTOL of the
+# partial sum, or after _MRM_MAX_TERMS terms
+_MRM_MAX_TERMS = 200
+_MRM_RTOL = 1e-12
+
 _NO_POWER_LAW = ("H_ij = 0 has no power-law kernel; use log_kernel_cov for "
                  "the multifractal branch")
 
@@ -70,13 +75,13 @@ class KernelDomainError(ValueError):
 class CovCurve:
     """A covariance curve: strictly increasing lags with one value each.
 
-    Produced both by theoretical kernels and empirical estimators; ``meta``
-    records which (kernel name and parameters, or estimator and sample size).
+    The kernels return plain arrays; ``estimate`` builds these curves, for
+    the empirical moments (``empirical_cross_cov``) and for a fit's
+    residuals (``GmmResult.residuals``).
     """
 
     lags: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lags = np.asarray(self.lags, dtype=float)
@@ -409,23 +414,17 @@ def _check_series_domain(tau: float, delta: float, pair: PairParams):
         )
 
 
-def mrm_cross_cov_series(
-    tau: float,
-    delta: float,
-    pair: PairParams,
-    n_terms: int = 200,
-    rtol: float = 1e-12,
-) -> SeriesResult:
+def mrm_cross_cov_series(tau: float, delta: float,
+                         pair: PairParams) -> SeriesResult:
     """E[M_i over [t, t+Delta] times M_j over [t+tau, t+tau+Delta]] via the
     exponential-series expansion of the measure cross-moment.
 
     Expands exp(-K |x-y|^(2H)) and integrates each term exactly with
     incomplete-gamma identities; the linear factor exp(-L |x-y|) is kept
-    inside the integrals.  Stops when the last term is below ``rtol`` of the
-    partial sum, reporting the achieved ratio.
+    inside the integrals.  Stops when the last term is below 1e-12 of the
+    partial sum, or after 200 terms, reporting the achieved ratio;
+    ``converged`` is False when the cap stopped it.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     _check_series_domain(tau, delta, pair)
     k, l, m = _series_constants(pair)
     h2 = 2.0 * pair.H_ij
@@ -438,7 +437,7 @@ def mrm_cross_cov_series(
     last_ratio = math.inf
     coeff = 1.0  # (-K)^n / n!
     terms = 0
-    for n in range(n_terms):
+    for n in range(_MRM_MAX_TERMS):
         p = h2 * n
         f_n = (
             (delta + tau) * lin_integral(p, tau, tau + delta)
@@ -451,14 +450,14 @@ def mrm_cross_cov_series(
         terms = n + 1
         if total != 0.0:
             last_ratio = abs(term) / abs(total)
-            if last_ratio < rtol:
+            if last_ratio < _MRM_RTOL:
                 break
         coeff *= -k / (n + 1.0)
     return SeriesResult(
         value=m * total,
         terms_used=terms,
         rel_error=last_ratio,
-        converged=last_ratio < rtol,
+        converged=last_ratio < _MRM_RTOL,
     )
 
 

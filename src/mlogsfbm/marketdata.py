@@ -198,27 +198,24 @@ def garman_klass(bar: OhlcBar) -> float:
     return 0.5 * log_range**2 - _LOG_RANGE_COEF * log_move**2
 
 
-def build_panel(assets: dict, min_overlap: int = 1,
-                floor: float = GK_ZERO_FLOOR) -> VolPanel:
+def build_panel(assets: dict) -> VolPanel:
     """Intersect dates across assets and assemble rows of ln(variance proxy).
 
     Dates missing for any asset are dropped for all (no forward fill); zero
-    proxies (High = Low bars) are floored before the log and flagged as
-    imputed.
+    proxies (High = Low bars) are floored at ``GK_ZERO_FLOOR`` before the
+    log and flagged as imputed, the value ``VolPanel.from_csv`` reads back
+    as imputed.
     """
     if not assets:
         raise ValueError("need at least one asset")
-    if floor <= 0:
-        raise ValueError("floor must be positive")
     names = tuple(sorted(assets))
     common = None
     for name in names:
         dates = {bar.date for bar in assets[name]}
         common = dates if common is None else common & dates
     common = tuple(sorted(common))
-    if len(common) < min_overlap:
-        raise ValueError(
-            f"only {len(common)} overlapping dates, need >= {min_overlap}")
+    if not common:
+        raise ValueError(f"assets {list(names)} have no overlapping dates")
     lookup = {name: {bar.date: bar for bar in assets[name]} for name in names}
     values = np.empty((len(names), len(common)))
     imputed = np.zeros_like(values, dtype=bool)
@@ -226,7 +223,7 @@ def build_panel(assets: dict, min_overlap: int = 1,
         for j, date in enumerate(common):
             gk = garman_klass(lookup[name][date])
             if gk <= 0.0:
-                gk = floor
+                gk = GK_ZERO_FLOOR
                 imputed[i, j] = True
             values[i, j] = math.log(gk)
     return VolPanel(assets=names, dates=common, values=values, imputed=imputed)

@@ -76,8 +76,8 @@ class ValidationReport:
         return "\n".join(f"[{v.code}] {v.message}" for v in self.violations)
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -36,7 +36,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .params import ModelParams, mu_i, require_admissible
 
 __all__ = [
     "FieldPanel",
-    "PricePanel",
     "EmbeddingDiagnostics",
     "EmbeddingError",
     "SimulationError",
@@ -182,32 +181,6 @@ class FieldPanel:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class PricePanel:
-    """d x (n_steps + 1) price paths; column 0 equals the initial values."""
-
-    data: np.ndarray
-    x0: tuple
-    seed: int
-    delta: float          # time step between consecutive columns
-    substeps: int = 1     # sub-steps per volatility block
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
-        x0 = tuple(float(v) for v in self.x0)
-        if data.ndim != 2 or data.shape[0] != len(x0):
-            raise ValueError("price data must be (d, n+1) matching x0")
-        if not np.array_equal(data[:, 0], np.asarray(x0)):
-            raise ValueError("price paths must start exactly at x0")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "x0", x0)
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[0]
 
 
 def _covariance_sequence(params: ModelParams, i: int, j: int,
@@ -491,12 +464,14 @@ def simulate_prices(
     x0: Sequence[float],
     seed: int,
     substeps: int = 1,
-) -> PricePanel:
-    """Price paths with conditionally Gaussian increments: over block k the
-    total increment variance is the measure mass M_Delta'(k), split evenly
-    across ``substeps`` sub-increments.  Driving noises are independent
-    across marginals and independent of the volatility field; each path
-    index of ``measure_panel`` has its own noise stream."""
+) -> np.ndarray:
+    """The (d, n * substeps + 1) price paths, column 0 equal to ``x0``, at
+    time step ``measure_panel.delta / substeps``, with conditionally
+    Gaussian increments: over block k the total increment variance is the
+    measure mass M_Delta'(k), split evenly across ``substeps``
+    sub-increments.  Driving noises are independent across marginals and
+    independent of the volatility field; each path index of
+    ``measure_panel`` has its own noise stream."""
     if measure_panel.provenance != "logvol-measure":
         raise ValueError(
             f"price simulation needs a logvol-measure panel, got "
@@ -515,8 +490,7 @@ def simulate_prices(
     paths[:, 0] = x0
     np.cumsum(incr.reshape(d, n * substeps), axis=1, out=paths[:, 1:])
     paths[:, 1:] += x0[:, None]
-    return PricePanel(data=paths, x0=tuple(x0), seed=seed,
-                      delta=measure_panel.delta / substeps, substeps=substeps)
+    return paths
 
 
 # ---------------------------------------------------------------------------

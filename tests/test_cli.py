@@ -344,6 +344,18 @@ class TestMcValidateCommand:
         assert "MSFBM_WORKERS='two' is not an integer" in (
             capsys.readouterr().err)
 
+    def test_three_marginals_rejected(self, tmp_path, capsys):
+        params = ModelParams(T=2.0**10, H=np.full((3, 3), 0.2),
+                             xi=np.full((3, 3), 0.02) + 0.03 * np.eye(3))
+        params_file = tmp_path / "params3.json"
+        params_file.write_text(params.to_json())
+        code = main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "256", "--replicas", "2", "--seed", "1",
+                     "--agg", "4", "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert "needs d = 2, got d = 3" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
 
 class TestAnalyzeIndexCommand:
     def test_homogeneous_bound_near_two_d(self, tmp_path):

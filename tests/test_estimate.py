@@ -40,7 +40,6 @@ from mlogsfbm.simulate import (
 class TestLagGrid:
     def test_default_grid_values(self):
         grid = LagGrid.default()
-        assert grid.Q == 19
         assert grid.taus[:8] == (1, 2, 4, 5, 8, 11, 16, 22)
         assert grid.taus[-1] == 724
         # duplicates from floor(sqrt(2^k)) removed: 20 raw values, 18 kept
@@ -54,14 +53,14 @@ class TestLagGrid:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            LagGrid(Q=2, taus=(1, 1, 2))
+            LagGrid((1, 1, 2))
         with pytest.raises(ValueError):
-            LagGrid(Q=2, taus=(0, 1))
+            LagGrid((0, 1))
 
 
 class TestEmpiricalCrossCov:
     def test_constant_series_gives_zero(self):
-        grid = LagGrid(Q=3, taus=(1, 2, 4))
+        grid = LagGrid((1, 2, 4))
         x = np.full(64, 3.7)
         curve = empirical_cross_cov(x, x, grid, include_zero=True)
         assert np.allclose(curve.values, 0.0)
@@ -69,7 +68,7 @@ class TestEmpiricalCrossCov:
     def test_lag_zero_is_biased_sample_variance(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(257)
-        grid = LagGrid(Q=1, taus=(1,))
+        grid = LagGrid((1,))
         curve = empirical_cross_cov(x, x, grid, include_zero=True)
         assert curve.values[0] == pytest.approx(float(np.var(x)), rel=1e-12)
 
@@ -77,7 +76,7 @@ class TestEmpiricalCrossCov:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(300)
         y = rng.standard_normal(300)
-        grid = LagGrid(Q=3, taus=(1, 4, 16))
+        grid = LagGrid((1, 4, 16))
         base = empirical_cross_cov(x, y, grid).values
         shifted = empirical_cross_cov(x + 17.3, y - 5.1, grid).values
         assert np.allclose(shifted, base, rtol=0, atol=1e-12)
@@ -86,7 +85,7 @@ class TestEmpiricalCrossCov:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(200)
         y = rng.standard_normal(200)
-        grid = LagGrid(Q=2, taus=(1, 8))
+        grid = LagGrid((1, 8))
         base = empirical_cross_cov(x, y, grid).values
         scaled = empirical_cross_cov(4.0 * x, 4.0 * y, grid).values
         assert np.array_equal(scaled, 16.0 * base)
@@ -95,7 +94,7 @@ class TestEmpiricalCrossCov:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(128)
         y = np.roll(x, 1)
-        grid = LagGrid(Q=1, taus=(1,))
+        grid = LagGrid((1,))
         fwd = empirical_cross_cov(x, y, grid).values[0]
         bwd = empirical_cross_cov(y, x, grid).values[0]
         assert fwd != bwd
@@ -134,7 +133,7 @@ class TestEmpiricalCrossCov:
             assert abs(value - ref) <= 1e-13 * scale
 
     def test_lag_exceeding_length(self):
-        grid = LagGrid(Q=1, taus=(50,))
+        grid = LagGrid((50,))
         with pytest.raises(ValueError):
             empirical_cross_cov(np.zeros(50), np.zeros(50), grid)
 
@@ -145,7 +144,7 @@ class TestEmpiricalCrossCov:
         x_spiked[10] = 1e6
         mask = np.ones(100, bool)
         mask[10] = False
-        grid = LagGrid(Q=1, taus=(1,))
+        grid = LagGrid((1,))
         clean = empirical_cross_cov(x, x, grid).values[0]
         masked = empirical_cross_cov(x_spiked, x_spiked, grid,
                                      mask_x=mask, mask_y=mask).values[0]
@@ -153,13 +152,13 @@ class TestEmpiricalCrossCov:
 
     def test_short_mask_rejected(self):
         x = np.random.default_rng(5).standard_normal(64)
-        grid = LagGrid(Q=1, taus=(1,))
+        grid = LagGrid((1,))
         with pytest.raises(ValueError, match=r"mask_y shape \(63,\) .* \(64,\)"):
             empirical_cross_cov(x, x, grid, mask_y=np.ones(63, bool))
 
     def test_two_dimensional_mask_rejected(self):
         x = np.random.default_rng(5).standard_normal(64)
-        grid = LagGrid(Q=1, taus=(1,))
+        grid = LagGrid((1,))
         with pytest.raises(ValueError,
                            match=r"mask_x shape \(2, 64\) .* \(64,\)"):
             empirical_cross_cov(x, x, grid, mask_x=np.ones((2, 64), bool))
@@ -192,7 +191,7 @@ def _toeplitz_expectation(r: np.ndarray, n: int) -> np.ndarray:
     principles: the estimator is bilinear, x^T B_k y, with B_k[a, b] its
     value on the unit vectors (e_a, e_b), so its expectation is
     sum_ab B_k[a, b] cov(x_a, y_b), and cov(x_a, y_b) = r(|a - b|)."""
-    grid = LagGrid(Q=n, taus=tuple(range(1, n)))
+    grid = LagGrid(tuple(range(1, n)))
     basis = np.eye(n)
     out = np.zeros(n)
     for a in range(n):
@@ -554,6 +553,18 @@ class TestCalibratePair:
         assert res.params["xi_ij"] == pytest.approx(
             res.params["g"] * 0.05, rel=1e-12)
 
+    def test_empty_roughness_bracket_named(self, monkeypatch):
+        # both marginals at the roughness ceiling leave no H_ij >= h_bar
+        # below 0.4999: a typed failure naming h_bar, before any search
+        import mlogsfbm.estimate as est
+        calls = []
+        monkeypatch.setattr(est, "_profiled_minimize",
+                            lambda *args: calls.append(args))
+        x, y = np.random.default_rng(9).standard_normal((2, 512))
+        with pytest.raises(CalibrationError, match=r"h_bar=0\.4999\b"):
+            calibrate_pair(x, y, 0.05, 0.05, 0.4999, 0.4999, 1.0, T=512.0)
+        assert calls == []
+
     def test_misaligned_series_rejected(self):
         with pytest.raises(ValueError):
             calibrate_pair(np.zeros(100) + np.arange(100),
@@ -596,10 +607,50 @@ class TestBadScale:
 
     def test_two_delta_fits_lag_one(self):
         x, y = self._series()
-        grid = LagGrid(Q=0, taus=(1,))
+        grid = LagGrid((1,))
         assert calibrate_univariate(x, 1.0, 2.0, grid=grid).params["T"] == 2.0
         assert calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, 2.0,
                               grid=grid).params["T"] == 2.0
+
+
+class TestWindowRule:
+    """A fit keeps the grid lags tau < n whose blocks fit the window,
+    (tau + 1) delta <= T: those below ``kernels.block_support``."""
+
+    @staticmethod
+    def _series():
+        return np.random.default_rng(8).standard_normal((2, 1024))
+
+    @pytest.mark.parametrize("t_val", [2.0, 2.5])
+    def test_default_grid_fits_lag_one(self, t_val):
+        x, y = self._series()
+        uni = calibrate_univariate(x, 1.0, t_val)
+        pair = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, t_val)
+        assert list(uni.residuals.lags) == [1.0]
+        assert list(pair.residuals.lags) == [1.0]
+
+    def test_last_fitting_lag_kept(self):
+        # lag 256 of the default grid fits T = 257 delta exactly
+        x, _ = self._series()
+        res = calibrate_univariate(x, 16.0, 257 * 16.0)
+        assert res.residuals.lags[-1] == 256.0
+
+    @given(n=st.integers(2, 2000), delta=st.sampled_from([1.0, 0.5, 16.0]),
+           ratio=st.floats(2.0, 3000.0), q=st.integers(0, 22))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_lags_are_those_below_block_support(self, n, delta, ratio, q):
+        import mlogsfbm.estimate as est
+        T = ratio * delta
+        support = block_support(n, delta, T)
+        below = tuple(t for t in LagGrid.default(q).taus if t < support)
+        grid, got_support = est._window_grid(LagGrid.default(q), n, delta, T)
+        assert got_support == support
+        assert grid.taus == below
+        # each kept block lies inside the window, and a next grid lag below
+        # n would not
+        assert all((t + 1) * delta <= T * (1 + 1e-12) for t in grid.taus)
+        rest = [t for t in LagGrid.default(q).taus if t > below[-1] and t < n]
+        assert not rest or (rest[0] + 1) * delta > T
 
 
 class TestOutOfBoxFit:
@@ -608,8 +659,7 @@ class TestOutOfBoxFit:
 
     @staticmethod
     def _profile_returning(h):
-        def fake(observed, unit_curve, weight, h_lo, h_hi, amp_lo, amp_hi,
-                 n_scan=24):
+        def fake(observed, unit_curve, weight, h_lo, h_hi, amp_lo, amp_hi):
             amp = min(max(0.05, amp_lo), amp_hi)
             return _ProfileOutcome(h=h, amp=amp, objective=0.0, evals=1,
                                    amp_at_bound=False, h_at_bound=False,
@@ -908,6 +958,13 @@ class TestMcValidate:
             McConfig(params=params, n_list=(64,), replicas=2, seed=1,
                      proxy="bogus")
 
+    def test_needs_two_marginals(self):
+        # a replica fits marginals 0 and 1 and their pair only
+        three = ModelParams(T=2**10, H=np.full((3, 3), 0.2),
+                            xi=np.full((3, 3), 0.02) + 0.03 * np.eye(3))
+        with pytest.raises(ValueError, match="needs d = 2, got d = 3"):
+            McConfig(params=three, n_list=(64,), replicas=2, seed=1)
+
 
 class TestWorkers:
     def test_env_override(self, monkeypatch):
@@ -934,7 +991,7 @@ class TestRescaledDifferenceStatistic:
                              xi=[[0.05, 0.02], [0.02, 0.05]])
         agg = 4
         pair = params.pair(0, 1)
-        grid = LagGrid(Q=4, taus=(1, 4, 16))
+        grid = LagGrid((1, 4, 16))
         lags = np.array([0, 1, 4, 16])
         # population covariance of the discrete block means (the statistic's
         # actual target; the continuous block integral differs at short lags

@@ -54,7 +54,7 @@ def _cv_adjusted_cross_moments_reference(
     x, y = series
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
-    grid_obj = LagGrid(Q=len(taus), taus=tuple(taus))
+    grid_obj = LagGrid(tuple(taus))
     obs_ii = empirical_cross_cov(x, x, grid_obj, mask_x=mask_i,
                                  mask_y=mask_i).values
     obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j,

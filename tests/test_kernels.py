@@ -550,9 +550,12 @@ class TestMrmCrossCov:
         with pytest.raises(KernelDomainError):
             mrm_cross_cov_series(1.0, 2.0, fig2_pair)
 
-    def test_nonconvergence_flagged(self, fig2_pair):
-        res = mrm_cross_cov_series(4.0, 1.0, fig2_pair, n_terms=2)
+    def test_nonconvergence_flagged(self, fig2_pair, monkeypatch):
+        import mlogsfbm.kernels as kern
+        monkeypatch.setattr(kern, "_MRM_MAX_TERMS", 2)
+        res = mrm_cross_cov_series(4.0, 1.0, fig2_pair)
         assert not res.converged
+        assert res.terms_used == 2
         assert res.rel_error > 1e-12
 
 

@@ -159,12 +159,17 @@ class TestBuildPanel:
     def test_overlap_floor(self):
         a = self.asset(("2020-01-02",))
         b = self.asset(("2020-01-03",))
-        with pytest.raises(ValueError, match="overlap"):
-            build_panel({"A": a, "B": b}, min_overlap=1)
+        with pytest.raises(ValueError,
+                           match=r"assets \['A', 'B'\] have no overlapping"):
+            build_panel({"A": a, "B": b})
 
     def test_csv_roundtrip(self):
         dates = ("2020-01-02", "2020-01-03")
-        panel = build_panel({"A": self.asset(dates), "B": self.asset(dates, 1.1)})
+        # B's first bar has zero range: the floored entry stays imputed
+        panel = build_panel({"A": self.asset(dates),
+                             "B": self.asset(dates[:1], 1.0)
+                             + self.asset(dates[1:], 1.1)})
+        assert panel.imputed.tolist() == [[False, False], [True, False]]
         back = VolPanel.from_csv(panel.to_csv())
         assert back.assets == panel.assets
         assert back.dates == panel.dates
