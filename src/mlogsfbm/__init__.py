@@ -36,6 +36,5 @@ from .kernels import (
     wick_moment,
     zeta_exponent,
 )
-from .special import lower_incomplete_gamma
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .params import (
     StructuralError,
 )
 from .simulate import (
+    PANEL_MAGIC,
     EmbeddingError,
     FieldPanel,
     SimulationError,
@@ -53,6 +54,7 @@ from .simulate import (
     simulate_prices,
     write_panel_binary,
     write_panel_csv,
+    write_table_csv,
 )
 
 EXIT_OK = 0
@@ -173,11 +175,8 @@ def cmd_simulate(args) -> int:
                  f"logvol_proxy_p{panel.path:03d}")
         prices = simulate_prices(measure, x0, int(resolved["seed"]),
                                  int(resolved["substeps"]))
-        rows = ["t," + ",".join(f"x{i}" for i in range(prices.shape[0]))]
-        for k in range(prices.shape[1]):
-            rows.append(f"{k}," + ",".join(repr(float(v))
-                                           for v in prices[:, k]))
-        (out / f"prices_p{panel.path:03d}.csv").write_text("\n".join(rows) + "\n")
+        (out / f"prices_p{panel.path:03d}.csv").write_text(
+            write_table_csv(prices, "x"))
     (out / "diagnostics.json").write_text(
         json.dumps(diagnostics.to_dict(), indent=2))
     _write_run_artifacts(out, "simulate", resolved)
@@ -278,7 +277,7 @@ def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
     if not p.is_file():
         raise ConfigError(f"panel file not found: {path}")
     raw = p.read_bytes()
-    if raw[:5] == b"MSFB1":
+    if raw.startswith(PANEL_MAGIC):
         return read_panel_binary(raw), None
     text = raw.decode()
     if text.startswith("#"):

@@ -524,7 +524,12 @@ def _window_grid(grid: LagGrid | None, n: int, delta: float,
     below n whose blocks fit inside the window, (tau + 1) delta <= T."""
     _check_scale(T, delta)
     support = block_support(n, delta, T)
-    return (grid or LagGrid.default()).restrict(support), support
+    grid = grid or LagGrid.default()
+    if support < n and grid.taus[0] >= support:
+        raise CalibrationError(
+            f"no grid lags below {support}: a lag's block must fit the "
+            f"window, (tau + 1) delta <= T = {T!r}")
+    return grid.restrict(support), support
 
 
 def calibrate_univariate(

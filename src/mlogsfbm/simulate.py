@@ -56,6 +56,7 @@ __all__ = [
     "field_to_measure",
     "field_to_gaussian_proxy",
     "simulate_prices",
+    "write_table_csv",
     "write_panel_csv",
     "read_panel_csv",
     "write_panel_binary",
@@ -72,13 +73,15 @@ CLIP_APPROX = 1e-3
 
 _EXP_OVERFLOW = 700.0
 
-_MAGIC = b"MSFB1"
+PANEL_MAGIC = b"MSFB1"  # first bytes of a binary panel
 
 _SEED_MASK = (1 << 64) - 1
 _PRICE_STREAM = 0x9E3779B97F4A7C15  # distinct Philox stream for price noise
 
 # frequencies per factorisation call: about 1.6 MB of eigh workspace at d = 5
 _EIGH_CHUNK = 8192
+
+_CSV_CHUNK = 4096  # columns per tolist(): a whole-array one doubles the peak
 
 
 class EmbeddingError(RuntimeError):
@@ -497,15 +500,21 @@ def simulate_prices(
 # serialization
 # ---------------------------------------------------------------------------
 
-def write_panel_csv(panel: FieldPanel) -> str:
+def write_table_csv(data: np.ndarray, prefix: str) -> str:
+    """A ``t,<prefix>0,<prefix>1,...`` header, then one ``k,v0,v1,...`` row
+    per column k of the (d, n) array, each value as its ``repr``."""
     buf = io.StringIO()
-    buf.write(f"# delta={panel.delta!r} provenance={panel.provenance} "
-              f"seed={panel.seed} path={panel.path}\n")
-    buf.write("t," + ",".join(f"m{i}" for i in range(panel.d)) + "\n")
-    for k in range(panel.n):
-        row = ",".join(repr(float(v)) for v in panel.data[:, k])
-        buf.write(f"{k},{row}\n")
+    buf.write("t," + ",".join(f"{prefix}{i}" for i in range(data.shape[0])) + "\n")
+    for k0 in range(0, data.shape[1], _CSV_CHUNK):
+        for k, row in enumerate(data[:, k0:k0 + _CSV_CHUNK].T.tolist(), k0):
+            buf.write(f"{k},{','.join(map(repr, row))}\n")
     return buf.getvalue()
+
+
+def write_panel_csv(panel: FieldPanel) -> str:
+    return (f"# delta={panel.delta!r} provenance={panel.provenance} "
+            f"seed={panel.seed} path={panel.path}\n"
+            + write_table_csv(panel.data, "m"))
 
 
 def read_panel_csv(text: str) -> FieldPanel:
@@ -546,7 +555,7 @@ def read_panel_csv(text: str) -> FieldPanel:
 def write_panel_binary(panel: FieldPanel) -> bytes:
     header = struct.pack(
         "<5sIQdqIB",
-        _MAGIC,
+        PANEL_MAGIC,
         panel.d,
         panel.n,
         panel.delta,
@@ -565,8 +574,8 @@ def read_panel_binary(blob: bytes) -> FieldPanel:
             f"panel header needs {head_size} bytes, got {len(blob)}")
     magic, d, n, delta, seed, path, prov = struct.unpack(
         "<5sIQdqIB", blob[:head_size])
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if magic != PANEL_MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {PANEL_MAGIC!r}")
     if prov >= len(PROVENANCES):
         raise ValueError(f"provenance code {prov} unknown, expected "
                          f"0..{len(PROVENANCES) - 1}")

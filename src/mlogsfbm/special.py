@@ -1,106 +1,19 @@
-"""Incomplete-gamma building blocks for the measure covariance formulas.
+"""The power-exponential integral behind the measure covariance formulas.
 
-``lower_incomplete_gamma`` follows the classic split: power series below
-x = s + 1, continued fraction for the complement above.  The covariance
-series and its first-order approximation also need integrals
+The covariance series and its first-order approximation need integrals
 ``int z^n exp(-c z^rho) dz`` where c can be negative (the linear-term
 coefficient of the cross kernel changes sign with the roughness gap, and the
-amplitude can be negative for anti-correlated pairs).  Those are expressed
-through gamma(s, y) / y^s, which is entire in y, so everything stays
-real-valued for either sign of c.
+amplitude can be negative for anti-correlated pairs).  With s = (n + 1)/rho,
+int_0^x z^n exp(-c z^rho) dz = x^(n+1) M(s, s + 1, -c x^rho) / (n + 1)
+(DLMF 8.5.1), and Kummer's function M is entire in its last argument, so
+everything stays real-valued for either sign of c.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "lower_incomplete_gamma",
-    "scaled_lower_gamma",
-    "power_exp_integral",
-]
-
-_MAX_ITER = 600
-_EPS = 1e-16
-
-
-def _gamma_series_sum(s: float, x: float) -> float:
-    # sum_{n>=0} x^n / (s (s+1) ... (s+n)); gamma(s,x) = exp(s ln x - x) * sum
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise RuntimeError(f"gamma series did not converge for s={s}, x={x}")
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    # modified Lentz continued fraction for Gamma(s,x) * exp(x) * x^(-s)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError(f"gamma continued fraction did not converge for s={s}, x={x}")
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x) = int_0^x t^(s-1) exp(-t) dt for s > 0, x >= 0."""
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"s must be positive and finite, got {s}")
-    if not (x >= 0 and math.isfinite(x)):
-        raise ValueError(f"x must be non-negative and finite, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return math.exp(s * math.log(x) - x) * _gamma_series_sum(s, x)
-    h = _upper_gamma_cf(s, x)
-    return math.gamma(s) - math.exp(s * math.log(x) - x) * h
-
-
-def scaled_lower_gamma(s: float, y: float) -> float:
-    """gamma(s, y) / y^s, extended to y <= 0 where it is entire in y.
-
-    Equals sum_k (-y)^k / (k! (s+k)); positive for every real y, with
-    scaled_lower_gamma(s, 0) = 1/s.
-    """
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"s must be positive and finite, got {s}")
-    if y == 0.0:
-        return 1.0 / s
-    if y < 0.0:
-        # all terms positive once y < 0
-        term = 1.0
-        total = 1.0 / s
-        for k in range(1, _MAX_ITER):
-            term *= (-y) / k
-            contrib = term / (s + k)
-            total += contrib
-            if contrib < total * _EPS:
-                return total
-        raise RuntimeError(f"scaled gamma series did not converge for s={s}, y={y}")
-    if y < s + 1.0:
-        return math.exp(-y) * _gamma_series_sum(s, y)
-    h = _upper_gamma_cf(s, y)
-    return math.exp(math.lgamma(s) - s * math.log(y)) - math.exp(-y) * h
+__all__ = ["power_exp_integral"]
 
 
 def power_exp_integral(n: float, c: float, rho: float, a: float, b: float) -> float:
@@ -113,7 +26,19 @@ def power_exp_integral(n: float, c: float, rho: float, a: float, b: float) -> fl
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if a == b:
         return 0.0
+    from scipy.special import hyp1f1  # here, so `import mlogsfbm` loads no scipy
+
     s = (n + 1.0) / rho
-    upper = b ** (n + 1.0) * scaled_lower_gamma(s, c * b**rho)
-    lower = 0.0 if a == 0.0 else a ** (n + 1.0) * scaled_lower_gamma(s, c * a**rho)
-    return (upper - lower) / rho
+
+    def kummer(y: float) -> float:
+        # M(s, s+1, -y) = 1 - s y / (s+1) + ... rounds to 1 for |y| < 1e-17,
+        # where scipy's hyp1f1 returns inf or nan for s below about 0.2
+        return 1.0 if abs(y) < 1e-17 else float(hyp1f1(s, s + 1.0, -y))
+
+    upper = b ** (n + 1.0) * kummer(c * b**rho)
+    lower = 0.0 if a == 0.0 else a ** (n + 1.0) * kummer(c * a**rho)
+    value = (upper - lower) / (n + 1.0)
+    if not math.isfinite(value):
+        raise ValueError(f"int_a^b z^n exp(-c z^rho) dz is not finite for "
+                         f"n={n}, c={c}, rho={rho}, a={a}, b={b}")
+    return value

@@ -225,6 +225,19 @@ class TestCalibrateCommand:
         assert (out / "scatter_intermittency.csv").is_file()
         assert (out / "scatter_correlation.csv").is_file()
 
+    def test_binary_panel_fits_as_csv(self, tmp_path, simulated_panel):
+        panel_path, params = simulated_panel
+        binary = tmp_path / "panel.bin"
+        binary.write_bytes(write_panel_binary(read_panel_csv(
+            panel_path.read_text())))
+        docs = []
+        for path in (panel_path, binary):
+            out = tmp_path / path.suffix[1:]
+            assert main(["calibrate", "--panel", str(path),
+                         "--T", repr(params.T), "--out", str(out)]) == 0
+            docs.append((out / "params_estimate.json").read_text())
+        assert docs[0] == docs[1]
+
     def test_missing_panel(self, tmp_path):
         assert main(["calibrate", "--panel", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -635,6 +635,19 @@ class TestWindowRule:
         res = calibrate_univariate(x, 16.0, 257 * 16.0)
         assert res.residuals.lags[-1] == 256.0
 
+    def test_window_cut_names_T(self):
+        x, _ = self._series()
+        with pytest.raises(CalibrationError,
+                           match=r"no grid lags below 10: .*\(tau \+ 1\) "
+                                 r"delta <= T = 10\.0$"):
+            calibrate_univariate(x, 1.0, 10.0, grid=LagGrid((50,)))
+
+    def test_short_series_named(self):
+        x, _ = self._series()
+        with pytest.raises(CalibrationError,
+                           match="no grid lags below 40; series too short"):
+            calibrate_univariate(x[:40], 1.0, 1024.0, grid=LagGrid((50,)))
+
     @given(n=st.integers(2, 2000), delta=st.sampled_from([1.0, 0.5, 16.0]),
            ratio=st.floats(2.0, 3000.0), q=st.integers(0, 22))
     @settings(max_examples=200, deadline=None)

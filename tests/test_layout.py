@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mlogsfbm
@@ -47,3 +50,14 @@ def test_every_export_resolves():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert not missing, missing
+
+
+def test_import_loads_no_scipy():
+    """``import mlogsfbm`` loads no scipy module: scipy.special alone adds
+    about 0.3 s, so ``power_exp_integral`` imports ``hyp1f1`` when called."""
+    code = ("import sys, mlogsfbm; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]", out.stdout

@@ -36,6 +36,7 @@ from mlogsfbm.simulate import (
     SpectralFactor,
     write_panel_binary,
     write_panel_csv,
+    write_table_csv,
     _spectral_matrices,
 )
 from conftest import (
@@ -484,6 +485,29 @@ class TestSerialization:
         lines[4] = "2,0.1,abc,0.3"
         with pytest.raises(ValueError, match="line 5 has a non-numeric"):
             read_panel_csv("\n".join(lines))
+
+    @staticmethod
+    def per_element_table(data, prefix):
+        # the writer before the chunked one, kept as the oracle
+        rows = ["t," + ",".join(f"{prefix}{i}" for i in range(data.shape[0]))]
+        for k in range(data.shape[1]):
+            rows.append(f"{k}," + ",".join(repr(float(v)) for v in data[:, k]))
+        return "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097])
+    def test_table_matches_per_element_writer(self, d, n):
+        data = np.random.default_rng(n).standard_normal((d, n))
+        specials = [-math.inf, -0.0, 5e-324, 1e308]
+        data.flat[-len(specials):] = specials
+        data[0, 0] = specials[0]
+        assert write_table_csv(data, "x") == self.per_element_table(data, "x")
+
+    def test_panel_csv_is_metadata_then_table(self):
+        panel = self.make_panel()
+        first, rest = write_panel_csv(panel).split("\n", 1)
+        assert first == "# delta=16.0 provenance=gaussian-average-proxy seed=99 path=2"
+        assert rest == self.per_element_table(panel.data, "m")
 
     @pytest.mark.parametrize("old, new, message", [
         ("delta=16.0 ", "", "header has no delta= entry"),
