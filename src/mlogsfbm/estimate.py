@@ -16,8 +16,10 @@ is searched on a bounded bracket.  This optimizes the same objective as the
 tanh/logistic reparametrization but deterministically, without ridge
 wandering.  This is the one optimiser path, at one given T: when T >= N
 delta the moment curves fix only lambda^2 T^(-2H), so a search over T would
-have nothing to find.  Every model curve is a fixed linear map, built once
-per fit, of ``kernels.block_cov_sequence``.
+have nothing to find.  Every model curve is a closed form in the variogram
+of the block covariance (``kernels.block_variogram``) at the q lags and at
+2q + 1 block lengths, O(q) per roughness; only the weights, built twice per
+fit, evaluate whole sequences (``kernels.block_cov_sequence``).
 
 The second-stage weight inverts the exact Gaussian covariance of the moment
 vector at the first-stage estimate.
@@ -33,7 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize as sopt
 
-from .kernels import CovCurve, block_cov_sequence, block_support
+from .kernels import (CovCurve, block_cov_sequence, block_support,
+                      block_variogram)
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
@@ -193,27 +196,32 @@ def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
 # model curves
 # ---------------------------------------------------------------------------
 
-def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
-    """The q x M matrix A whose product A @ r[:M] is the model side of the
-    moment conditions for a symmetric cross-covariance sequence r that
-    vanishes from M = ``support`` on: the exact expectation of
-    ``empirical_cross_cov`` at the lags ``taus``,
-    (n-k)/n ([tau=k] + v_tau) - (W_tau(n-k) + W_tau(n) - W_tau(k)) / n^2 at
-    (k, tau).  v_tau = (2 - [tau=0]) (n-tau) / n^2 weighs r(tau) in the
-    sample-mean variance; W_tau(L) = max(0, min(L, n-tau)) + max(0, L-tau)
-    - L [tau=0] counts it in n sum_{l<=L} E[x_l mean(y)]."""
-    tau = np.arange(support)
-    curve_map = (tau == np.asarray(taus)[:, None]).astype(float)
-    zero = tau == 0
-    v = np.where(zero, 1.0, 2.0) * (n - tau) / n**2
+def _model_curve(n: int, taus: Sequence[int], delta: float,
+                 T: float) -> Callable[[float, float], np.ndarray]:
+    """The model side of the moment conditions at unit amplitude, as a
+    function of (h_ij, h_bar): the exact expectation of
+    ``empirical_cross_cov`` at the lags ``taus`` for the sequence
+    r = ``block_cov_sequence(n, delta, h_ij, h_bar, T)``, in O(len(taus)).
+    With V(L) the variance of a sum of L consecutive entries,
 
-    def w(length):
-        return (np.maximum(0, np.minimum(length, n - tau))
-                + np.maximum(0, length - tau) - length * zero)
+        E Chat(k) = (n-k)/n (r(k) + V(n)/n^2) - (V(n-k) + V(n) - V(k))/n^2,
 
-    for row, k in zip(curve_map, taus):  # row by row: no q x M temporaries
-        row[:] = (n - k) / n * (row + v) - (w(n - k) + w(n) - w(k)) / n**2
-    return curve_map
+    and in the variogram (``kernels.block_variogram``) r(k) = r(0) -
+    gamma(k), V(L) = L^2 r(0) - Gamma(L), the terms in r(0) cancel:
+
+        E Chat(k) = (Gamma(n-k) - Gamma(k) + k/n Gamma(n))/n^2
+                    - (n-k)/n gamma(k)."""
+    k = np.asarray(taus)
+    q = k.size
+    lengths = np.concatenate((k, n - k, (n,)))
+    rest, share = (n - k) / n, k / n
+
+    def curve(h_ij: float, h_bar: float) -> np.ndarray:
+        gamma, sums = block_variogram(n, k, lengths, delta, h_ij, h_bar, T)
+        sums /= n * n
+        return sums[q:2 * q] - sums[:q] + share * sums[-1] - rest * gamma
+
+    return curve
 
 
 @dataclass(frozen=True)
@@ -474,28 +482,28 @@ def _cv_adjusted_cross_moments(
     observed: np.ndarray,
     series: tuple[np.ndarray, np.ndarray],
     model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    marginal_curves: tuple[np.ndarray, np.ndarray],
     n: int,
     taus: Sequence[int],
-    curve_map: np.ndarray,
     masks: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Regression-adjust the cross moments by the marginal moment residuals
-    (at the fixed marginal parameters, model curves by ``curve_map``).  One
-    regularized precision P of the joint [cross; marginal-i; marginal-j]
-    moment covariance gives the weight P_cc, the inverse of the conditional
-    covariance (so positive definite), and the regression coefficient
-    -P_cc^-1 P_cm; also returns whether P fell back to the identity."""
+    """Regression-adjust the cross moments by the marginal moment residuals,
+    the observed marginal moments minus ``marginal_curves`` (the model
+    curves at the fixed marginal parameters).  One regularized precision P
+    of the joint [cross; marginal-i; marginal-j] moment covariance, built
+    from ``model_seqs`` (r_ii, r_jj, r_ij), gives the weight P_cc, the
+    inverse of the conditional covariance (so positive definite), and the
+    regression coefficient -P_cc^-1 P_cm; also returns whether P fell back
+    to the identity."""
     x, y = series
     mask_i, mask_j = masks
-    r_ii, r_jj, r_ij = model_seqs
     grid = LagGrid(tuple(taus))
     obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i,
                                  mask_y=mask_i).values
     obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j,
                                  mask_y=mask_j).values
-    support = curve_map.shape[1]
-    marg_resid = np.concatenate([obs_ii - curve_map @ r_ii[:support],
-                                 obs_jj - curve_map @ r_jj[:support]])
+    curve_ii, curve_jj = marginal_curves
+    marg_resid = np.concatenate([obs_ii - curve_ii, obs_jj - curve_jj])
 
     q = len(taus)
     precision, fallback = _regularized_inverse(
@@ -518,10 +526,10 @@ def _check_scale(T: float, delta: float) -> None:
 
 
 def _window_grid(grid: LagGrid | None, n: int, delta: float,
-                 T: float) -> tuple[LagGrid, int]:
-    """The support M = ``block_support(n, delta, T)`` of the model sequences
-    and the lags of ``grid`` (default ``LagGrid.default()``) below it: those
-    below n whose blocks fit inside the window, (tau + 1) delta <= T."""
+                 T: float) -> LagGrid:
+    """The lags of ``grid`` (default ``LagGrid.default()``) below the support
+    M = ``block_support(n, delta, T)`` of the model sequences: those below n
+    whose blocks fit inside the window, (tau + 1) delta <= T."""
     _check_scale(T, delta)
     support = block_support(n, delta, T)
     grid = grid or LagGrid.default()
@@ -529,7 +537,7 @@ def _window_grid(grid: LagGrid | None, n: int, delta: float,
         raise CalibrationError(
             f"no grid lags below {support}: a lag's block must fit the "
             f"window, (tau + 1) delta <= T = {T!r}")
-    return grid.restrict(support), support
+    return grid.restrict(support)
 
 
 def calibrate_univariate(
@@ -552,12 +560,13 @@ def calibrate_univariate(
     empirical moments; the theoretical side assumes the gaps are sparse)."""
     s = _prepare_series(logvol, mask)
     n = s.size
-    grid, support = _window_grid(grid, n, delta, T)
+    grid = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
-    curve_map = _curve_map(n, grid.taus, support)
+
+    curve = _model_curve(n, grid.taus, delta, T)
 
     def unit(h: float) -> np.ndarray:
-        return curve_map @ block_cov_sequence(n, delta, h, h, T)[:support]
+        return curve(h, h)
 
     def search(weight) -> _ProfileOutcome:
         return _profiled_minimize(observed, unit, weight, 1e-4, 0.4999,
@@ -620,7 +629,7 @@ def calibrate_pair(
         raise CalibrationError(
             f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
             f"(h_bar + 1e-6, {h_hi!r}) empty")
-    grid, support = _window_grid(grid, n, delta, T)
+    grid = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
@@ -628,8 +637,8 @@ def calibrate_pair(
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
         return scale * block_cov_sequence(n, delta, hij, h_bar, T)
 
-    curve_map = _curve_map(n, grid.taus, support)
-    unit = lambda hij: curve_map @ sequence(hij, hbar, 1.0)[:support]
+    curve = _model_curve(n, grid.taus, delta, T)
+    unit = lambda hij: curve(hij, hbar)
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)
     r_ii = sequence(H_i, H_i, lambda_i2)
@@ -639,8 +648,9 @@ def calibrate_pair(
     # their errors are strongly correlated with the cross moments, so the
     # regression adjustment sharpens the fit without moving its expectation
     target, weight, fallback = _cv_adjusted_cross_moments(
-        observed, (x, y), (r_ii, r_jj, r_ij), n, grid.taus, curve_map,
-        (mask_i, mask_j))
+        observed, (x, y), (r_ii, r_jj, r_ij),
+        (lambda_i2 * curve(H_i, H_i), lambda_j2 * curve(H_j, H_j)), n,
+        grid.taus, (mask_i, mask_j))
     second = _profiled_minimize(target, unit, weight,
                                 h_lo, h_hi, -lam, lam)
     hij = second.h

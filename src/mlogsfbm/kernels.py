@@ -11,8 +11,10 @@ The kernel coefficients have one implementation,
 computes its constants (xi_ij, A, B, C, T, 2 H_ij) once and caches them,
 so a kernel call reads them instead of deriving them.
 The block covariance has one implementation, shared by ``integrated_cov``,
-``block_cov_sequence``, ``logvol_incr_cov`` and ``index_ratio_bound``; it is
-finite at H_ij = 0, where it is that of the log kernel -ln(|x - y|/T).
+``block_cov_sequence``, ``block_variogram``, ``logvol_incr_cov`` and
+``index_ratio_bound``; it is finite at H_ij = 0, where it is that of the log
+kernel -ln(|x - y|/T).  Its lag-0 branch is the one block-variance formula,
+which ``block_variogram`` also evaluates at longer blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "integrated_cov",
     "block_cov_sequence",
     "block_support",
+    "block_variogram",
     "interval_cov",
     "logvol_incr_cov",
     "logvol_incr_corr",
@@ -237,6 +240,43 @@ def _second_diff_excess(z: np.ndarray, alpha: float, n_log: int) -> np.ndarray:
     return out
 
 
+def _unit_block_var(length, log_y, T: float, alpha: float, c: float):
+    """Unit-amplitude variance of a block of the given length (at most T)
+    over length^2, from log_y = ln(length/T): the tau = 0 branch of
+    ``_unit_block_cov``, c (1 - length/(3T)) - (p - e)/(1 - a) with
+    p = (y^a - 1)/a and e = (1 + a p)(3 + a)/((1+a)(2+a)), since there
+    1 - u^a E = -a p + y^a (1 - 2/((1+a)(2+a))).  Vectorized over length."""
+    p = _power_log(log_y, alpha)
+    e = (1.0 + alpha * p) * (3.0 + alpha) / ((1.0 + alpha) * (2.0 + alpha))
+    return c * (1.0 - length / (3.0 * T)) - (p - e) / (1.0 - alpha)
+
+
+def _unit_window_sum(m: int, delta: float, T: float, alpha: float,
+                     c: float) -> float:
+    """S = sum_{|k| < m} r(k) of the unit block covariance r (m >= 2,
+    m Delta <= T): the first difference V(m) - V(m-1) of V(L) = L^2
+    ``_unit_block_var``(L Delta) = c (L^2 - L^3 Delta/(3T)) - L^2 (2 p_L - 3
+    - a)/K, with K = (1-a)(1+a)(2+a) and p_L = ((L Delta/T)^a - 1)/a:
+
+        c (2m - 1 - (3m^2 - 3m + 1) Delta/(3T))
+        + [(2m - 1)(3 + a - 2 p_m) - 2 (m-1)^2 (p_m - p_(m-1))] / K,
+
+    p_m - p_(m-1) = ((m-1) Delta/T)^a (x^a - 1)/a at x = 1 + 1/(m-1), from
+    log1p.  Neither bracket cancels (the first lies in [m - 1, 2m), p_m <= 0
+    and (m-1)^2 (p_m - p_(m-1)) < m), where the difference of the two V,
+    each of size m^2 r(0), loses a factor m; the two terms cancel only as the
+    kernel's own B- and C-terms do near H_ij = 1/2."""
+    log_prev = math.log((m - 1) * delta / T)
+    p_m = _power_log(math.log(m * delta / T), alpha)
+    step = math.exp(alpha * log_prev) * _power_log(math.log1p(1.0 / (m - 1)),
+                                                   alpha)
+    lin = 2 * m - 1 - (3 * m * m - 3 * m + 1) * delta / (3.0 * T)
+    power = ((2 * m - 1) * (3.0 + alpha - 2.0 * p_m)
+             - 2.0 * (m - 1) ** 2 * step)
+    return float(c * lin + power / ((1.0 - alpha) * (1.0 + alpha)
+                                    * (2.0 + alpha)))
+
+
 def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
                     h_bar: float) -> np.ndarray:
     """Unit-amplitude block covariance over Delta^2 at ascending lags tau:
@@ -250,11 +290,8 @@ def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
     # ends of the lags tau = 0, tau < Delta and z >= _SERIES_Z
     i0, i1, i2 = np.searchsorted(
         tau, (0.0, math.nextafter(delta, 0.0), delta / _SERIES_Z), side="right")
-    # tau = 0, y = Delta/T: 1 - u^a E = -a (y^a - 1)/a + y^a (1 - 2/((1+a)(2+a)))
-    p0 = _power_log(math.log(delta / T), alpha)
-    e0 = (1.0 + alpha * p0) * (3.0 + alpha) / ((1.0 + alpha) * (2.0 + alpha))
     out = np.empty(tau.size)
-    out[:i0] = c * (1.0 - delta / (3.0 * T)) - (p0 - e0) / (1.0 - alpha)
+    out[:i0] = _unit_block_var(delta, math.log(delta / T), T, alpha, c)
     u, z = tau[i0:] / T, delta / tau[i0:]
     p = _power_log(np.log(u), alpha)
     power = p + (alpha * p + 1.0) * _second_diff_excess(z, alpha, i2 - i0)
@@ -324,6 +361,43 @@ def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
     r = np.zeros(n)
     r[:m] = _unit_block_cov(np.arange(m) * delta, delta, T, H_ij, h_bar)
     return r
+
+
+def block_variogram(n: int, lags, lengths, delta: float, H_ij: float,
+                    h_bar: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The variogram of r = ``block_cov_sequence(n, delta, H_ij, h_bar, T)``
+    at ascending lags k < n, gamma(k) = r(0) - r(k), and its sums at block
+    lengths 0 <= L <= n, Gamma(L) = sum_{|k| < L} (L - |k|) gamma(|k|) =
+    L^2 r(0) - V(L), V(L) the variance of a sum of L consecutive entries.
+
+    Cost O(len(lags) + len(lengths)), not O(n): r is needed at the lags
+    alone, and V(L) is L^2 times the unit block variance at block length
+    L Delta while L is at most the support M = ``block_support(n, delta,
+    T)``.  Beyond it r vanishes (gamma = r(0)), so V(L) = V(M) + (L - M) S
+    with S = sum_{|k| < M} r(k) in closed form, and Gamma(L) = Gamma(M) +
+    (L - M)((L + M) r(0) - S)."""
+    m = block_support(n, delta, T)
+    lags = np.asarray(lags)
+    lengths = np.asarray(lengths)
+    if m == 0:
+        return np.zeros(lags.shape), np.zeros(lengths.shape)
+    alpha = 2.0 * H_ij
+    c = linear_coeff(alpha, h_bar)
+    inside = int(np.searchsorted(lags, m))
+    r = _unit_block_cov(np.concatenate(([0], lags[:inside])) * delta, delta,
+                        T, H_ij, h_bar)
+    gamma = r[0] - r[1:]
+    if inside < lags.size:
+        gamma = np.append(gamma, np.full(lags.size - inside, r[0]))
+    # Gamma(min(L, M)) = min(L, M)^2 (r(0) - V/L^2), V/L^2 the block variance
+    length = np.minimum(lengths, m)
+    span = np.maximum(length, 1) * delta
+    sums = length * length * (
+        r[0] - _unit_block_var(span, np.log(span / T), T, alpha, c))
+    if m < n:
+        s = r[0] if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
+        sums += (lengths - length) * ((lengths + m) * r[0] - s)
+    return gamma, sums
 
 
 def interval_cov(interval_i: tuple, interval_j: tuple, pair: PairParams) -> float:

@@ -1,4 +1,5 @@
 import math
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -138,3 +139,29 @@ def with_box(eps: float):
         return base + eps * base[0]
 
     return mock.patch.object(simulate, "_covariance_sequence", boxed)
+
+
+def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
+    """The q x M matrix A whose product A @ r[:M] is the model side of the
+    moment conditions for a symmetric cross-covariance sequence r that
+    vanishes from M = ``support`` on: the exact expectation of
+    ``empirical_cross_cov`` at the lags ``taus``,
+    (n-k)/n ([tau=k] + v_tau) - (W_tau(n-k) + W_tau(n) - W_tau(k)) / n^2 at
+    (k, tau).  v_tau = (2 - [tau=0]) (n-tau) / n^2 weighs r(tau) in the
+    sample-mean variance; W_tau(L) = max(0, min(L, n-tau)) + max(0, L-tau)
+    - L [tau=0] counts it in n sum_{l<=L} E[x_l mean(y)].
+
+    The linear-map form of the model curve: the oracle of the closed forms
+    of ``estimate._model_curve``."""
+    tau = np.arange(support)
+    curve_map = (tau == np.asarray(taus)[:, None]).astype(float)
+    zero = tau == 0
+    v = np.where(zero, 1.0, 2.0) * (n - tau) / n**2
+
+    def w(length):
+        return (np.maximum(0, np.minimum(length, n - tau))
+                + np.maximum(0, length - tau) - length * zero)
+
+    for row, k in zip(curve_map, taus):  # row by row: no q x M temporaries
+        row[:] = (n - k) / n * (row + v) - (w(n - k) + w(n) - w(k)) / n**2
+    return curve_map

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _curve_map
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     CalibrationError,
@@ -19,7 +20,7 @@ from mlogsfbm.estimate import (
     ZeroVarianceError,
     _AMP_FLOOR,
     _ProfileOutcome,
-    _curve_map,
+    _model_curve,
     _profiled_minimize,
     calibrate_pair,
     calibrate_panel,
@@ -27,7 +28,9 @@ from mlogsfbm.estimate import (
     empirical_cross_cov,
     mc_validate,
 )
-from mlogsfbm.kernels import block_cov_sequence, block_support
+from mlogsfbm.kernels import (_unit_block_var, _unit_window_sum,
+                              block_cov_sequence, block_support)
+from mlogsfbm.params import linear_coeff
 from mlogsfbm.simulate import (
     FieldPanel,
     default_workers,
@@ -276,7 +279,9 @@ def curve_map_cases(draw, max_n=400):
 
 
 class TestCurveMap:
-    """``_curve_map`` against the oracle: A @ r[:M] is the model curve."""
+    """The oracle of the closed-form curves, ``conftest._curve_map``, against
+    the prefix-sum oracle and exact rationals: A @ r[:M] is the model
+    curve."""
 
     @settings(max_examples=300, deadline=None)
     @given(curve_map_cases())
@@ -320,6 +325,21 @@ class TestCurveMap:
         with pytest.raises(AssertionError):
             assert_within_rounding(curve_map, r, n, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 2048))
+    @example(n=4096)
+    def test_constant_sequence_has_zero_expectation(self, n):
+        # the demeaned moments cannot see a constant: exactly 0 when the
+        # entries are dyadic (n a power of two), else within their rounding
+        taus = LagGrid.default().restrict(n).taus
+        curve_map = _curve_map(n, taus, n)
+        zero = curve_map @ np.ones(n)
+        if n & (n - 1) == 0:
+            assert np.all(zero == 0.0)
+        else:
+            assert_within_rounding(curve_map, np.ones(n), n,
+                                   np.zeros(len(taus)))
+
     @pytest.mark.parametrize("t_over_delta", [1024, 2**14],
                              ids=["T-1024-delta", "T-N-delta"])
     def test_fixed_shapes_match_oracle(self, t_over_delta):
@@ -335,20 +355,183 @@ class TestCurveMap:
                                     _expected_curve(r, n, taus))
 
 
-class TestCurveMapBuilds:
-    """One map per fit: a per-evaluation rebuild costs about as much as a
-    hundred evaluations at T = N delta."""
+def kernel_term_size(delta: float, h_ij: float, h_bar: float,
+                     T: float) -> float:
+    """kappa = |c| + (|p| + |e|)/(1 - a), the size of the terms of the unit
+    block covariance at lag 0 (``kernels._unit_block_var`` at length
+    Delta); they bound those of every lag and of every block variance up to
+    length T, so each such value rounds to within a few u kappa."""
+    alpha = 2.0 * h_ij
+    log_y = math.log(delta / T)
+    p = log_y if alpha == 0.0 else math.expm1(alpha * log_y) / alpha
+    e = (1.0 + alpha * p) * (3.0 + alpha) / ((1.0 + alpha) * (2.0 + alpha))
+    return abs(linear_coeff(alpha, h_bar)) + (abs(p) + abs(e)) / (1.0 - alpha)
+
+
+def closed_form_error_bound(n, lags, delta, h_ij, h_bar, T):
+    """Per-entry bound on |closed form - A @ r[:M]| with A the ``_curve_map``
+    oracle and r the block covariance sequence: the oracle's own rounding
+    (the bound of ``assert_within_rounding`` less its u/2 |want|) plus
+    32 u kappa (1 + sum_tau |A_ktau|).  kappa (``kernel_term_size``) bounds
+    the rounding of each kernel value, which reaches the oracle through
+    sum |A| and the closed form through its few terms of size kappa (r(0),
+    gamma(k), the block variances over n^2 and the window sum S over n).
+    Returns the oracle's curve and the bound."""
+    support = block_support(n, delta, T)
+    curve_map = _curve_map(n, lags, support)
+    r = block_cov_sequence(n, delta, h_ij, h_bar, T)[:support]
+    u = np.finfo(float).eps / 2
+    kappa = kernel_term_size(delta, h_ij, h_bar, T)
+    bound = u * ((support + 6) * (np.abs(curve_map) @ np.abs(r))
+                 + 20.0 / n * np.abs(r).sum()
+                 + 32.0 * kappa * (1.0 + np.abs(curve_map).sum(axis=1)))
+    return curve_map @ r, bound
+
+
+def assert_closed_form_within_rounding(got, n, lags, delta, h_ij, h_bar, T):
+    want, bound = closed_form_error_bound(n, lags, delta, h_ij, h_bar, T)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def roughness(lo: float = 0.0):
+    """H in [lo, 0.4999] without the subnormal range below 1e-290, where the
+    kernel's (y^a - 1)/a rounds a = 2 H times ln y to a few bits (at
+    H = 5e-324 both the oracle's sequence and the closed form are off by
+    O(1))."""
+    return st.one_of(st.just(lo), st.floats(max(lo, 1e-290), 0.4999))
+
+
+@st.composite
+def closed_form_cases(draw, max_n=300):
+    """(n, lags, delta, h_ij, h_bar, T) with T at N delta, above it, below
+    it, or at 2 delta (support M = 2), and 0 <= h_bar <= h_ij <= 0.4999."""
+    n = draw(st.integers(2, max_n))
+    delta = draw(st.sampled_from([1.0, 16.0]))
+    where = draw(st.sampled_from(["at", "above", "below", "two"]))
+    ratio = {"at": 1.0, "above": draw(st.floats(1.0, 64.0)),
+             "below": draw(st.floats(2.0, n)) / n, "two": 2.0 / n}[where]
+    h_bar = draw(roughness())
+    h_ij = draw(roughness(h_bar))
+    lags = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=20, unique=True)))
+    return n, lags, delta, h_ij, h_bar, ratio * n * delta
+
+
+class TestClosedFormCurve:
+    """``estimate._model_curve``, the closed form in the variogram, against
+    the ``_curve_map`` oracle within the rounding of both, on both sides of
+    T = N delta and down to H_ij = h_bar = 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_form_cases())
+    @example((300, [0, 1, 2, 150, 299], 1.0, 0.0, 0.0, 300.0))
+    @example((300, [1, 2, 4, 255], 16.0, 0.4999, 0.4999, 4800.0))
+    @example((300, [1, 5, 100], 16.0, 0.4999, 0.0, 300 * 16.0 / 4))
+    @example((257, [1, 2, 200], 1.0, 0.15, 0.02, 2.0))
+    @example((64, [1, 3, 63], 16.0, 0.0, 0.0, 64 * 16.0 * 64))
+    @example((8, [0, 3, 7], 16.0, 0.1, 0.1, 8.0))  # T < delta: no support
+    def test_property_matches_curve_map(self, case):
+        n, lags, delta, h_ij, h_bar, T = case
+        got = _model_curve(n, lags, delta, T)(h_ij, h_bar)
+        assert_closed_form_within_rounding(got, n, lags, delta, h_ij, h_bar,
+                                           T)
+
+    @pytest.mark.parametrize("t_over_delta", [2, 1024, 2**13, 2**14, 2**16],
+                             ids=["T-2-delta", "T-1024-delta", "T-half-N",
+                                  "T-N-delta", "T-4N-delta"])
+    @pytest.mark.parametrize("delta", [1.0, 16.0])
+    def test_fixed_shapes(self, t_over_delta, delta):
+        n, T = 2**14, t_over_delta * delta
+        taus = LagGrid.default().restrict(block_support(n, delta, T)).taus
+        for h_ij, h_bar in ((0.0, 0.0), (0.02, 0.02), (0.15, 0.02),
+                            (0.25, 0.25), (0.45, 0.05), (0.4999, 0.4999)):
+            got = _model_curve(n, taus, delta, T)(h_ij, h_bar)
+            assert_closed_form_within_rounding(got, n, taus, delta, h_ij,
+                                               h_bar, T)
+
+    @pytest.mark.parametrize("case", [
+        (6, [3], 1.0, 6.0), (40, [0, 7, 39], 16.0, 40 * 16.0 * 3),
+        (17, [2, 5, 16], 1.0, 9.0), (30, [1, 2, 29], 16.0, 32.0)])
+    def test_bound_sees_a_perturbed_entry(self, case):
+        n, lags, delta, T = case
+        got = _model_curve(n, lags, delta, T)(0.15, 0.02)
+        assert_closed_form_within_rounding(got, n, lags, delta, 0.15, 0.02, T)
+        got[np.argmax(np.abs(got))] *= 1.0 + 1e-12
+        with pytest.raises(AssertionError):
+            assert_closed_form_within_rounding(got, n, lags, delta, 0.15,
+                                               0.02, T)
+
+    @staticmethod
+    def _window_sum_bound(m, delta, T, alpha, c):
+        # 8 u times the size of the closed form's terms, at most
+        # 2m |c| + 2m (4 + a + 2 |p_m|)/K
+        log_m = math.log(m * delta / T)
+        p_m = log_m if alpha == 0.0 else math.expm1(alpha * log_m) / alpha
+        k = (1.0 - alpha) * (1.0 + alpha) * (2.0 + alpha)
+        return 4.0 * np.finfo(float).eps * 2 * m * (
+            abs(c) + (4.0 + alpha + 2.0 * abs(p_m)) / k)
+
+    @staticmethod
+    def _window_sum_mpmath(m, delta, T, alpha, c):
+        # V(m) - V(m-1) of V(L) = L^2 c (1 - L delta/(3T)) - L^2 (2 p_L - 3
+        # - a)/K, the block variance of _unit_block_var, in 60 digits
+        import mpmath
+        with mpmath.workdps(60):
+            a, cc, t = mpmath.mpf(alpha), mpmath.mpf(c), mpmath.mpf(T)
+            k = (1 - a) * (1 + a) * (2 + a)
+
+            def v(length):
+                span = length * mpmath.mpf(delta)
+                p = (mpmath.log(span / t) if alpha == 0.0
+                     else mpmath.expm1(a * mpmath.log(span / t)) / a)
+                return length**2 * (cc * (1 - span / (3 * t))
+                                    - (2 * p - 3 - a) / k)
+
+            return float(v(m) - v(m - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(2, 2**14), delta=st.sampled_from([1.0, 16.0]),
+           ratio=st.floats(1.0, 4.0), h_bar=roughness(),
+           rise=st.one_of(st.just(0.0), st.floats(1e-290, 1.0)))
+    @example(m=2**14, delta=16.0, ratio=1.0, h_bar=0.225, rise=1.0)
+    @example(m=2, delta=1.0, ratio=1.0, h_bar=0.0, rise=0.0)
+    def test_window_sum_matches_mpmath(self, m, delta, ratio, h_bar, rise):
+        # S = sum_{|k| < M} r(k), which continues V beyond the support
+        alpha = 2.0 * (h_bar + rise * (0.4999 - h_bar))
+        c = linear_coeff(alpha, h_bar)
+        T = ratio * m * delta
+        got = _unit_window_sum(m, delta, T, alpha, c)
+        want = self._window_sum_mpmath(m, delta, T, alpha, c)
+        assert abs(got - want) <= self._window_sum_bound(m, delta, T, alpha, c)
+
+    def test_window_sum_bound_sees_the_cancelling_difference(self):
+        # V(M) - V(M-1) from two block variances loses a factor of about M
+        m, delta, alpha = 2**14, 16.0, 0.9
+        T = m * delta
+        c = linear_coeff(alpha, 0.225)
+        span = np.array([m, m - 1]) * delta
+        var = _unit_block_var(span, np.log(span / T), T, alpha, c)
+        naive = m * m * var[0] - (m - 1) ** 2 * var[1]
+        want = self._window_sum_mpmath(m, delta, T, alpha, c)
+        assert abs(naive - want) > self._window_sum_bound(m, delta, T, alpha, c)
+
+
+class TestCurveCost:
+    """No O(N) work inside the roughness search: whole covariance sequences
+    are built for the weights alone, one per marginal fit and three per
+    pair fit, however many curve evaluations the search makes."""
 
     @staticmethod
     def _count(monkeypatch):
         import mlogsfbm.estimate as est
         built = []
+        exact = est.block_cov_sequence
 
         def counting(*args):
             built.append(args)
-            return _curve_map(*args)
+            return exact(*args)
 
-        monkeypatch.setattr(est, "_curve_map", counting)
+        monkeypatch.setattr(est, "block_cov_sequence", counting)
         return built
 
     @staticmethod
@@ -356,17 +539,22 @@ class TestCurveMapBuilds:
         rng = np.random.default_rng(11)
         return rng.standard_normal((2, 2048)).cumsum(axis=1) * 0.01
 
-    def test_pair_builds_once(self, monkeypatch):
+    @pytest.mark.parametrize("t_val", [1024.0, 2048.0],
+                             ids=["T/delta=1024", "T=N*delta"])
+    def test_pair_builds_three_sequences(self, monkeypatch, t_val):
         built = self._count(monkeypatch)
         x, y = self._series()
-        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=1024.0)
-        assert len(built) == 1
+        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=t_val)
+        assert len(built) == 3
         assert res.iterations > 20
 
-    def test_univariate_fixed_scale_builds_once(self, monkeypatch):
+    @pytest.mark.parametrize("t_val", [1024.0, 2048.0],
+                             ids=["T/delta=1024", "T=N*delta"])
+    def test_univariate_builds_one_sequence(self, monkeypatch, t_val):
         built = self._count(monkeypatch)
-        calibrate_univariate(self._series()[0], 1.0, T=1024.0)
+        res = calibrate_univariate(self._series()[0], 1.0, T=t_val)
         assert len(built) == 1
+        assert res.iterations > 20
 
 
 class TestScaleInvariance:
@@ -386,27 +574,20 @@ class TestScaleInvariance:
         t, t2 = base * n * delta, base * ratio * n * delta
         assert block_support(n, delta, t) == block_support(n, delta, t2) == n
         taus = LagGrid.default().restrict(n).taus
-        curve_map = _curve_map(n, taus, n)
 
-        # a constant sequence has expectation 0: exactly when the entries
-        # are dyadic (n a power of two), else within their rounding
-        zero = curve_map @ np.ones(n)
-        if n & (n - 1) == 0:
-            assert np.all(zero == 0.0)
-        else:
-            assert_within_rounding(curve_map, np.ones(n), n,
-                                   np.zeros(len(taus)))
-
-        # the unit curves scale by (T'/T)^(-2h); the scale is the size of
-        # the terms before the constant cancels
+        # the unit curves scale by (T'/T)^(-2h): the closed form has no term
+        # in r(0), so only the rounding of r(0) - r(k) and of the block
+        # variances is left (at most 5.4e-16 of the scale in 400 random
+        # cases, against 1.8e-15 for the map); the scale is the size of the
+        # terms of the oracle's sum, before the constant cancels
         def unit(t_val):
-            return lambda hh: curve_map @ block_cov_sequence(
-                n, delta, hh, hh, t_val)
+            curve = _model_curve(n, taus, delta, t_val)
+            return lambda hh: curve(hh, hh)
 
         r2 = block_cov_sequence(n, delta, h, h, t2)
         got, want = unit(t2)(h), ratio ** (-2.0 * h) * unit(t)(h)
-        scale = float(np.max(np.abs(curve_map) @ np.abs(r2)))
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        scale = float(np.max(np.abs(_curve_map(n, taus, n)) @ np.abs(r2)))
+        assert np.max(np.abs(got - want)) <= 4e-15 * scale
 
         # the first-stage profiled fit: the same objective, H to the search's
         # resolution (bounded Brent stops within about 1e-7 of the minimum),
@@ -656,8 +837,7 @@ class TestWindowRule:
         T = ratio * delta
         support = block_support(n, delta, T)
         below = tuple(t for t in LagGrid.default(q).taus if t < support)
-        grid, got_support = est._window_grid(LagGrid.default(q), n, delta, T)
-        assert got_support == support
+        grid = est._window_grid(LagGrid.default(q), n, delta, T)
         assert grid.taus == below
         # each kept block lies inside the window, and a next grid lag below
         # n would not

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import serial_spectral_factor
+from conftest import _curve_map, serial_spectral_factor
 import mlogsfbm.estimate as est
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     LagGrid,
-    _curve_map,
     _cv_adjusted_cross_moments,
+    _model_curve,
     _regularized_inverse,
     calibrate_pair,
     calibrate_univariate,
     empirical_cross_cov,
 )
+from mlogsfbm.kernels import block_cov_sequence, block_support
 from mlogsfbm.simulate import field_to_gaussian_proxy, simulate_field
 
 _product_moment_cov = est._product_moment_cov
@@ -102,7 +103,9 @@ TAUS = (1, 2, 3, 5, 8, 13)
 def joint_cases(draw):
     """A random SPD joint covariance of [cross; marginal-i; marginal-j]
     moments with condition number at most 1e3, at a random overall scale,
-    and random series, model sequences and observations around it."""
+    and random series, observations and cross sequence around it; the
+    marginal model sequences are block covariances, (lambda^2, H) each, at
+    T below, at or above N delta (delta = 1)."""
     q = draw(st.integers(1, len(TAUS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cond = draw(st.floats(1.0, 1e3))
@@ -111,8 +114,15 @@ def joint_cases(draw):
     eigenvalues[:2] = scale, scale * cond
     joint = _symmetric(rng, eigenvalues)
     x, y = rng.standard_normal((2, N_SMALL))
-    seqs = tuple(rng.standard_normal(N_SMALL) for _ in range(3))
-    return joint, q, x, y, seqs, rng.standard_normal(q)
+    t_val = draw(st.sampled_from([16.0, float(N_SMALL), 4.0 * N_SMALL]))
+    marginals = tuple((draw(st.floats(1e-3, 0.1)),
+                       draw(st.one_of(st.just(0.0), st.floats(1e-4, 0.4999))))
+                      for _ in range(2))
+    seqs = tuple(lam2 * block_cov_sequence(N_SMALL, 1.0, h, h, t_val)
+                 for lam2, h in marginals) + (rng.standard_normal(N_SMALL),)
+    curve = _model_curve(N_SMALL, TAUS[:q], 1.0, t_val)
+    curves = tuple(lam2 * curve(h, h) for lam2, h in marginals)
+    return joint, q, x, y, seqs, curves, t_val, rng.standard_normal(q)
 
 
 def _blocks_of(joint, q, seqs):
@@ -141,9 +151,10 @@ class TestAgainstSchurReference:
     @given(case=joint_cases())
     def test_property_matches_reference(self, case):
         # the two ridges differ at about 1e-10 cond; 1e-6 leaves room
-        joint, q, x, y, seqs, observed = case
+        joint, q, x, y, seqs, curves, t_val, observed = case
         taus = TAUS[:q]
-        curve_map = _curve_map(N_SMALL, taus, N_SMALL)
+        curve_map = _curve_map(N_SMALL, taus,
+                               block_support(N_SMALL, 1.0, t_val))
         fake = _blocks_of(joint, q, seqs)
         module = globals()
         saved = (est._product_moment_cov, module["_product_moment_cov"],
@@ -152,9 +163,10 @@ class TestAgainstSchurReference:
         # the fake finds its blocks by the identity of the raw sequences
         est._seq_transforms = lambda model_seqs, n, taus: tuple(model_seqs)
         try:
-            args = (observed, (x, y), seqs, N_SMALL, taus, curve_map)
-            got = _cv_adjusted_cross_moments(*args)
-            want = _cv_adjusted_cross_moments_reference(*args)
+            got = _cv_adjusted_cross_moments(observed, (x, y), seqs, curves,
+                                             N_SMALL, taus)
+            want = _cv_adjusted_cross_moments_reference(
+                observed, (x, y), seqs, N_SMALL, taus, curve_map)
         finally:
             (est._product_moment_cov, module["_product_moment_cov"],
              est._seq_transforms) = saved
@@ -260,6 +272,9 @@ class TestRoundingStability:
         exact = est.block_cov_sequence
         monkeypatch.setattr(est, "block_cov_sequence",
                             lambda *args: exact(*args) * (1.0 + eps))
+        exact_variogram = est.block_variogram
+        monkeypatch.setattr(est, "block_variogram", lambda *args: tuple(
+            v * (1.0 + eps) for v in exact_variogram(*args)))
         scaled = fit()
         for res in (plain, scaled):
             assert np.linalg.eigvalsh(res.weight)[0] > 0.0
