@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
         measure = field_to_measure(panel, params, agg)
         dump(measure, f"logvol_measure_p{panel.path:03d}")
         if resolved["proxy"] == "gaussian":
-            dump(field_to_gaussian_proxy(panel, params, agg),
+            dump(field_to_gaussian_proxy(panel, agg),
                  f"logvol_proxy_p{panel.path:03d}")
         prices = simulate_prices(measure, x0, int(resolved["seed"]),
                                  int(resolved["substeps"]))
@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", help="panel CSV/binary (simulated or market)")
     p.add_argument("--delta", type=float, help="panel step override")
     p.add_argument("--T", type=float, help=(
-        "correlation scale, finite and at least 2*delta (default N*delta); "
+        "correlation scale, finite and at least 3*delta (default N*delta); "
         "lambda^2 and xi are reported at this T, and when T >= N*delta a "
         "marginal fixes only lambda^2 T^(-2H)"))
     p.add_argument("--grid-q", dest="grid_q", type=int)

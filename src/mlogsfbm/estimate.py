@@ -138,7 +138,6 @@ def empirical_cross_cov(
     x: np.ndarray,
     y: np.ndarray,
     grid: LagGrid,
-    include_zero: bool = False,
     mask_x: np.ndarray | None = None,
     mask_y: np.ndarray | None = None,
 ) -> CovCurve:
@@ -153,7 +152,7 @@ def empirical_cross_cov(
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("series must be 1-d arrays of equal length")
     n = x.size
-    lags = ((0,) if include_zero else ()) + grid.taus
+    lags = grid.taus
     if lags[-1] >= n:
         raise ValueError(f"max lag {lags[-1]} must be below series length {n}")
     valid_x = np.ones(n, bool) if mask_x is None else np.asarray(mask_x, bool)
@@ -480,37 +479,24 @@ def _joint_moment_cov(model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def _cv_adjusted_cross_moments(
     observed: np.ndarray,
-    series: tuple[np.ndarray, np.ndarray],
+    marginal_residuals: np.ndarray,
     model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    marginal_curves: tuple[np.ndarray, np.ndarray],
     n: int,
     taus: Sequence[int],
-    masks: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Regression-adjust the cross moments by the marginal moment residuals,
-    the observed marginal moments minus ``marginal_curves`` (the model
-    curves at the fixed marginal parameters).  One regularized precision P
-    of the joint [cross; marginal-i; marginal-j] moment covariance, built
-    from ``model_seqs`` (r_ii, r_jj, r_ij), gives the weight P_cc, the
-    inverse of the conditional covariance (so positive definite), and the
-    regression coefficient -P_cc^-1 P_cm; also returns whether P fell back
-    to the identity."""
-    x, y = series
-    mask_i, mask_j = masks
-    grid = LagGrid(tuple(taus))
-    obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i,
-                                 mask_y=mask_i).values
-    obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j,
-                                 mask_y=mask_j).values
-    curve_ii, curve_jj = marginal_curves
-    marg_resid = np.concatenate([obs_ii - curve_ii, obs_jj - curve_jj])
-
+    """Regression-adjust the cross moments by the marginal moment residuals
+    (the stacked ``residuals`` of the two marginal fits).  One regularized
+    precision P of the joint [cross; marginal-i; marginal-j] moment
+    covariance, built from ``model_seqs`` (r_ii, r_jj, r_ij), gives the
+    weight P_cc, the inverse of the conditional covariance (so positive
+    definite), and the regression coefficient -P_cc^-1 P_cm; also returns
+    whether P fell back to the identity."""
     q = len(taus)
     precision, fallback = _regularized_inverse(
         _joint_moment_cov(model_seqs, n, taus))
     weight = precision[:q, :q]
-    return (observed + np.linalg.solve(weight, precision[:q, q:] @ marg_resid),
-            weight, fallback)
+    adjust = np.linalg.solve(weight, precision[:q, q:] @ marginal_residuals)
+    return observed + adjust, weight, fallback
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +504,29 @@ def _cv_adjusted_cross_moments(
 # ---------------------------------------------------------------------------
 
 def _check_scale(T: float, delta: float) -> None:
-    """Reject a correlation scale in which no lag fits: T must be finite and
-    at least 2 delta, the window of the lag-1 block."""
-    if not (math.isfinite(T) and T >= 2.0 * delta):
+    """Reject a correlation scale in which fewer than two lags fit: T must be
+    finite and at least 3 delta, the window of the lag-2 block.  Two lags
+    are the fewest that fix both the amplitude and the roughness: with one,
+    the profiled amplitude matches it at every roughness."""
+    if not (math.isfinite(T) and T >= 3.0 * delta):
         raise ValueError(f"correlation scale T={T!r} must be finite and at "
-                         f"least 2 delta = {2.0 * delta!r}")
+                         f"least 3 delta = {3.0 * delta!r}")
 
 
 def _window_grid(grid: LagGrid | None, n: int, delta: float,
                  T: float) -> LagGrid:
     """The lags of ``grid`` (default ``LagGrid.default()``) below the support
     M = ``block_support(n, delta, T)`` of the model sequences: those below n
-    whose blocks fit inside the window, (tau + 1) delta <= T."""
+    whose blocks fit inside the window, (tau + 1) delta <= T.  Fewer than
+    two is a ``CalibrationError`` (see ``_check_scale``)."""
     _check_scale(T, delta)
     support = block_support(n, delta, T)
     grid = grid or LagGrid.default()
-    if support < n and grid.taus[0] >= support:
+    if sum(t < support for t in grid.taus) < 2:
+        why = (f"a lag's block must fit the window, (tau + 1) delta <= "
+               f"T = {T!r}" if support < n else "series too short")
         raise CalibrationError(
-            f"no grid lags below {support}: a lag's block must fit the "
-            f"window, (tau + 1) delta <= T = {T!r}")
+            f"fewer than 2 grid lags below {support}: {why}")
     return grid.restrict(support)
 
 
@@ -600,18 +590,17 @@ def calibrate_univariate(
 def calibrate_pair(
     logvol_i: np.ndarray,
     logvol_j: np.ndarray,
-    lambda_i2: float,
-    lambda_j2: float,
-    H_i: float,
-    H_j: float,
+    marginal_i: GmmResult,
+    marginal_j: GmmResult,
     delta: float,
-    T: float,
-    grid: LagGrid | None = None,
     mask_i: np.ndarray | None = None,
     mask_j: np.ndarray | None = None,
 ) -> GmmResult:
-    """Fit (g, H_ij) at the correlation scale T for one pair with the
-    marginal parameters held fixed.
+    """Fit (g, H_ij) for one pair given the ``calibrate_univariate`` fits of
+    its two series (with the same ``delta`` and masks): their H, lambda^2
+    and T are held fixed, the lags are those of their residuals, and the
+    residuals are the control variates of the second stage.  Marginal fits
+    at different T or on different lags are a ``ValueError``.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
     (amplitude box / bounded roughness bracket, equivalent to the tanh and
@@ -623,13 +612,21 @@ def calibrate_pair(
     if x.size != y.size:
         raise ValueError("series must be aligned")
     n = x.size
+    fits = (marginal_i, marginal_j)
+    (H_i, lambda_i2, T), (H_j, lambda_j2, T_j) = (
+        (m.params["H"], m.params["lambda2"], m.params["T"]) for m in fits)
+    lags, lags_j = (m.residuals.lags for m in fits)
+    if T != T_j or not np.array_equal(lags, lags_j):
+        raise ValueError(f"marginal fits disagree: T={T!r} on lags "
+                         f"{lags.tolist()} against T={T_j!r} on lags "
+                         f"{lags_j.tolist()}")
     hbar = 0.5 * (H_i + H_j)
     h_lo, h_hi = hbar + 1e-6, 0.4999
     if not h_lo < h_hi:
         raise CalibrationError(
             f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
             f"(h_bar + 1e-6, {h_hi!r}) empty")
-    grid = _window_grid(grid, n, delta, T)
+    grid = LagGrid(tuple(int(t) for t in lags))
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
                                    mask_y=mask_j).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
@@ -648,9 +645,8 @@ def calibrate_pair(
     # their errors are strongly correlated with the cross moments, so the
     # regression adjustment sharpens the fit without moving its expectation
     target, weight, fallback = _cv_adjusted_cross_moments(
-        observed, (x, y), (r_ii, r_jj, r_ij),
-        (lambda_i2 * curve(H_i, H_i), lambda_j2 * curve(H_j, H_j)), n,
-        grid.taus, (mask_i, mask_j))
+        observed, np.concatenate([m.residuals.values for m in fits]),
+        (r_ii, r_jj, r_ij), n, grid.taus)
     second = _profiled_minimize(target, unit, weight,
                                 h_lo, h_hi, -lam, lam)
     hij = second.h
@@ -739,7 +735,7 @@ def calibrate_panel(
     pairs, and any other exception propagates.  The amplitude matrix's
     eigenvalues report, not enforce, positive semidefiniteness.  ``mask``
     (d x n, True = valid) excludes imputed entries from the moments.  T
-    defaults to N delta; a T that is not finite and at least 2 delta raises
+    defaults to N delta; a T that is not finite and at least 3 delta raises
     ``ValueError`` before any fit runs."""
     d = panel.d
     delta = panel.delta
@@ -749,7 +745,7 @@ def calibrate_panel(
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:
             raise ValueError("mask shape must match the panel")
-    row_mask = (lambda i: None) if mask is None else (lambda i: mask[i])
+    row_mask = lambda i: None if mask is None else mask[i]
 
     def fit_marginal(i):
         return calibrate_univariate(
@@ -759,12 +755,9 @@ def calibrate_panel(
         i, j = ij
         if i not in marginals or j not in marginals:
             raise CalibrationError("marginal fit missing")
-        mi, mj = marginals[i].params, marginals[j].params
-        return calibrate_pair(
-            panel.data[i], panel.data[j],
-            lambda_i2=mi["lambda2"], lambda_j2=mj["lambda2"],
-            H_i=mi["H"], H_j=mj["H"], delta=delta, grid=grid, T=t_val,
-            mask_i=row_mask(i), mask_j=row_mask(j))
+        return calibrate_pair(panel.data[i], panel.data[j], marginals[i],
+                              marginals[j], delta, mask_i=row_mask(i),
+                              mask_j=row_mask(j))
 
     marginals, failed = _run_each(fit_marginal, range(d))
     failures = {f"marginal-{i}": msg for i, (_, msg) in failed.items()}
@@ -890,17 +883,14 @@ def _one_replica(config: McConfig, factor: SpectralFactor, run_seed: int,
                                first_path=replica, factor=factor)
     panel = panels[0]
     if config.proxy == "gaussian":
-        agg_panel = field_to_gaussian_proxy(panel, config.params, config.agg)
+        agg_panel = field_to_gaussian_proxy(panel, config.agg)
     else:
         agg_panel = field_to_measure(panel, config.params, config.agg)
     t_true = config.params.T
     res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta, t_true)
     res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta, t_true)
-    pair = calibrate_pair(
-        agg_panel.data[0], agg_panel.data[1],
-        lambda_i2=res0.params["lambda2"], lambda_j2=res1.params["lambda2"],
-        H_i=res0.params["H"], H_j=res1.params["H"],
-        delta=agg_panel.delta, T=t_true)
+    pair = calibrate_pair(agg_panel.data[0], agg_panel.data[1], res0, res1,
+                          agg_panel.delta)
     return {
         "H_0": res0.params["H"], "lambda2_0": res0.params["lambda2"],
         "H_1": res1.params["H"], "lambda2_1": res1.params["lambda2"],

@@ -210,8 +210,10 @@ def noise_correlation(h, pair: PairParams):
 
 
 def _power_log(log_y, alpha: float):
-    """(y^a - 1)/a from ln y; ln y itself at a = 0."""
-    return log_y if alpha == 0.0 else np.expm1(alpha * log_y) / alpha
+    """(y^a - 1)/a from ln y; ln y itself at a < 1e-290, where a ln y could
+    be subnormal (|ln y| >= 1.1e-16 unless y = 1) and lose its bits, while
+    ln y is off by at most a (ln y)^2/2, far below its rounding."""
+    return log_y if alpha < 1e-290 else np.expm1(alpha * log_y) / alpha
 
 
 def _second_diff_excess(z: np.ndarray, alpha: float, n_log: int) -> np.ndarray:

@@ -453,7 +453,7 @@ def field_to_measure(panel: FieldPanel, params: ModelParams, agg: int) -> FieldP
                       provenance="logvol-measure", path=panel.path)
 
 
-def field_to_gaussian_proxy(panel: FieldPanel, params: ModelParams, agg: int) -> FieldPanel:
+def field_to_gaussian_proxy(panel: FieldPanel, agg: int) -> FieldPanel:
     """Block averages of the centered field: the linear (small-amplitude)
     stand-in for the log measure, lambda_i Omega_Delta' / Delta'."""
     _check_aggregation(panel, agg)

@@ -9,6 +9,19 @@ from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
 from mlogsfbm import simulate
+from mlogsfbm.estimate import (
+    CalibrationError,
+    GmmResult,
+    LagGrid,
+    _joint_moment_cov,
+    _model_curve,
+    _prepare_series,
+    _profiled_minimize,
+    _regularized_inverse,
+    _window_grid,
+    empirical_cross_cov,
+)
+from mlogsfbm.kernels import CovCurve, block_cov_sequence
 from mlogsfbm.simulate import (
     CLIP_APPROX,
     CLIP_EXACT,
@@ -165,3 +178,131 @@ def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
     for row, k in zip(curve_map, taus):  # row by row: no q x M temporaries
         row[:] = (n - k) / n * (row + v) - (w(n - k) + w(n) - w(k)) / n**2
     return curve_map
+
+
+# The pair fit as it stood when it took the marginal parameters, T and the
+# grid as loose values and re-derived the marginal moment residuals itself,
+# kept verbatim (renamed) as the oracle of ``estimate.calibrate_pair``, which
+# takes the two marginal fits: at the fits' own values both give the same
+# bits.
+
+def scalar_cv_adjusted_cross_moments(
+    observed: np.ndarray,
+    series: tuple[np.ndarray, np.ndarray],
+    model_seqs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    marginal_curves: tuple[np.ndarray, np.ndarray],
+    n: int,
+    taus: Sequence[int],
+    masks: tuple = (None, None),
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Regression-adjust the cross moments by the marginal moment residuals,
+    the observed marginal moments minus ``marginal_curves`` (the model
+    curves at the fixed marginal parameters).  One regularized precision P
+    of the joint [cross; marginal-i; marginal-j] moment covariance, built
+    from ``model_seqs`` (r_ii, r_jj, r_ij), gives the weight P_cc, the
+    inverse of the conditional covariance (so positive definite), and the
+    regression coefficient -P_cc^-1 P_cm; also returns whether P fell back
+    to the identity."""
+    x, y = series
+    mask_i, mask_j = masks
+    grid = LagGrid(tuple(taus))
+    obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i,
+                                 mask_y=mask_i).values
+    obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j,
+                                 mask_y=mask_j).values
+    curve_ii, curve_jj = marginal_curves
+    marg_resid = np.concatenate([obs_ii - curve_ii, obs_jj - curve_jj])
+
+    q = len(taus)
+    precision, fallback = _regularized_inverse(
+        _joint_moment_cov(model_seqs, n, taus))
+    weight = precision[:q, :q]
+    return (observed + np.linalg.solve(weight, precision[:q, q:] @ marg_resid),
+            weight, fallback)
+
+
+def scalar_calibrate_pair(
+    logvol_i: np.ndarray,
+    logvol_j: np.ndarray,
+    lambda_i2: float,
+    lambda_j2: float,
+    H_i: float,
+    H_j: float,
+    delta: float,
+    T: float,
+    grid: LagGrid | None = None,
+    mask_i: np.ndarray | None = None,
+    mask_j: np.ndarray | None = None,
+) -> GmmResult:
+    """Fit (g, H_ij) at the correlation scale T for one pair with the
+    marginal parameters held fixed.
+
+    The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
+    (amplitude box / bounded roughness bracket, equivalent to the tanh and
+    scaled-logistic reparametrization of the same objective); the derived
+    amplitude xi_ij = g sqrt(lambda_i^2 lambda_j^2) is returned alongside.
+    """
+    x = _prepare_series(logvol_i, mask_i)
+    y = _prepare_series(logvol_j, mask_j)
+    if x.size != y.size:
+        raise ValueError("series must be aligned")
+    n = x.size
+    hbar = 0.5 * (H_i + H_j)
+    h_lo, h_hi = hbar + 1e-6, 0.4999
+    if not h_lo < h_hi:
+        raise CalibrationError(
+            f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
+            f"(h_bar + 1e-6, {h_hi!r}) empty")
+    grid = _window_grid(grid, n, delta, T)
+    observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
+                                   mask_y=mask_j).values
+    lam = math.sqrt(lambda_i2 * lambda_j2)
+
+    def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
+        return scale * block_cov_sequence(n, delta, hij, h_bar, T)
+
+    curve = _model_curve(n, grid.taus, delta, T)
+    unit = lambda hij: curve(hij, hbar)
+    first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
+                               h_lo, h_hi, -lam, lam)
+    r_ii = sequence(H_i, H_i, lambda_i2)
+    r_jj = sequence(H_j, H_j, lambda_j2)
+    r_ij = sequence(first.h, hbar, first.amp)
+    # stack the (fixed) marginal moment conditions as control variates:
+    # their errors are strongly correlated with the cross moments, so the
+    # regression adjustment sharpens the fit without moving its expectation
+    target, weight, fallback = scalar_cv_adjusted_cross_moments(
+        observed, (x, y), (r_ii, r_jj, r_ij),
+        (lambda_i2 * curve(H_i, H_i), lambda_j2 * curve(H_j, H_j)), n,
+        grid.taus, (mask_i, mask_j))
+    second = _profiled_minimize(target, unit, weight,
+                                h_lo, h_hi, -lam, lam)
+    hij = second.h
+    g = min(max(second.amp / lam, -1.0), 1.0)
+    notes = ["identity-weight-fallback"] if fallback else []
+    if second.amp_at_bound:
+        notes.append("correlation-at-bound")
+    if second.h_at_bound:
+        notes.append("roughness-at-bound")
+    if not abs(g) <= 1.0:
+        raise CalibrationError(f"fitted g={g!r} outside [-1, 1]")
+    if not hbar <= hij < 0.5:
+        raise CalibrationError(
+            f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
+    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij))
+    return GmmResult(
+        params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
+        objective=float(second.objective),
+        iterations=int(first.evals + second.evals),
+        converged=bool(first.converged and second.converged),
+        weight=weight, residuals=residuals, notes=tuple(notes))
+
+
+def given_marginal(H: float, lambda2: float, T: float,
+                   lags: Sequence[int] = (1, 2)) -> GmmResult:
+    """A marginal fit at given values, built directly for the pair tests
+    that need them: zero residuals on ``lags``, no search."""
+    q = len(lags)
+    return GmmResult(params={"H": H, "lambda2": lambda2, "T": T},
+                     objective=0.0, iterations=0, converged=True,
+                     weight=np.eye(q), residuals=CovCurve(lags, np.zeros(q)))

@@ -340,7 +340,7 @@ class TestCriterion11:
         agg = 16
         n_field = 2**14 * agg
         panels, _ = simulate_field(params, n_field, 1.0, seed=1111, n_paths=1)
-        proxy = field_to_gaussian_proxy(panels[0], params, agg)
+        proxy = field_to_gaussian_proxy(panels[0], agg)
         panel_path = tmp_path / "panel.csv"
         panel_path.write_text(write_panel_csv(proxy))
         out = tmp_path / "cal"

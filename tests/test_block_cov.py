@@ -8,7 +8,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mlogsfbm import KernelDomainError, PairParams, integrated_cov
@@ -183,6 +183,20 @@ def test_log_kernel_at_zero_roughness(delta, t_val):
         assert seq[k] == pytest.approx(want, rel=1e-12, abs=0.0)
         near = integrated_cov(k * delta, delta, pair) / delta**2
         assert near == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@given(hij=st.floats(0.0, 5e-291, exclude_max=True),
+       share=st.floats(0.0, 1.0), delta=st.sampled_from(DELTAS),
+       ratio=st.floats(3.0, 2048.0))
+# the smallest H_ij: expm1(a ln y)/a would keep none of its bits
+@example(hij=5e-324, share=0.0, delta=1.0, ratio=4.0)
+def test_subnormal_roughness_is_the_log_kernel(hij, share, delta, ratio):
+    # below a = 2 H_ij = 1e-290, (y^a - 1)/a is ln y: a ln y would be
+    # subnormal, and the kernel is that of H_ij = 0 to the last bit
+    n = 64
+    got = block_cov_sequence(n, delta, hij, share * hij, ratio * delta)
+    want = block_cov_sequence(n, delta, 0.0, 0.0, ratio * delta)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("delta", DELTAS)

@@ -281,7 +281,8 @@ class TestCalibrateCommand:
             assert (mask is None) == (path != market)
         assert panel.delta == 1.0 and panel.provenance == "market"
 
-    @pytest.mark.parametrize("t_arg", ["0", "-3", "nan", "inf", "1.5"])
+    @pytest.mark.parametrize("t_arg", ["0", "-3", "nan", "inf", "1.5", "2",
+                                       "2.5"])
     def test_bad_scale_exits_before_any_fit(self, tmp_path, simulated_panel,
                                             t_arg, capsys, monkeypatch):
         import mlogsfbm.estimate as est

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _curve_map
+from conftest import _curve_map, given_marginal, scalar_calibrate_pair
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     CalibrationError,
@@ -65,15 +65,18 @@ class TestEmpiricalCrossCov:
     def test_constant_series_gives_zero(self):
         grid = LagGrid((1, 2, 4))
         x = np.full(64, 3.7)
-        curve = empirical_cross_cov(x, x, grid, include_zero=True)
+        curve = empirical_cross_cov(x, x, grid)
         assert np.allclose(curve.values, 0.0)
 
-    def test_lag_zero_is_biased_sample_variance(self):
+    def test_lags_are_demeaned_products_over_n(self):
+        # 1/N at every lag, not 1/(N - k)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(257)
-        grid = LagGrid((1,))
-        curve = empirical_cross_cov(x, x, grid, include_zero=True)
-        assert curve.values[0] == pytest.approx(float(np.var(x)), rel=1e-12)
+        xc = x - x.mean()
+        curve = empirical_cross_cov(x, x, LagGrid((1, 5)))
+        for value, k in zip(curve.values, (1, 5)):
+            assert value == pytest.approx(float(xc[:-k] @ xc[k:]) / x.size,
+                                          rel=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
@@ -126,11 +129,10 @@ class TestEmpiricalCrossCov:
         y = np.roll(x, 3) + rng.standard_normal(n)
         mask = rng.random(n) > 0.1
         grid = LagGrid.default()
-        got = empirical_cross_cov(x, y, grid, include_zero=True,
-                                  mask_x=mask, mask_y=mask).values
+        got = empirical_cross_cov(x, y, grid, mask_x=mask, mask_y=mask).values
         xc = np.where(mask, x - x[mask].mean(), 0.0)
         yc = np.where(mask, y - y[mask].mean(), 0.0)
-        for value, k in zip(got, (0,) + grid.taus):
+        for value, k in zip(got, grid.taus):
             ref = float(np.dot(xc[: n - k], yc[k:])) / n
             scale = float(np.dot(np.abs(xc[: n - k]), np.abs(yc[k:]))) / n
             assert abs(value - ref) <= 1e-13 * scale
@@ -193,15 +195,17 @@ def _toeplitz_expectation(r: np.ndarray, n: int) -> np.ndarray:
     """E[empirical_cross_cov(x, y)] at every lag 0..n-1 from first
     principles: the estimator is bilinear, x^T B_k y, with B_k[a, b] its
     value on the unit vectors (e_a, e_b), so its expectation is
-    sum_ab B_k[a, b] cov(x_a, y_b), and cov(x_a, y_b) = r(|a - b|)."""
+    sum_ab B_k[a, b] cov(x_a, y_b), and cov(x_a, y_b) = r(|a - b|).  The
+    lag-0 value is the demeaned product over n."""
     grid = LagGrid(tuple(range(1, n)))
     basis = np.eye(n)
+    centred = basis - 1.0 / n
     out = np.zeros(n)
     for a in range(n):
         for b in range(n):
-            c = empirical_cross_cov(basis[a], basis[b], grid,
-                                    include_zero=True).values
-            out += c * r[abs(a - b)]
+            c = empirical_cross_cov(basis[a], basis[b], grid).values
+            lag0 = float(centred[a] @ centred[b]) / n
+            out += np.concatenate(([lag0], c)) * r[abs(a - b)]
     return out
 
 
@@ -394,11 +398,9 @@ def assert_closed_form_within_rounding(got, n, lags, delta, h_ij, h_bar, T):
 
 
 def roughness(lo: float = 0.0):
-    """H in [lo, 0.4999] without the subnormal range below 1e-290, where the
-    kernel's (y^a - 1)/a rounds a = 2 H times ln y to a few bits (at
-    H = 5e-324 both the oracle's sequence and the closed form are off by
-    O(1))."""
-    return st.one_of(st.just(lo), st.floats(max(lo, 1e-290), 0.4999))
+    """H in [lo, 0.4999], subnormal values included: below a = 2 H = 1e-290
+    the kernel's (y^a - 1)/a is ln y."""
+    return st.one_of(st.just(lo), st.floats(lo, 0.4999))
 
 
 @st.composite
@@ -430,6 +432,7 @@ class TestClosedFormCurve:
     @example((257, [1, 2, 200], 1.0, 0.15, 0.02, 2.0))
     @example((64, [1, 3, 63], 16.0, 0.0, 0.0, 64 * 16.0 * 64))
     @example((8, [0, 3, 7], 16.0, 0.1, 0.1, 8.0))  # T < delta: no support
+    @example((4, [0, 1, 2, 3], 1.0, 5e-324, 0.0, 4.0))  # subnormal H_ij
     def test_property_matches_curve_map(self, case):
         n, lags, delta, h_ij, h_bar, T = case
         got = _model_curve(n, lags, delta, T)(h_ij, h_bar)
@@ -466,7 +469,7 @@ class TestClosedFormCurve:
         # 8 u times the size of the closed form's terms, at most
         # 2m |c| + 2m (4 + a + 2 |p_m|)/K
         log_m = math.log(m * delta / T)
-        p_m = log_m if alpha == 0.0 else math.expm1(alpha * log_m) / alpha
+        p_m = log_m if alpha < 1e-290 else math.expm1(alpha * log_m) / alpha
         k = (1.0 - alpha) * (1.0 + alpha) * (2.0 + alpha)
         return 4.0 * np.finfo(float).eps * 2 * m * (
             abs(c) + (4.0 + alpha + 2.0 * abs(p_m)) / k)
@@ -492,8 +495,9 @@ class TestClosedFormCurve:
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(2, 2**14), delta=st.sampled_from([1.0, 16.0]),
            ratio=st.floats(1.0, 4.0), h_bar=roughness(),
-           rise=st.one_of(st.just(0.0), st.floats(1e-290, 1.0)))
+           rise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     @example(m=2**14, delta=16.0, ratio=1.0, h_bar=0.225, rise=1.0)
+    @example(m=4, delta=1.0, ratio=1.0, h_bar=0.0, rise=1e-323)
     @example(m=2, delta=1.0, ratio=1.0, h_bar=0.0, rise=0.0)
     def test_window_sum_matches_mpmath(self, m, delta, ratio, h_bar, rise):
         # S = sum_{|k| < M} r(k), which continues V beyond the support
@@ -542,9 +546,10 @@ class TestCurveCost:
     @pytest.mark.parametrize("t_val", [1024.0, 2048.0],
                              ids=["T/delta=1024", "T=N*delta"])
     def test_pair_builds_three_sequences(self, monkeypatch, t_val):
-        built = self._count(monkeypatch)
         x, y = self._series()
-        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=t_val)
+        mi, mj = (calibrate_univariate(s, 1.0, T=t_val) for s in (x, y))
+        built = self._count(monkeypatch)
+        res = calibrate_pair(x, y, mi, mj, 1.0)
         assert len(built) == 3
         assert res.iterations > 20
 
@@ -647,7 +652,7 @@ def smooth_panels():
     """Shared simulated panels: H = 0.25, lambda^2 = 0.06, 12 paths."""
     params = ModelParams(T=2**12, H=[[0.25]], xi=[[0.06]])
     panels, _ = simulate_field(params, 2**16, 1.0, seed=14, n_paths=12)
-    return params, [field_to_gaussian_proxy(p, params, 16) for p in panels]
+    return params, [field_to_gaussian_proxy(p, 16) for p in panels]
 
 
 class TestCalibrateUnivariate:
@@ -698,7 +703,7 @@ def fig2_proxy_panels():
     params = ModelParams(T=2**12, H=[[0.02, 0.15], [0.15, 0.02]],
                          xi=[[0.05, 0.025], [0.025, 0.05]])
     panels, _ = simulate_field(params, 2**16, 1.0, seed=23, n_paths=10)
-    return params, [field_to_gaussian_proxy(p, params, 16) for p in panels]
+    return params, [field_to_gaussian_proxy(p, 16) for p in panels]
 
 
 class TestCalibratePair:
@@ -708,31 +713,31 @@ class TestCalibratePair:
         for prox in proxies:
             m0 = calibrate_univariate(prox.data[0], prox.delta, T=params.T)
             m1 = calibrate_univariate(prox.data[1], prox.delta, T=params.T)
-            res = calibrate_pair(
-                prox.data[0], prox.data[1],
-                m0.params["lambda2"], m1.params["lambda2"],
-                m0.params["H"], m1.params["H"], prox.delta, T=params.T)
+            res = calibrate_pair(prox.data[0], prox.data[1], m0, m1,
+                                 prox.delta)
             gs.append(res.params["g"])
             hs.append(res.params["H_ij"])
         assert np.mean(gs) == pytest.approx(0.5, abs=0.15)
         assert np.mean(hs) == pytest.approx(0.15, abs=0.06)
 
-    def test_self_pair_with_true_marginals(self, fig2_proxy_panels):
+    def test_self_pair_with_its_marginal_fit(self, fig2_proxy_panels):
         params, proxies = fig2_proxy_panels
         prox = proxies[2]
-        res = calibrate_pair(prox.data[0], prox.data[0], 0.05, 0.05,
-                             0.02, 0.02, prox.delta, T=params.T)
+        m0 = calibrate_univariate(prox.data[0], prox.delta, T=params.T)
+        res = calibrate_pair(prox.data[0], prox.data[0], m0, m0, prox.delta)
         assert res.params["g"] == pytest.approx(1.0, abs=0.05)
 
     def test_constraints_hold_by_construction(self, fig2_proxy_panels):
         params, proxies = fig2_proxy_panels
         prox = proxies[3]
-        res = calibrate_pair(prox.data[0], prox.data[1], 0.05, 0.05,
-                             0.02, 0.02, prox.delta, T=params.T)
+        m0, m1 = (calibrate_univariate(row, prox.delta, T=params.T)
+                  for row in prox.data)
+        res = calibrate_pair(prox.data[0], prox.data[1], m0, m1, prox.delta)
         assert abs(res.params["g"]) <= 1.0
-        assert res.params["H_ij"] >= 0.02
+        assert res.params["H_ij"] >= 0.5 * (m0.params["H"] + m1.params["H"])
         assert res.params["xi_ij"] == pytest.approx(
-            res.params["g"] * 0.05, rel=1e-12)
+            res.params["g"] * math.sqrt(m0.params["lambda2"]
+                                        * m1.params["lambda2"]), rel=1e-12)
 
     def test_empty_roughness_bracket_named(self, monkeypatch):
         # both marginals at the roughness ceiling leave no H_ij >= h_bar
@@ -742,24 +747,96 @@ class TestCalibratePair:
         monkeypatch.setattr(est, "_profiled_minimize",
                             lambda *args: calls.append(args))
         x, y = np.random.default_rng(9).standard_normal((2, 512))
+        ceiling = given_marginal(0.4999, 0.05, 512.0)
         with pytest.raises(CalibrationError, match=r"h_bar=0\.4999\b"):
-            calibrate_pair(x, y, 0.05, 0.05, 0.4999, 0.4999, 1.0, T=512.0)
+            calibrate_pair(x, y, ceiling, ceiling, 1.0)
         assert calls == []
 
     def test_misaligned_series_rejected(self):
-        with pytest.raises(ValueError):
+        marginal = given_marginal(0.02, 0.05, 100.0)
+        with pytest.raises(ValueError, match="aligned"):
             calibrate_pair(np.zeros(100) + np.arange(100),
                            np.zeros(50) + np.arange(50),
-                           0.05, 0.05, 0.02, 0.02, 1.0, T=100.0)
+                           marginal, marginal, 1.0)
+
+    @pytest.mark.parametrize("other", [{"T": 1024.0},
+                                       {"grid": LagGrid((1, 2, 4))}],
+                             ids=["T", "lags"])
+    def test_disagreeing_marginal_fits_named(self, other):
+        # the pair takes T and its lags from the marginal fits, so fits at
+        # different T or on different lags have no pair
+        x, y = np.random.default_rng(9).standard_normal((2, 2048))
+        mi = calibrate_univariate(x, 1.0, T=2048.0)
+        mj = calibrate_univariate(y, 1.0, **{"T": 2048.0, **other})
+        lags_i, lags_j = (m.residuals.lags.tolist() for m in (mi, mj))
+        named = re.escape(
+            f"marginal fits disagree: T=2048.0 on lags {lags_i} against "
+            f"T={mj.params['T']!r} on lags {lags_j}")
+        with pytest.raises(ValueError, match=named):
+            calibrate_pair(x, y, mi, mj, 1.0)
 
 
-BAD_SCALES = (0.0, -3.0, math.nan, math.inf, 1.5)
+@pytest.fixture(scope="module")
+def oracle_panels():
+    """fig2-like proxies of 1024 observations at delta = 1 (no aggregation)
+    and at delta = 16, with a 5% mask of each row."""
+    params = ModelParams(T=2**12, H=[[0.02, 0.15], [0.15, 0.02]],
+                         xi=[[0.05, 0.025], [0.025, 0.05]])
+    panels = {}
+    for agg, seed in ((1, 41), (16, 43)):
+        (field,), _ = simulate_field(params, 1024 * agg, 1.0, seed=seed)
+        panels[float(agg)] = field_to_gaussian_proxy(field, agg)
+    mask = np.random.default_rng(47).random((2, 1024)) > 0.05
+    return panels, mask
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestPairTakesMarginalFits:
+    """``calibrate_pair`` on two marginal fits gives the bits of the pair
+    fit that took their values as loose arguments
+    (``conftest.scalar_calibrate_pair``): a marginal fit's residuals are the
+    observed moments minus lambda^2 times the model curve at its H, on the
+    same lags, mask and floats as the old fit's own control variates."""
+
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("t_share", [1.0, 0.125],
+                             ids=["T=N*delta", "T=N*delta/8"])
+    @pytest.mark.parametrize("delta", [1.0, 16.0], ids=["delta-1", "delta-16"])
+    def test_every_fit_keeps_its_bits(self, oracle_panels, delta, t_share,
+                                      masked):
+        panels, mask = oracle_panels
+        panel = panels[delta]
+        t_val = t_share * panel.n * delta
+        masks = tuple(mask) if masked else (None, None)
+        mi, mj = (calibrate_univariate(row, delta, t_val, mask=m)
+                  for row, m in zip(panel.data, masks))
+        got = calibrate_pair(*panel.data, mi, mj, delta, *masks)
+        want = scalar_calibrate_pair(
+            *panel.data, mi.params["lambda2"], mj.params["lambda2"],
+            mi.params["H"], mj.params["H"], delta, t_val, None, *masks)
+        assert got.params.keys() == want.params.keys()
+        for key, value in got.params.items():
+            assert _bits(value) == _bits(want.params[key]), key
+        for name in ("weight", "objective"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name))
+        assert _bits(got.residuals.lags) == _bits(want.residuals.lags)
+        assert _bits(got.residuals.values) == _bits(want.residuals.values)
+        assert (got.iterations, got.converged, got.notes) == (
+            want.iterations, want.converged, want.notes)
+
+
+BAD_SCALES = (0.0, -3.0, math.nan, math.inf, 1.5, 2.0, 2.5)
 
 
 class TestBadScale:
-    """At delta = 1 a T that is not finite or is below 2, where the lag-1
-    block leaves the window, is a ValueError that names T: from each fit,
-    and from a panel before any fit runs."""
+    """At delta = 1 a T that is not finite or is below 3, where the lag-2
+    block leaves the window and at most one lag fits, is a ValueError that
+    names T: from a marginal fit, and from a panel before any fit runs (a
+    pair takes its T from its marginal fits)."""
 
     @staticmethod
     def _series():
@@ -767,12 +844,10 @@ class TestBadScale:
 
     @pytest.mark.parametrize("t_val", BAD_SCALES)
     def test_fits_reject(self, t_val):
-        x, y = self._series()
+        x, _ = self._series()
         named = re.escape(f"T={t_val!r}")
         with pytest.raises(ValueError, match=named):
             calibrate_univariate(x, 1.0, t_val)
-        with pytest.raises(ValueError, match=named):
-            calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, t_val)
 
     @pytest.mark.parametrize("t_val", BAD_SCALES)
     def test_panel_rejects_before_any_fit(self, t_val, monkeypatch):
@@ -786,12 +861,17 @@ class TestBadScale:
             calibrate_panel(panel, T=t_val)
         assert calls == []
 
-    def test_two_delta_fits_lag_one(self):
-        x, y = self._series()
-        grid = LagGrid((1,))
-        assert calibrate_univariate(x, 1.0, 2.0, grid=grid).params["T"] == 2.0
-        assert calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, 2.0,
-                              grid=grid).params["T"] == 2.0
+    @pytest.mark.parametrize("grid", [LagGrid((1,)), LagGrid.default(1),
+                                      LagGrid((1, 200))],
+                             ids=["lag-1", "q=1", "one-below-T"])
+    def test_one_lag_is_not_a_fit(self, grid):
+        # with one lag the profiled amplitude matches it at every roughness,
+        # so the objective is 0 throughout and H is rounding noise
+        x, _ = self._series()
+        with pytest.raises(ValueError, match=re.escape("T=2.0")):
+            calibrate_univariate(x, 1.0, 2.0, grid=grid)
+        with pytest.raises(CalibrationError, match="fewer than 2 grid lags"):
+            calibrate_univariate(x, 1.0, 100.0, grid=grid)
 
 
 class TestWindowRule:
@@ -803,12 +883,18 @@ class TestWindowRule:
         return np.random.default_rng(8).standard_normal((2, 1024))
 
     @pytest.mark.parametrize("t_val", [2.0, 2.5])
-    def test_default_grid_fits_lag_one(self, t_val):
+    def test_default_grid_lag_one_alone_rejected(self, t_val):
+        x, _ = self._series()
+        with pytest.raises(ValueError, match=re.escape(f"T={t_val!r}")):
+            calibrate_univariate(x, 1.0, t_val)
+
+    @pytest.mark.parametrize("t_val", [3.0, 3.5])
+    def test_default_grid_fits_two_lags_from_three_delta(self, t_val):
         x, y = self._series()
-        uni = calibrate_univariate(x, 1.0, t_val)
-        pair = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, t_val)
-        assert list(uni.residuals.lags) == [1.0]
-        assert list(pair.residuals.lags) == [1.0]
+        mi, mj = (calibrate_univariate(s, 1.0, t_val) for s in (x, y))
+        pair = calibrate_pair(x, y, mi, mj, 1.0)
+        assert list(mi.residuals.lags) == [1.0, 2.0]
+        assert list(pair.residuals.lags) == [1.0, 2.0]
 
     def test_last_fitting_lag_kept(self):
         # lag 256 of the default grid fits T = 257 delta exactly
@@ -819,24 +905,34 @@ class TestWindowRule:
     def test_window_cut_names_T(self):
         x, _ = self._series()
         with pytest.raises(CalibrationError,
-                           match=r"no grid lags below 10: .*\(tau \+ 1\) "
-                                 r"delta <= T = 10\.0$"):
-            calibrate_univariate(x, 1.0, 10.0, grid=LagGrid((50,)))
+                           match=r"fewer than 2 grid lags below 10: .*"
+                                 r"\(tau \+ 1\) delta <= T = 10\.0$"):
+            calibrate_univariate(x, 1.0, 10.0, grid=LagGrid((5, 50)))
 
     def test_short_series_named(self):
         x, _ = self._series()
         with pytest.raises(CalibrationError,
-                           match="no grid lags below 40; series too short"):
-            calibrate_univariate(x[:40], 1.0, 1024.0, grid=LagGrid((50,)))
+                           match="fewer than 2 grid lags below 40: series "
+                                 "too short"):
+            calibrate_univariate(x[:40], 1.0, 1024.0, grid=LagGrid((5, 50)))
 
     @given(n=st.integers(2, 2000), delta=st.sampled_from([1.0, 0.5, 16.0]),
            ratio=st.floats(2.0, 3000.0), q=st.integers(0, 22))
     @settings(max_examples=200, deadline=None)
     def test_kept_lags_are_those_below_block_support(self, n, delta, ratio, q):
+        # fewer than two is an error: below T = 3 delta for any grid
         import mlogsfbm.estimate as est
         T = ratio * delta
         support = block_support(n, delta, T)
         below = tuple(t for t in LagGrid.default(q).taus if t < support)
+        if T < 3.0 * delta:
+            with pytest.raises(ValueError, match=re.escape(f"T={T!r}")):
+                est._window_grid(LagGrid.default(q), n, delta, T)
+            return
+        if len(below) < 2:
+            with pytest.raises(CalibrationError, match="fewer than 2"):
+                est._window_grid(LagGrid.default(q), n, delta, T)
+            return
         grid = est._window_grid(LagGrid.default(q), n, delta, T)
         assert grid.taus == below
         # each kept block lies inside the window, and a next grid lag below
@@ -869,12 +965,13 @@ class TestOutOfBoxFit:
 
     def test_pair(self, monkeypatch):
         import mlogsfbm.estimate as est
-        monkeypatch.setattr(est, "_profiled_minimize",
-                            self._profile_returning(0.7))
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal((2, 2048))
+        mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
+        monkeypatch.setattr(est, "_profiled_minimize",
+                            self._profile_returning(0.7))
         with pytest.raises(CalibrationError, match="H_ij=0.7"):
-            calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
+            calibrate_pair(x, y, mi, mj, 1.0)
 
 
 class TestWeightDefects:
@@ -888,10 +985,12 @@ class TestWeightDefects:
 
     def test_pair_inverse_fallback_reported(self, monkeypatch):
         import mlogsfbm.estimate as est
+        x, y = self._series()
+        mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
+        assert "identity-weight-fallback" not in mi.notes + mj.notes
         monkeypatch.setattr(est, "_regularized_inverse",
                             lambda s: (np.eye(s.shape[0]), True))
-        x, y = self._series()
-        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=2048.0)
+        res = calibrate_pair(x, y, mi, mj, 1.0)
         assert "identity-weight-fallback" in res.notes
 
     def test_indefinite_covariance_gives_definite_weight(self, monkeypatch):
@@ -906,11 +1005,11 @@ class TestWeightDefects:
             s[0, 0] -= 0.5 * np.trace(s)
             return s
 
-        monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         x, y = self._series()
+        mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
+        monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         fits = (lambda: calibrate_univariate(x, 1.0, T=2048.0),
-                lambda: calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0,
-                                       T=2048.0))
+                lambda: calibrate_pair(x, y, mi, mj, 1.0))
         for fit, blocks in zip(fits, (1, 6)):
             calls.clear()
             res = fit()
@@ -985,6 +1084,27 @@ class TestCalibratePanel:
                 assert np.array_equal(fit.weight, other.weight), item
                 assert np.array_equal(fit.residuals.values,
                                       other.residuals.values), item
+
+    def test_disagreeing_marginal_fits_fail_their_pairs(
+            self, fig2_proxy_panels, monkeypatch):
+        import mlogsfbm.estimate as est
+        params, proxies = fig2_proxy_panels
+        panel = self.three_rows(proxies)
+        fit = est.calibrate_univariate
+
+        def third_at_half_T(series, delta, T, **kwargs):
+            if np.shares_memory(series, panel.data[2]):
+                T = 0.5 * T
+            return fit(series, delta, T, **kwargs)
+
+        monkeypatch.setattr(est, "calibrate_univariate", third_at_half_T)
+        cal = calibrate_panel(panel, T=params.T)
+        assert list(cal.pairs) == [(0, 1)]
+        assert sorted(cal.failures) == ["pair-0-2", "pair-1-2"]
+        for message in cal.failures.values():
+            assert message.startswith(
+                f"marginal fits disagree: T={params.T!r} on lags ")
+            assert f"against T={0.5 * params.T!r} on lags " in message
 
     def test_only_library_errors_fail_a_pair(self, fig2_proxy_panels,
                                              monkeypatch):
@@ -1204,11 +1324,13 @@ class TestRescaledDifferenceStatistic:
                                        seed=61, n_paths=paths)
             vals = []
             for p in panels:
-                prox = field_to_gaussian_proxy(p, params, agg)
-                curve = empirical_cross_cov(prox.data[0], prox.data[1], grid,
-                                            include_zero=True)
+                prox = field_to_gaussian_proxy(p, agg)
                 n = prox.n
-                rescaled = curve.values * n / (n - curve.lags)
+                x, y = (row - row.mean() for row in prox.data)
+                curve = np.concatenate((
+                    [float(x @ y) / n],
+                    empirical_cross_cov(*prox.data, grid).values))
+                rescaled = curve * n / (n - lags)
                 vals.append(rescaled[1:] - rescaled[0])
             vals = np.array(vals)
             err = np.abs(vals.mean(axis=0) - d_theory)
@@ -1224,7 +1346,7 @@ class TestMaskedCalibration:
     def test_imputed_entries_excluded(self):
         params = ModelParams(T=2**12, H=[[0.15]], xi=[[0.05]])
         panels, _ = simulate_field(params, 2**14, 1.0, seed=91, n_paths=1)
-        prox = field_to_gaussian_proxy(panels[0], params, 16)
+        prox = field_to_gaussian_proxy(panels[0], 16)
         series = prox.data[0].copy()
         mask = np.ones(series.size, bool)
         rng = np.random.default_rng(4)

@@ -162,8 +162,12 @@ class TestAgainstSchurReference:
         est._product_moment_cov = module["_product_moment_cov"] = fake
         # the fake finds its blocks by the identity of the raw sequences
         est._seq_transforms = lambda model_seqs, n, taus: tuple(model_seqs)
+        grid = LagGrid(taus)
+        residuals = np.concatenate([
+            empirical_cross_cov(s, s, grid).values - curve
+            for s, curve in zip((x, y), curves)])
         try:
-            got = _cv_adjusted_cross_moments(observed, (x, y), seqs, curves,
+            got = _cv_adjusted_cross_moments(observed, residuals, seqs,
                                              N_SMALL, taus)
             want = _cv_adjusted_cross_moments_reference(
                 observed, (x, y), seqs, N_SMALL, taus, curve_map)
@@ -185,10 +189,11 @@ class TestAgainstSchurReference:
             calls.append(s.shape)
             return _regularized_inverse(s)
 
-        monkeypatch.setattr(est, "_regularized_inverse", counting)
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((2, 2048))
-        res = calibrate_pair(x, y, 0.05, 0.05, 0.02, 0.02, 1.0, T=t_val)
+        mi, mj = (calibrate_univariate(s, 1.0, T=t_val) for s in (x, y))
+        monkeypatch.setattr(est, "_regularized_inverse", counting)
+        res = calibrate_pair(x, y, mi, mj, 1.0)
         q = len(res.residuals.lags)
         assert calls == [(3 * q, 3 * q)]
 
@@ -250,16 +255,14 @@ def long_window_fit():
                          xi=[[0.05, 0.025], [0.025, 0.05]])
     (panel,), _ = simulate_field(params, 2**18, 1.0, seed=5,
                                  factor=serial_spectral_factor(params, 2**18))
-    proxy = field_to_gaussian_proxy(panel, params, 16)
+    proxy = field_to_gaussian_proxy(panel, 16)
     t_val = proxy.n * proxy.delta
     mi, mj = (calibrate_univariate(proxy.data[i], proxy.delta, T=t_val)
               for i in range(2))
 
     def fit():
-        return calibrate_pair(
-            proxy.data[0], proxy.data[1], mi.params["lambda2"],
-            mj.params["lambda2"], mi.params["H"], mj.params["H"],
-            proxy.delta, T=t_val)
+        return calibrate_pair(proxy.data[0], proxy.data[1], mi, mj,
+                              proxy.delta)
 
     return fit, fit(), (mi, mj)
 

@@ -39,6 +39,41 @@ def test_no_private_cross_module_access():
     assert not found, found
 
 
+def _unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
+    """(line, function, parameter) for each parameter of a function or
+    lambda that its body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [(node.lineno, getattr(node, "name", "<lambda>"), name)
+                   for name in names if name not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each function in the package is read in its body
+    (nested functions count): a value a caller must pass and nothing uses
+    is an interface without a reason."""
+    found = [f"{path.name}:{line} {function}({name})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, function, name in _unread_parameters(
+                 ast.parse(path.read_text()))]
+    assert not found, found
+
+
+def test_unread_parameter_check_sees_one():
+    tree = ast.parse("def f(a, b, *, c=None):\n    return [a, lambda d: c]\n")
+    assert _unread_parameters(tree) == [(1, "f", "b"), (2, "<lambda>", "d")]
+
+
 def test_every_export_resolves():
     """Each name a module lists in ``__all__`` exists in it: a deleted
     function leaves no stale export behind."""

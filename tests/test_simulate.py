@@ -306,7 +306,7 @@ class TestGaussianProxy:
     def test_agg_one_is_identity(self):
         params = small_params()
         panels, _ = simulate_field(params, 256, 1.0, seed=2, n_paths=1)
-        out = field_to_gaussian_proxy(panels[0], params, agg=1)
+        out = field_to_gaussian_proxy(panels[0], agg=1)
         assert np.array_equal(out.data, panels[0].data)
         assert out.provenance == "gaussian-average-proxy"
 
@@ -318,7 +318,7 @@ class TestGaussianProxy:
         agg = 8
         params = small_params(t)
         panels, _ = simulate_field(params, t, 1.0, seed=21, n_paths=120)
-        per_path = [float(np.mean(field_to_gaussian_proxy(p, params, agg).data[0] ** 2))
+        per_path = [float(np.mean(field_to_gaussian_proxy(p, agg).data[0] ** 2))
                     for p in panels]
         pair = PairParams.diagonal(0.05, 0.02, float(t))
         grid = np.arange(agg, dtype=float)
@@ -334,7 +334,7 @@ class TestGaussianProxy:
         pair = params.pair(0, 1)
         lam = math.sqrt(0.05 * 0.05)
         panels, _ = simulate_field(params, t, 1.0, seed=22, n_paths=120)
-        proxies = [field_to_gaussian_proxy(p, params, agg) for p in panels]
+        proxies = [field_to_gaussian_proxy(p, agg) for p in panels]
         for lag in (1, 4, 16):
             per_path = [
                 float(np.mean(p.data[0, : p.n - lag] * p.data[1, lag:]))
@@ -562,7 +562,7 @@ class TestIncrementCorrelationMonteCarlo:
         panels, _ = simulate_field(params, t, 1.0, seed=71, n_paths=200)
         num, var0, var1 = [], [], []
         for p in panels:
-            prox = field_to_gaussian_proxy(p, params, agg)
+            prox = field_to_gaussian_proxy(p, agg)
             d0 = prox.data[0, lag:] - prox.data[0, : prox.n - lag]
             d1 = prox.data[1, lag:] - prox.data[1, : prox.n - lag]
             num.append(float(np.mean(d0 * d1)))
