@@ -600,7 +600,9 @@ def calibrate_pair(
     its two series (with the same ``delta`` and masks): their H, lambda^2
     and T are held fixed, the lags are those of their residuals, and the
     residuals are the control variates of the second stage.  Marginal fits
-    at different T or on different lags are a ``ValueError``.
+    at different T or on different lags are a ``ValueError``; a ``delta``,
+    mask or series length other than the marginal fits' is not detected,
+    and gives wrong control variates and model sequences.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
     (amplitude box / bounded roughness bracket, equivalent to the tanh and
@@ -736,11 +738,12 @@ def calibrate_panel(
     eigenvalues report, not enforce, positive semidefiniteness.  ``mask``
     (d x n, True = valid) excludes imputed entries from the moments.  T
     defaults to N delta; a T that is not finite and at least 3 delta raises
-    ``ValueError`` before any fit runs."""
+    ``ValueError``, and a grid with fewer than two lags in the window
+    ``CalibrationError``, before any fit runs."""
     d = panel.d
     delta = panel.delta
     t_val = T if T is not None else panel.n * delta
-    _check_scale(t_val, delta)
+    _window_grid(grid, panel.n, delta, t_val)
     if mask is not None:
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:

@@ -297,6 +297,21 @@ class TestCalibrateCommand:
         assert calls == []
         assert not (out / "params_estimate.json").exists()
 
+    def test_one_lag_grid_exits_before_any_fit(self, tmp_path,
+                                               simulated_panel, capsys,
+                                               monkeypatch):
+        import mlogsfbm.estimate as est
+        calls = []
+        monkeypatch.setattr(est, "calibrate_univariate",
+                            lambda *args, **kwargs: calls.append(args))
+        panel_path, _ = simulated_panel
+        out = tmp_path / "one-lag"
+        assert main(["calibrate", "--panel", str(panel_path), "--delta", "1",
+                     "--grid-q", "1", "--out", str(out)]) == 2
+        assert "fewer than 2 grid lags" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "params_estimate.json").exists()
+
     def test_market_panel_roundtrip(self, tmp_path):
         # VolPanel-style CSV goes through the market branch
         rng = np.random.default_rng(3)

@@ -861,6 +861,17 @@ class TestBadScale:
             calibrate_panel(panel, T=t_val)
         assert calls == []
 
+    def test_panel_rejects_a_one_lag_grid_before_any_fit(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        calls = []
+        monkeypatch.setattr(est, "calibrate_univariate",
+                            lambda *args, **kwargs: calls.append(args))
+        panel = FieldPanel(data=self._series(), delta=1.0, seed=0,
+                           provenance="gaussian-average-proxy")
+        with pytest.raises(CalibrationError, match="fewer than 2 grid lags"):
+            calibrate_panel(panel, grid=LagGrid.default(1))
+        assert calls == []
+
     @pytest.mark.parametrize("grid", [LagGrid((1,)), LagGrid.default(1),
                                       LagGrid((1, 200))],
                              ids=["lag-1", "q=1", "one-below-T"])
