@@ -79,26 +79,40 @@ def _read_json(path: str, what: str, parse=json.loads):
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = _read_json(path, "config")
-    if not isinstance(doc, dict):
+def _setting(key: str, kind, value):
+    """A config-file value, read as its flag reads the same text."""
+    text = str(value)
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ConfigError(f"config key {key!r}: invalid choice {value!r} "
+                              f"(choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
+                          f"value {value!r}") from None
+
+
+def _resolve(args: argparse.Namespace, command: str, table) -> dict:
+    """flags > config file > defaults.  A null config value leaves the
+    default; a ``command`` key must name this command, so a run's
+    resolved_config.json reruns it; other unknown keys are rejected."""
+    config = {} if args.config is None else _read_json(args.config, "config")
+    if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    return doc
-
-
-def _resolve(args: argparse.Namespace, file_config: dict, defaults: dict) -> dict:
-    """flags > config file > defaults; unknown config keys rejected."""
-    unknown = set(file_config) - set(defaults)
+    unknown = set(config) - {key for key, *_ in table} - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = dict(defaults)
-    resolved.update(file_config)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    if config.get("command") not in (None, command):
+        raise ConfigError(f"config key 'command' is {config['command']!r}, "
+                          f"not {command!r}")
+    resolved = {}
+    for key, kind, default, _ in table:
+        value = getattr(args, key)
+        if value is None and config.get(key) is not None:
+            value = _setting(key, kind, config[key])
+        resolved[key] = default if value is None else value
     return resolved
 
 
@@ -123,42 +137,46 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_DEFAULTS = {
-    "params": None, "n": 16384, "delta": 1.0, "seed": 0, "paths": 1,
-    "agg": 16, "proxy": "gaussian", "format": "csv", "out": "runs/simulate",
-    "x0": "0.0", "substeps": 1,
-}
+# Each command's settings, one (key, type or choices, default, help) each.
+# The flag is --key with "_" written as "-"; a config-file value is read
+# as the flag reads the same text.
+_PROXIES = ("gaussian", "measure")
+_SIMULATE = (
+    ("out", str, "runs/simulate", "output directory"),
+    ("params", str, None, "model parameters JSON (d, T, H, xi)"),
+    ("n", int, 16384, "field samples per marginal"),
+    ("delta", float, 1.0, "field grid step"),
+    ("seed", int, 0, None),
+    ("paths", int, 1, "number of independent paths"),
+    ("agg", int, 16, "aggregation factor (must divide n)"),
+    ("proxy", _PROXIES, "gaussian", None),
+    ("format", ("csv", "binary"), "csv", None),
+    ("x0", str, "0.0", "comma-separated initial prices"),
+    ("substeps", int, 1, "price sub-steps per block"),
+)
 
 
-def cmd_simulate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _SIM_DEFAULTS)
+def cmd_simulate(resolved: dict) -> int:
     if resolved["params"] is None:
         raise ConfigError("a params file is required (--params)")
-    if resolved["proxy"] not in ("gaussian", "measure"):
-        raise ConfigError("proxy mode must be 'gaussian' or 'measure'")
-    if resolved["format"] not in ("csv", "binary"):
-        raise ConfigError("format must be 'csv' or 'binary'")
     params = _load_params(resolved["params"])
-    n, agg = int(resolved["n"]), int(resolved["agg"])
+    n, agg = resolved["n"], resolved["agg"]
     if agg < 1 or n % agg != 0:
         raise ConfigError(f"agg={agg} must divide n={n}")
-    x0 = _parse_float_list(str(resolved["x0"]))
+    if resolved["substeps"] < 1:
+        raise ConfigError(f"substeps={resolved['substeps']} must be >= 1")
+    x0 = _parse_float_list(resolved["x0"])
     if len(x0) == 1:
         x0 = x0 * params.d
     if len(x0) != params.d:
         raise ConfigError(f"x0 needs {params.d} entries")
     out = _out_dir(resolved)
     panels, diagnostics = simulate_field(
-        params, n, float(resolved["delta"]), int(resolved["seed"]),
-        int(resolved["paths"]))
+        params, n, resolved["delta"], resolved["seed"], resolved["paths"])
 
     def dump(panel: FieldPanel, stem: str):
         if resolved["format"] == "binary":
@@ -173,8 +191,8 @@ def cmd_simulate(args) -> int:
         if resolved["proxy"] == "gaussian":
             dump(field_to_gaussian_proxy(panel, agg),
                  f"logvol_proxy_p{panel.path:03d}")
-        prices = simulate_prices(measure, x0, int(resolved["seed"]),
-                                 int(resolved["substeps"]))
+        prices = simulate_prices(measure, x0, resolved["seed"],
+                                 resolved["substeps"])
         (out / f"prices_p{panel.path:03d}.csv").write_text(
             write_table_csv(prices, "x"))
     (out / "diagnostics.json").write_text(
@@ -187,10 +205,14 @@ def cmd_simulate(args) -> int:
 # covariance
 # ---------------------------------------------------------------------------
 
-_COV_DEFAULTS = {
-    "pair": None, "delta": 1.0, "lags": None, "grid_q": 19,
-    "out": "runs/covariance",
-}
+_COVARIANCE = (
+    ("out", str, "runs/covariance", "output directory"),
+    ("pair", str, None,
+     "pair params JSON (g, H_ij, lambda_i2, lambda_j2, H_i, H_j, T)"),
+    ("delta", float, 1.0, "block length"),
+    ("lags", str, None, "comma-separated lags (default: grid)"),
+    ("grid_q", int, 19, None),
+)
 
 
 def _load_pair(path: str) -> PairParams:
@@ -230,16 +252,15 @@ def _write_curve(out: Path, name: str, rows):
     (out / f"{name}.csv").write_text(buf.getvalue())
 
 
-def cmd_covariance(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _COV_DEFAULTS)
+def cmd_covariance(resolved: dict) -> int:
     if resolved["pair"] is None:
         raise ConfigError("a pair params file is required (--pair)")
     pair = _load_pair(resolved["pair"])
-    delta = float(resolved["delta"])
+    delta = resolved["delta"]
     if resolved["lags"] is not None:
-        lags = _parse_float_list(str(resolved["lags"]))
+        lags = _parse_float_list(resolved["lags"])
     else:
-        lags = [float(t) for t in LagGrid.default(int(resolved["grid_q"])).taus]
+        lags = [float(t) for t in LagGrid.default(resolved["grid_q"]).taus]
     out = _out_dir(resolved)
 
     _write_curve(out, "cross_cov",
@@ -264,10 +285,16 @@ def cmd_covariance(args) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-_CAL_DEFAULTS = {
-    "panel": None, "delta": None, "T": None, "grid_q": 19,
-    "out": "runs/calibrate",
-}
+_CALIBRATE = (
+    ("out", str, "runs/calibrate", "output directory"),
+    ("panel", str, None, "panel CSV/binary (simulated or market)"),
+    ("delta", float, None, "panel step override"),
+    ("T", float, None,
+     "correlation scale, finite and at least 3*delta (default N*delta); "
+     "lambda^2 and xi are reported at this T, and when T >= N*delta a "
+     "marginal fixes only lambda^2 T^(-2H)"),
+    ("grid_q", int, 19, None),
+)
 
 
 def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
@@ -291,19 +318,17 @@ def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
     return panel, mask
 
 
-def cmd_calibrate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _CAL_DEFAULTS)
+def cmd_calibrate(resolved: dict) -> int:
     if resolved["panel"] is None:
         raise ConfigError("a panel file is required (--panel)")
     panel, mask = _read_any_panel(resolved["panel"])
     if resolved["delta"] is not None:
-        panel = FieldPanel(data=panel.data, delta=float(resolved["delta"]),
+        panel = FieldPanel(data=panel.data, delta=resolved["delta"],
                            seed=panel.seed, provenance=panel.provenance,
                            path=panel.path)
-    grid = LagGrid.default(int(resolved["grid_q"]))
-    t_val = float(resolved["T"]) if resolved["T"] is not None else None
+    grid = LagGrid.default(resolved["grid_q"])
     out = _out_dir(resolved)
-    cal = calibrate_panel(panel, grid=grid, T=t_val, mask=mask)
+    cal = calibrate_panel(panel, grid=grid, T=resolved["T"], mask=mask)
 
     estimate_doc = {
         "T": cal.T,
@@ -360,24 +385,28 @@ def cmd_calibrate(args) -> int:
 # mc-validate
 # ---------------------------------------------------------------------------
 
-_MC_DEFAULTS = {
-    "params": None, "n_list": "1024", "replicas": 10, "seed": 0, "agg": 16,
-    "proxy": "gaussian", "out": "runs/mc",
-}
+_MC_VALIDATE = (
+    ("out", str, "runs/mc", "output directory"),
+    ("params", str, None, None),
+    ("n_list", str, "1024", "comma-separated observation counts"),
+    ("replicas", int, 10, None),
+    ("seed", int, 0, None),
+    ("agg", int, 16, None),
+    ("proxy", _PROXIES, "gaussian", None),
+)
 
 
-def cmd_mc_validate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _MC_DEFAULTS)
+def cmd_mc_validate(resolved: dict) -> int:
     if resolved["params"] is None:
         raise ConfigError("a params file is required (--params)")
-    params = _load_params(resolved["params"])
     config = McConfig(
-        params=params,
-        n_list=tuple(_parse_int_list(str(resolved["n_list"]))),
-        replicas=int(resolved["replicas"]),
-        seed=int(resolved["seed"]),
-        agg=int(resolved["agg"]),
-        proxy=str(resolved["proxy"]),
+        params=_load_params(resolved["params"]),
+        n_list=tuple(int(tok) for tok in resolved["n_list"].split(",")
+                     if tok.strip()),
+        replicas=resolved["replicas"],
+        seed=resolved["seed"],
+        agg=resolved["agg"],
+        proxy=resolved["proxy"],
     )
     out = _out_dir(resolved)
     report = mc_validate(config)
@@ -396,25 +425,27 @@ def cmd_mc_validate(args) -> int:
 # analyze-index
 # ---------------------------------------------------------------------------
 
-_IDX_DEFAULTS = {
-    "params": None, "weights": None, "taus": "32,64,128", "deltas": "1,4,16",
-    "out": "runs/index",
-}
+_ANALYZE_INDEX = (
+    ("out", str, "runs/index", "output directory"),
+    ("params", str, None, None),
+    ("weights", str, None, "comma-separated index weights"),
+    ("taus", str, "32,64,128", "comma-separated increment lags"),
+    ("deltas", str, "1,4,16", "comma-separated block lengths"),
+)
 
 
-def cmd_analyze_index(args) -> int:
-    resolved = _resolve(args, _load_config(args.config), _IDX_DEFAULTS)
+def cmd_analyze_index(resolved: dict) -> int:
     if resolved["params"] is None:
         raise ConfigError("a params file is required (--params)")
     params = _load_params(resolved["params"])
     if resolved["weights"] is not None:
-        weights = _parse_float_list(str(resolved["weights"]))
+        weights = _parse_float_list(resolved["weights"])
     else:
         weights = [1.0 / params.d] * params.d
     if len(weights) != params.d:
         raise ConfigError(f"weights need {params.d} entries")
-    taus = _parse_float_list(str(resolved["taus"]))
-    deltas = _parse_float_list(str(resolved["deltas"]))
+    taus = _parse_float_list(resolved["taus"])
+    deltas = _parse_float_list(resolved["deltas"])
     out = _out_dir(resolved)
 
     # homogeneous proxies for the ratio bound
@@ -459,63 +490,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mlogsfbm",
         description="coupled rough/multifractal log-volatility toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    # built at each call, not at import, so that a cmd_* function replaced
+    # by a wrapper after import is the one that runs
+    for command, func, table, about in (
+            ("simulate", cmd_simulate, _SIMULATE,
+             "draw field, measure and price panels"),
+            ("covariance", cmd_covariance, _COVARIANCE,
+             "evaluate theoretical curves"),
+            ("calibrate", cmd_calibrate, _CALIBRATE,
+             "fit a panel of log-volatility series"),
+            ("mc-validate", cmd_mc_validate, _MC_VALIDATE,
+             "simulate/calibrate replication sweep"),
+            ("analyze-index", cmd_analyze_index, _ANALYZE_INDEX,
+             "index-aggregation variance study")):
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("simulate", help="draw field, measure and price panels")
-    add_common(p)
-    p.add_argument("--params", help="model parameters JSON (d, T, H, xi)")
-    p.add_argument("--n", type=int, help="field samples per marginal")
-    p.add_argument("--delta", type=float, help="field grid step")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--paths", type=int, help="number of independent paths")
-    p.add_argument("--agg", type=int, help="aggregation factor (must divide n)")
-    p.add_argument("--proxy", choices=["gaussian", "measure"])
-    p.add_argument("--format", choices=["csv", "binary"])
-    p.add_argument("--x0", help="comma-separated initial prices")
-    p.add_argument("--substeps", type=int, help="price sub-steps per block")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("covariance", help="evaluate theoretical curves")
-    add_common(p)
-    p.add_argument("--pair", help="pair params JSON "
-                   "(g, H_ij, lambda_i2, lambda_j2, H_i, H_j, T)")
-    p.add_argument("--delta", type=float, help="block length")
-    p.add_argument("--lags", help="comma-separated lags (default: grid)")
-    p.add_argument("--grid-q", dest="grid_q", type=int)
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("calibrate", help="fit a panel of log-volatility series")
-    add_common(p)
-    p.add_argument("--panel", help="panel CSV/binary (simulated or market)")
-    p.add_argument("--delta", type=float, help="panel step override")
-    p.add_argument("--T", type=float, help=(
-        "correlation scale, finite and at least 3*delta (default N*delta); "
-        "lambda^2 and xi are reported at this T, and when T >= N*delta a "
-        "marginal fixes only lambda^2 T^(-2H)"))
-    p.add_argument("--grid-q", dest="grid_q", type=int)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("mc-validate", help="simulate/calibrate replication sweep")
-    add_common(p)
-    p.add_argument("--params")
-    p.add_argument("--n-list", dest="n_list",
-                   help="comma-separated observation counts")
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--agg", type=int)
-    p.add_argument("--proxy", choices=["gaussian", "measure"])
-    p.set_defaults(func=cmd_mc_validate)
-
-    p = sub.add_parser("analyze-index", help="index-aggregation variance study")
-    add_common(p)
-    p.add_argument("--params")
-    p.add_argument("--weights", help="comma-separated index weights")
-    p.add_argument("--taus", help="comma-separated increment lags")
-    p.add_argument("--deltas", help="comma-separated block lengths")
-    p.set_defaults(func=cmd_analyze_index)
+        for key, kind, _, text in table:
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=None if choices else kind, choices=choices,
+                           help=text)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
@@ -523,7 +518,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args, args.command, args.table))
     except (ConfigError, StructuralError, InadmissibleParamsError,
             OhlcParseError, CalibrationError, McValidationError,
             kernels.KernelDomainError) as exc:

@@ -818,6 +818,11 @@ class McConfig:
             raise ValueError("proxy mode must be 'gaussian' or 'measure'")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if not self.n_list or min(self.n_list) < 2:
+            raise ValueError(f"n_list must hold counts >= 2, got "
+                             f"{list(self.n_list)}")
+        if self.agg < 1:
+            raise ValueError(f"agg must be >= 1, got {self.agg}")
         if self.params.d != 2:
             raise ValueError(f"the validation harness fits one pair and needs "
                              f"d = 2, got d = {self.params.d}")

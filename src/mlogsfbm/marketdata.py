@@ -108,16 +108,22 @@ class VolPanel:
     @classmethod
     def from_csv(cls, text: str) -> "VolPanel":
         rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0][0].lower() != "date":
-            raise OhlcParseError("expected a 'date' header column")
+        if not rows or not rows[0] or rows[0][0].lower() != "date":
+            raise OhlcParseError("expected a 'date' header column on line 1")
         assets = tuple(rows[0][1:])
         dates = []
         values = []
-        for row in rows[1:]:
+        for line_no, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
-            dates.append(dt.date.fromisoformat(row[0]))
-            values.append([float(v) for v in row[1:]])
+            if len(row) != len(rows[0]):
+                raise OhlcParseError(f"line {line_no} has {len(row)} fields, "
+                                     f"expected {len(rows[0])} as in the header")
+            try:
+                dates.append(dt.date.fromisoformat(row[0]))
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise OhlcParseError(f"line {line_no}: {exc}") from None
         data = np.array(values, dtype=float).T
         imputed = data <= math.log(GK_ZERO_FLOOR)
         return cls(assets=assets, dates=tuple(dates), values=data,

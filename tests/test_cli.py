@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlogsfbm import ModelParams, PairParams, msfbm_cross_cov
-from mlogsfbm.cli import _read_any_panel, main
+from mlogsfbm.cli import _build_parser, _read_any_panel, _resolve, main
 from mlogsfbm.simulate import read_panel_csv, write_panel_binary
 
 T_SMALL = float(2**10)
@@ -63,6 +64,15 @@ class TestSimulateCommand:
         code = main(["simulate", "--params", str(params_file), "--n", "1000",
                      "--agg", "16", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_zero_substeps_exits_before_any_output(self, tmp_path,
+                                                   params_file, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--params", str(params_file), "--n", "512",
+                     "--agg", "8", "--substeps", "0", "--out", str(out)])
+        assert code == 2
+        assert "substeps=0 must be >= 1" in capsys.readouterr().err
+        assert not (out / "field_p000.csv").exists()
 
     def test_inadmissible_params(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -312,6 +322,23 @@ class TestCalibrateCommand:
         assert calls == []
         assert not (out / "params_estimate.json").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("\ndate,a\n2020-01-01,1.0\n",
+         "expected a 'date' header column on line 1"),
+        ("date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.0\n",
+         "line 3 has 2 fields, expected 3 as in the header"),
+        ("date,a\n2020-01-01,1.0\n2020-01-32,1.0\n", "line 3: "),
+        ("date,a\n2020-01-01,1.0\n2020-01-02,n/a\n", "line 3: "),
+    ])
+    def test_malformed_market_panel(self, tmp_path, text, message, capsys):
+        path = tmp_path / "vol.csv"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["calibrate", "--panel", str(path),
+                     "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_market_panel_roundtrip(self, tmp_path):
         # VolPanel-style CSV goes through the market branch
         rng = np.random.default_rng(3)
@@ -372,6 +399,21 @@ class TestMcValidateCommand:
         assert code == 2
         assert "MSFBM_WORKERS='two' is not an integer" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-list", "", "n_list must hold counts >= 2, got []"),
+        ("--n-list", "256,1", "n_list must hold counts >= 2, got [256, 1]"),
+        ("--agg", "0", "agg must be >= 1, got 0"),
+    ])
+    def test_sweep_bounds(self, tmp_path, params_file, flag, value, message,
+                          capsys):
+        # the last of two equal flags wins
+        code = main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "256", "--replicas", "2", "--agg", "4",
+                     flag, value, "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
 
     def test_three_marginals_rejected(self, tmp_path, capsys):
         params = ModelParams(T=2.0**10, H=np.full((3, 3), 0.2),
@@ -460,3 +502,143 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"workers": 2}))
         assert main(base + ["--config", str(cfg)]) == 2
         assert "unknown config keys: ['workers']" in capsys.readouterr().err
+
+
+def _options(command):
+    """(flag, dest, resolved default, choices, help) of each option."""
+    parser = _build_parser()
+    args = parser.parse_args([command])
+    defaults = _resolve(args, command, args.table)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [(a.option_strings[0], a.dest, defaults.get(a.dest),
+             list(a.choices) if a.choices else None, a.help)
+            for a in sub._actions if a.dest != "help"]
+
+
+_CONFIG = ("--config", "config", None, None,
+           "JSON config file; flags override it")
+_PROXY = ["gaussian", "measure"]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", [
+            ("--out", "out", "runs/simulate", None, "output directory"),
+            ("--params", "params", None, None,
+             "model parameters JSON (d, T, H, xi)"),
+            ("--n", "n", 16384, None, "field samples per marginal"),
+            ("--delta", "delta", 1.0, None, "field grid step"),
+            ("--seed", "seed", 0, None, None),
+            ("--paths", "paths", 1, None, "number of independent paths"),
+            ("--agg", "agg", 16, None, "aggregation factor (must divide n)"),
+            ("--proxy", "proxy", "gaussian", _PROXY, None),
+            ("--format", "format", "csv", ["csv", "binary"], None),
+            ("--x0", "x0", "0.0", None, "comma-separated initial prices"),
+            ("--substeps", "substeps", 1, None, "price sub-steps per block")]),
+        ("covariance", [
+            ("--out", "out", "runs/covariance", None, "output directory"),
+            ("--pair", "pair", None, None, "pair params JSON "
+             "(g, H_ij, lambda_i2, lambda_j2, H_i, H_j, T)"),
+            ("--delta", "delta", 1.0, None, "block length"),
+            ("--lags", "lags", None, None,
+             "comma-separated lags (default: grid)"),
+            ("--grid-q", "grid_q", 19, None, None)]),
+        ("calibrate", [
+            ("--out", "out", "runs/calibrate", None, "output directory"),
+            ("--panel", "panel", None, None,
+             "panel CSV/binary (simulated or market)"),
+            ("--delta", "delta", None, None, "panel step override"),
+            ("--T", "T", None, None,
+             "correlation scale, finite and at least 3*delta (default "
+             "N*delta); lambda^2 and xi are reported at this T, and when "
+             "T >= N*delta a marginal fixes only lambda^2 T^(-2H)"),
+            ("--grid-q", "grid_q", 19, None, None)]),
+        ("mc-validate", [
+            ("--out", "out", "runs/mc", None, "output directory"),
+            ("--params", "params", None, None, None),
+            ("--n-list", "n_list", "1024", None,
+             "comma-separated observation counts"),
+            ("--replicas", "replicas", 10, None, None),
+            ("--seed", "seed", 0, None, None),
+            ("--agg", "agg", 16, None, None),
+            ("--proxy", "proxy", "gaussian", _PROXY, None)]),
+        ("analyze-index", [
+            ("--out", "out", "runs/index", None, "output directory"),
+            ("--params", "params", None, None, None),
+            ("--weights", "weights", None, None,
+             "comma-separated index weights"),
+            ("--taus", "taus", "32,64,128", None,
+             "comma-separated increment lags"),
+            ("--deltas", "deltas", "1,4,16", None,
+             "comma-separated block lengths")]),
+    ])
+    def test_frozen_options(self, command, options):
+        assert _options(command) == [_CONFIG, *options]
+
+    @pytest.mark.parametrize("command, entry, key", [
+        ("simulate", {"n": 256.9}, "n"),
+        ("simulate", {"seed": 1.5}, "seed"),
+        ("simulate", {"n": True}, "n"),
+        ("simulate", {"paths": [2]}, "paths"),
+        ("simulate", {"proxy": "Gaussian"}, "proxy"),
+        ("simulate", {"command": "calibrate"}, "command"),
+        ("mc-validate", {"replicas": [2]}, "replicas"),
+        ("mc-validate", {"agg": "four"}, "agg"),
+    ])
+    def test_config_value_read_as_its_flag(self, tmp_path, params_file,
+                                           command, entry, key, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": str(params_file), **entry}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_takes_default_and_float_is_recorded_as_float(
+            self, tmp_path, params_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": str(params_file), "n": None,
+                                   "delta": 1, "agg": "16"}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "resolved_config.json").read_text()
+        assert '"delta": 1.0' in text
+        resolved = json.loads(text)
+        assert (resolved["n"], resolved["agg"]) == (16384, 16)
+
+    def test_simulate_reruns_from_resolved_config(self, tmp_path,
+                                                  params_file):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--params", str(params_file), "--n", "512",
+                     "--agg", "8", "--seed", "3", "--x0", "1.0,2.0",
+                     "--proxy", "gaussian", "--out", str(first)]) == 0
+        assert main(["simulate", "--config",
+                     str(first / "resolved_config.json"),
+                     "--out", str(second)]) == 0
+        self.assert_same_outputs(first, second, [
+            "field_p000.csv", "logvol_measure_p000.csv",
+            "logvol_proxy_p000.csv", "prices_p000.csv", "diagnostics.json"])
+
+    def test_calibrate_reruns_from_resolved_config(self, tmp_path,
+                                                   simulated_panel):
+        panel_path, params = simulated_panel
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["calibrate", "--panel", str(panel_path),
+                     "--T", repr(params.T), "--grid-q", "12",
+                     "--out", str(first)]) == 0
+        assert main(["calibrate", "--config",
+                     str(first / "resolved_config.json"),
+                     "--out", str(second)]) == 0
+        self.assert_same_outputs(first, second, [
+            "params_estimate.json", "marginals.json", "pairs.json",
+            "scatter_hurst.csv"])
+
+    @staticmethod
+    def assert_same_outputs(first, second, names):
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        configs = [json.loads((out / "resolved_config.json").read_text())
+                   for out in (first, second)]
+        assert [c.pop("out") for c in configs] == [str(first), str(second)]
+        assert configs[0] == configs[1]

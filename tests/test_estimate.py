@@ -1282,6 +1282,17 @@ class TestMcValidate:
             McConfig(params=params, n_list=(64,), replicas=2, seed=1,
                      proxy="bogus")
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("n_list", dict(n_list=())),
+        ("n_list", dict(n_list=(64, 1))),
+        ("agg", dict(n_list=(64,), agg=0)),
+    ])
+    def test_sweep_bounds_name_the_field(self, field, kwargs):
+        params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
+                             xi=[[0.05, 0.02], [0.02, 0.05]])
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            McConfig(params=params, replicas=2, seed=1, **kwargs)
+
     def test_needs_two_marginals(self):
         # a replica fits marginals 0 and 1 and their pair only
         three = ModelParams(T=2**10, H=np.full((3, 3), 0.2),

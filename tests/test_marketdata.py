@@ -175,3 +175,16 @@ class TestBuildPanel:
         assert back.dates == panel.dates
         assert np.array_equal(back.values, panel.values)
         assert np.array_equal(back.imputed, panel.imputed)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\ndate,A\n2020-01-01,1.0\n",
+         "expected a 'date' header column on line 1"),
+        ("date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.0\n",
+         "line 3 has 2 fields, expected 3 as in the header"),
+        ("date,A\n2020-01-01,1.0\n2020-13-01,1.0\n", "line 3: "),
+        ("date,A\n2020-01-01,x\n", "line 2: could not convert"),
+    ])
+    def test_malformed_csv_names_the_line(self, text, message):
+        with pytest.raises(OhlcParseError) as info:
+            VolPanel.from_csv(text)
+        assert message in str(info.value)
