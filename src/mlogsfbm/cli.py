@@ -8,8 +8,9 @@ outputs are byte-identical given identical configuration and seed; wall
 clock timestamps go to a separate run log.
 
 Exit codes: 0 ok, 2 configuration/validation problem, 3 simulation or
-embedding failure, 4 calibration degradation (fewer than 80% of pairs
-converged).  MSFBM_WORKERS is the one worker setting; no output depends on it.
+embedding failure, 4 calibration degradation (fewer than 80% of the fitted
+pairs converged, or fewer than 80% of the d(d-1)/2 pairs were fitted).
+MSFBM_WORKERS is the one worker setting; no output depends on it.
 """
 
 from __future__ import annotations
@@ -34,13 +35,8 @@ from .estimate import (
     calibrate_panel,
     mc_validate,
 )
-from .marketdata import OhlcParseError, VolPanel
-from .params import (
-    InadmissibleParamsError,
-    ModelParams,
-    PairParams,
-    StructuralError,
-)
+from .marketdata import VolPanel
+from .params import ModelParams, PairParams
 from .simulate import (
     PANEL_MAGIC,
     EmbeddingError,
@@ -137,6 +133,18 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _require_positive(key: str, *values: float):
+    bad = [v for v in values if not v > 0]
+    if bad:
+        raise ConfigError(f"{key} must be positive, got {bad}")
+
+
+def _write_rows(path: Path, header, rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    path.write_text(buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -231,25 +239,16 @@ def _load_pair(path: str) -> PairParams:
     return PairParams(**values)
 
 
-def _curve_rows(lags, evaluator) -> list[tuple]:
+def _curve_rows(lags, kernel) -> list[tuple]:
+    """(lag, value, in_domain) rows; an out-of-domain lag has no value."""
     rows = []
-    for lag in lags:
+    for lag in map(float, lags):
         try:
-            rows.append((lag, evaluator(float(lag)), True))
+            value, ok = float(kernel(lag)), 1
         except kernels.KernelDomainError:
-            rows.append((lag, float("nan"), False))
+            value, ok = math.nan, 0
+        rows.append((repr(lag), "" if math.isnan(value) else repr(value), ok))
     return rows
-
-
-def _write_curve(out: Path, name: str, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lag", "value", "in_domain"])
-    for lag, value, ok in rows:
-        writer.writerow([repr(float(lag)),
-                         "" if math.isnan(value) else repr(float(value)),
-                         int(ok)])
-    (out / f"{name}.csv").write_text(buf.getvalue())
 
 
 def cmd_covariance(resolved: dict) -> int:
@@ -257,26 +256,23 @@ def cmd_covariance(resolved: dict) -> int:
         raise ConfigError("a pair params file is required (--pair)")
     pair = _load_pair(resolved["pair"])
     delta = resolved["delta"]
-    if resolved["lags"] is not None:
-        lags = _parse_float_list(resolved["lags"])
-    else:
-        lags = [float(t) for t in LagGrid.default(resolved["grid_q"]).taus]
+    _require_positive("delta", delta)
+    lags = (LagGrid.default(resolved["grid_q"]).taus if resolved["lags"] is None
+            else _parse_float_list(resolved["lags"]))
     out = _out_dir(resolved)
-
-    _write_curve(out, "cross_cov",
-                 _curve_rows(lags, lambda t: kernels.msfbm_cross_cov(t, pair)))
-    _write_curve(out, "block_cov",
-                 _curve_rows(lags, lambda t: kernels.integrated_cov(t, delta, pair)))
-    _write_curve(out, "logvol_incr_cov",
-                 _curve_rows(lags, lambda t: kernels.logvol_incr_cov(t, delta, pair)))
-    _write_curve(out, "logvol_incr_corr",
-                 _curve_rows(lags, lambda t: kernels.logvol_incr_corr(t, delta, pair)))
-    _write_curve(out, "measure_cross_moment_series",
-                 _curve_rows(lags, lambda t: kernels.mrm_cross_cov_series(
-                     t, delta, pair).value))
-    _write_curve(out, "measure_cross_moment_sia",
-                 _curve_rows(lags, lambda t: kernels.mrm_cross_cov_sia(
-                     t, delta, pair)))
+    for name, kernel in (
+            ("cross_cov", lambda t: kernels.msfbm_cross_cov(t, pair)),
+            ("block_cov", lambda t: kernels.integrated_cov(t, delta, pair)),
+            ("logvol_incr_cov",
+             lambda t: kernels.logvol_incr_cov(t, delta, pair)),
+            ("logvol_incr_corr",
+             lambda t: kernels.logvol_incr_corr(t, delta, pair)),
+            ("measure_cross_moment_series",
+             lambda t: kernels.mrm_cross_cov_series(t, delta, pair).value),
+            ("measure_cross_moment_sia",
+             lambda t: kernels.mrm_cross_cov_sia(t, delta, pair))):
+        _write_rows(out / f"{name}.csv", ("lag", "value", "in_domain"),
+                    _curve_rows(lags, kernel))
     _write_run_artifacts(out, "covariance", resolved)
     return EXIT_OK
 
@@ -318,6 +314,10 @@ def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
     return panel, mask
 
 
+def _nan_to_null(mat) -> list[list]:
+    return [[None if math.isnan(v) else v for v in row] for row in mat]
+
+
 def cmd_calibrate(resolved: dict) -> int:
     if resolved["panel"] is None:
         raise ConfigError("a panel file is required (--panel)")
@@ -332,9 +332,9 @@ def cmd_calibrate(resolved: dict) -> int:
 
     estimate_doc = {
         "T": cal.T,
-        "H": [[None if math.isnan(v) else v for v in row] for row in cal.h_mat],
-        "xi": [[None if math.isnan(v) else v for v in row] for row in cal.xi_mat],
-        "g": [[None if math.isnan(v) else v for v in row] for row in cal.g_mat],
+        "H": _nan_to_null(cal.h_mat),
+        "xi": _nan_to_null(cal.xi_mat),
+        "g": _nan_to_null(cal.g_mat),
         "xi_eigenvalues": (None if cal.xi_eigenvalues is None
                            else list(cal.xi_eigenvalues)),
         "validation": (None if cal.validation is None else str(cal.validation)),
@@ -349,25 +349,15 @@ def cmd_calibrate(resolved: dict) -> int:
         {f"{i}-{j}": res.to_dict() for (i, j), res in sorted(cal.pairs.items())},
         indent=2))
 
-    def scatter(name: str, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["kind", "i", "j", "value"])
-        writer.writerows(rows)
-        (out / f"{name}.csv").write_text(buf.getvalue())
-
     d = panel.d
-    scatter("scatter_hurst",
-            [("marginal", i, i, cal.h_mat[i, i]) for i in range(d)]
-            + [("pair", i, j, cal.h_mat[i, j])
-               for i in range(d) for j in range(i + 1, d)])
-    scatter("scatter_intermittency",
-            [("marginal", i, i, cal.xi_mat[i, i]) for i in range(d)]
-            + [("pair", i, j, cal.xi_mat[i, j])
-               for i in range(d) for j in range(i + 1, d)])
-    scatter("scatter_correlation",
-            [("pair", i, j, cal.g_mat[i, j])
-             for i in range(d) for j in range(i + 1, d)])
+    cells = [("marginal", i, i) for i in range(d)] + [
+        ("pair", i, j) for i in range(d) for j in range(i + 1, d)]
+    for name, mat, with_diagonal in (("hurst", cal.h_mat, True),
+                                      ("intermittency", cal.xi_mat, True),
+                                      ("correlation", cal.g_mat, False)):
+        _write_rows(out / f"scatter_{name}.csv", ("kind", "i", "j", "value"),
+                    [(kind, i, j, mat[i, j]) for kind, i, j in cells
+                     if with_diagonal or kind == "pair"])
     _write_run_artifacts(out, "calibrate", resolved)
     if cal.pairs and cal.converged_pair_fraction < PAIR_CONVERGENCE_FLOOR:
         print(f"calibration degraded: only "
@@ -411,12 +401,9 @@ def cmd_mc_validate(resolved: dict) -> int:
     out = _out_dir(resolved)
     report = mc_validate(config)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "replica", "parameter", "value"])
-    for row in report.replica_rows():
-        writer.writerow([row[0], row[1], row[2], repr(row[3])])
-    (out / "replicas.csv").write_text(buf.getvalue())
+    _write_rows(out / "replicas.csv", ("n", "replica", "parameter", "value"),
+                [(n, rep, name, repr(value))
+                 for n, rep, name, value in report.replica_rows()])
     _write_run_artifacts(out, "mc-validate", resolved)
     return EXIT_OK
 
@@ -446,6 +433,8 @@ def cmd_analyze_index(resolved: dict) -> int:
         raise ConfigError(f"weights need {params.d} entries")
     taus = _parse_float_list(resolved["taus"])
     deltas = _parse_float_list(resolved["deltas"])
+    _require_positive("taus", *taus)
+    _require_positive("deltas", *deltas)
     out = _out_dir(resolved)
 
     # homogeneous proxies for the ratio bound
@@ -454,10 +443,7 @@ def cmd_analyze_index(resolved: dict) -> int:
     off = params.H[~np.eye(d, dtype=bool)]
     h_cross = float(np.mean(off)) if off.size else float("nan")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["tau", "delta", "variance", "cross_term", "diag_term",
-                     "ratio_bound_finite", "ratio_bound_limit", "c_h"])
+    rows = []
     for tau in taus:
         for delta in deltas:
             variance = ("", "", "")
@@ -475,8 +461,10 @@ def cmd_analyze_index(resolved: dict) -> int:
                     bound = (repr(rb.finite), repr(rb.limit), repr(rb.c_h))
                 except kernels.KernelDomainError:
                     pass
-            writer.writerow([tau, delta, *variance, *bound])
-    (out / "index.csv").write_text(buf.getvalue())
+            rows.append((tau, delta, *variance, *bound))
+    _write_rows(out / "index.csv",
+                ("tau", "delta", "variance", "cross_term", "diag_term",
+                 "ratio_bound_finite", "ratio_bound_limit", "c_h"), rows)
     _write_run_artifacts(out, "analyze-index", resolved)
     return EXIT_OK
 
@@ -519,15 +507,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve(args, args.command, args.table))
-    except (ConfigError, StructuralError, InadmissibleParamsError,
-            OhlcParseError, CalibrationError, McValidationError,
-            kernels.KernelDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (EmbeddingError, SimulationError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (ValueError, OSError) as exc:
+    # ConfigError and the library's domain errors are ValueErrors
+    except (ValueError, OSError, CalibrationError, McValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -9,7 +9,10 @@ import pytest
 
 from mlogsfbm import ModelParams, PairParams, msfbm_cross_cov
 from mlogsfbm.cli import _build_parser, _read_any_panel, _resolve, main
+from mlogsfbm.estimate import LagGrid
+from mlogsfbm.kernels import index_variance_decomposition
 from mlogsfbm.simulate import read_panel_csv, write_panel_binary
+from conftest import random_admissible
 
 T_SMALL = float(2**10)
 
@@ -126,6 +129,20 @@ class TestSimulateCommand:
         assert "MSFBM_WORKERS='two' is not an integer" in (
             capsys.readouterr().err)
 
+    def test_embedding_failure_exits_three(self, tmp_path, capsys):
+        # a log (H_00 = 0) marginal next to power-law cross kernels that is
+        # admissible but has no embedding at n = 64 (see test_simulate)
+        drawn = random_admissible(np.random.default_rng(53), 3, T=32)
+        h = np.array(drawn.H, dtype=float)
+        h[0, 0] = 0.0
+        bad = tmp_path / "params.json"
+        bad.write_text(ModelParams(T=drawn.T, H=h, xi=drawn.xi).to_json())
+        code = main(["simulate", "--params", str(bad), "--n", "64",
+                     "--agg", "1", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("simulation error: ")
+        assert not (tmp_path / "o" / "field_p000.csv").exists()
+
     def test_binary_format(self, tmp_path, params_file):
         out = tmp_path / "bin"
         assert main(["simulate", "--params", str(params_file), "--n", "512",
@@ -169,6 +186,27 @@ class TestCovarianceCommand:
         nu2 = 0.05 / (0.1 * 0.8)
         expected = 0.5 * nu2 * (1 - (10.0 / 100.0) ** 0.2)
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("grid_flag, q",
+                             [([], 19), (["--grid-q", "5"], 5)])
+    def test_default_lags_are_the_grid(self, tmp_path, pair_file, grid_flag,
+                                       q):
+        assert main(["covariance", "--pair", str(pair_file), *grid_flag,
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv_rows(tmp_path / "cross_cov.csv")
+        assert [row[0] for row in rows] == [
+            repr(float(t)) for t in LagGrid.default(q).taus]
+
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+    def test_non_positive_delta_exits_before_any_output(self, tmp_path,
+                                                        pair_file, delta,
+                                                        capsys):
+        out = tmp_path / "cov"
+        assert main(["covariance", "--pair", str(pair_file), "--delta", delta,
+                     "--lags", "8", "--out", str(out)]) == 2
+        assert f"delta must be positive, got [{float(delta)!r}]" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_pair_file(self, tmp_path):
         assert main(["covariance", "--pair", str(tmp_path / "nope.json"),
@@ -247,6 +285,29 @@ class TestCalibrateCommand:
                          "--T", repr(params.T), "--out", str(out)]) == 0
             docs.append((out / "params_estimate.json").read_text())
         assert docs[0] == docs[1]
+
+    def test_unconverged_pairs_exit_four_after_writing(
+            self, tmp_path, simulated_panel, monkeypatch, capsys):
+        import dataclasses
+        import mlogsfbm.estimate as est
+        fit = est.calibrate_pair
+        monkeypatch.setattr(est, "calibrate_pair", lambda *args, **kwargs:
+                            dataclasses.replace(fit(*args, **kwargs),
+                                                converged=False))
+        panel_path, params = simulated_panel
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--panel", str(panel_path),
+                     "--T", repr(params.T), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "calibration degraded: only 0% of pairs converged\n")
+        doc = json.loads((out / "params_estimate.json").read_text())
+        assert doc["converged_pair_fraction"] == 0.0
+        assert json.loads((out / "pairs.json").read_text())["0-1"][
+            "converged"] is False
+        for name in ("marginals.json", "scatter_hurst.csv",
+                     "scatter_intermittency.csv", "scatter_correlation.csv",
+                     "resolved_config.json"):
+            assert (out / name).is_file()
 
     def test_missing_panel(self, tmp_path):
         assert main(["calibrate", "--panel", str(tmp_path / "no.csv"),
@@ -465,6 +526,43 @@ class TestAnalyzeIndexCommand:
         _, rows = read_csv_rows(out / "index.csv")
         assert rows[0][4] != ""   # diagonal term present
         assert rows[0][5] == ""   # no cross bound for d = 1
+
+    def test_weights(self, tmp_path, params_file, capsys):
+        params = ModelParams.from_json(params_file.read_text())
+        out = tmp_path / "idx"
+        assert main(["analyze-index", "--params", str(params_file),
+                     "--weights", "0.25,0.75", "--taus", "32",
+                     "--deltas", "4", "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "index.csv")
+        cross, diag = index_variance_decomposition([0.25, 0.75], params,
+                                                   32.0, 4.0)
+        assert rows[0][2:5] == [repr(cross + diag), repr(cross), repr(diag)]
+        assert main(["analyze-index", "--params", str(params_file),
+                     "--weights", "0.2,0.3,0.5",
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "weights need 2 entries" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--deltas", "0,-1", "deltas must be positive, got [0.0, -1.0]"),
+        ("--deltas", "4,-0.5", "deltas must be positive, got [-0.5]"),
+        ("--taus", "0", "taus must be positive, got [0.0]"),
+    ])
+    def test_non_positive_lengths_exit_before_any_output(
+            self, tmp_path, params_file, flag, value, message, capsys):
+        out = tmp_path / "idx"
+        assert main(["analyze-index", "--params", str(params_file),
+                     flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tau_at_T_is_an_out_of_domain_row(self, tmp_path, params_file):
+        out = tmp_path / "idx"
+        assert main(["analyze-index", "--params", str(params_file),
+                     "--taus", f"32,{T_SMALL!r}", "--deltas", "4",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "index.csv")
+        assert rows[0][2] != "" and rows[1][2:5] == ["", "", ""]
 
 
 class TestConfigPrecedence:

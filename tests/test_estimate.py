@@ -1164,6 +1164,23 @@ class TestMcValidate:
         n, rep, name, value = rows[0]
         assert n == 2**8 and rep == 0 and isinstance(value, float)
 
+    def test_measure_proxy_sweep(self, monkeypatch):
+        import mlogsfbm.estimate as est
+        params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],
+                             xi=[[0.05, 0.02], [0.02, 0.05]])
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
+        runs = {proxy: mc_validate(McConfig(
+                    params=params, n_list=(2**8,), replicas=2, seed=3, agg=4,
+                    proxy=proxy)).runs[0]
+                for proxy in ("measure", "gaussian")}
+        measure = runs["measure"]
+        assert measure.failures == ()
+        assert sorted(measure.samples) == sorted(est._PARAM_KEYS)
+        for key, values in measure.samples.items():
+            assert values.shape == (2,) and np.all(np.isfinite(values)), key
+            # the same draws through the other proxy fit other values
+            assert not np.array_equal(values, runs["gaussian"].samples[key])
+
     def test_failure_threshold(self, monkeypatch):
         import mlogsfbm.estimate as est
         params = ModelParams(T=2**10, H=[[0.1, 0.2], [0.2, 0.1]],

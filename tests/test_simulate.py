@@ -276,6 +276,19 @@ class TestMeasure:
         assert np.allclose(out.data, panels[0].data + mu_i(0.04, 0.1),
                            rtol=0, atol=1e-12)
 
+    def test_log_marginal_shift_is_half_the_cutoff_variance(self):
+        # H = 0: the shift is -lambda^2 (ln(T/delta) + 1) / 2, half the
+        # lag-0 variance of the log kernel cut off at the grid step
+        lam2, t, delta = 0.05, 256.0, 0.5
+        params = ModelParams(T=t, H=[[0.0]], xi=[[lam2]])
+        data = np.random.default_rng(9).normal(scale=0.3, size=(1, 64))
+        panel = FieldPanel(data=data, delta=delta, seed=0,
+                           provenance="gaussian-field")
+        shift = field_to_measure(panel, params, agg=1).data - data
+        expected = -0.5 * lam2 * (math.log(t / delta) + 1.0)
+        rounding = 4 * np.finfo(float).eps * (1 + np.abs(data) + abs(expected))
+        assert np.all(np.abs(shift - expected) <= rounding)
+
     def test_unit_mean_normalization(self):
         t = 2**12
         params = small_params(t)
