@@ -104,24 +104,25 @@ class LagGrid:
 
     @classmethod
     def default(cls, q: int = 19) -> "LagGrid":
+        if q < 0:
+            raise ValueError(f"grid q must be at least 0, got {q}")
         return cls(tuple(sorted({math.isqrt(2**k) for k in range(q + 1)})))
-
-    def restrict(self, max_lag_exclusive: int) -> "LagGrid":
-        kept = tuple(t for t in self.taus if t < max_lag_exclusive)
-        if not kept:
-            raise CalibrationError(
-                f"no grid lags below {max_lag_exclusive}; series too short")
-        return LagGrid(kept)
 
 
 @dataclass(frozen=True)
 class GmmResult:
+    """A fit and its window: ``n`` and ``delta`` are the length and step of
+    the fitted series, T is in ``params`` and the lags are those of
+    ``residuals``."""
+
     params: dict
     objective: float
     iterations: int
     converged: bool
     weight: np.ndarray
     residuals: CovCurve
+    n: int
+    delta: float
     notes: tuple = ()
 
     def to_dict(self) -> dict:
@@ -503,31 +504,26 @@ def _cv_adjusted_cross_moments(
 # calibration
 # ---------------------------------------------------------------------------
 
-def _check_scale(T: float, delta: float) -> None:
-    """Reject a correlation scale in which fewer than two lags fit: T must be
-    finite and at least 3 delta, the window of the lag-2 block.  Two lags
-    are the fewest that fix both the amplitude and the roughness: with one,
-    the profiled amplitude matches it at every roughness."""
-    if not (math.isfinite(T) and T >= 3.0 * delta):
-        raise ValueError(f"correlation scale T={T!r} must be finite and at "
-                         f"least 3 delta = {3.0 * delta!r}")
-
-
 def _window_grid(grid: LagGrid | None, n: int, delta: float,
                  T: float) -> LagGrid:
     """The lags of ``grid`` (default ``LagGrid.default()``) below the support
     M = ``block_support(n, delta, T)`` of the model sequences: those below n
-    whose blocks fit inside the window, (tau + 1) delta <= T.  Fewer than
-    two is a ``CalibrationError`` (see ``_check_scale``)."""
-    _check_scale(T, delta)
+    whose blocks fit inside the window, (tau + 1) delta <= T.  A fit needs
+    two lags, the fewest that fix both the amplitude and the roughness (with
+    one, the profiled amplitude matches it at every roughness).  So a T that
+    is not finite and at least 3 delta, the window of the lag-2 block, is a
+    ``ValueError``, and fewer than two lags below M a ``CalibrationError``."""
+    if not (math.isfinite(T) and T >= 3.0 * delta):
+        raise ValueError(f"correlation scale T={T!r} must be finite and at "
+                         f"least 3 delta = {3.0 * delta!r}")
     support = block_support(n, delta, T)
-    grid = grid or LagGrid.default()
-    if sum(t < support for t in grid.taus) < 2:
+    kept = tuple(t for t in (grid or LagGrid.default()).taus if t < support)
+    if len(kept) < 2:
         why = (f"a lag's block must fit the window, (tau + 1) delta <= "
                f"T = {T!r}" if support < n else "series too short")
         raise CalibrationError(
             f"fewer than 2 grid lags below {support}: {why}")
-    return grid.restrict(support)
+    return LagGrid(kept)
 
 
 def calibrate_univariate(
@@ -584,7 +580,8 @@ def calibrate_univariate(
                      objective=float(second.objective),
                      iterations=int(first.evals + second.evals),
                      converged=bool(first.converged and second.converged),
-                     weight=weight, residuals=residuals, notes=tuple(notes))
+                     weight=weight, residuals=residuals, n=n, delta=delta,
+                     notes=tuple(notes))
 
 
 def calibrate_pair(
@@ -592,36 +589,36 @@ def calibrate_pair(
     logvol_j: np.ndarray,
     marginal_i: GmmResult,
     marginal_j: GmmResult,
-    delta: float,
     mask_i: np.ndarray | None = None,
     mask_j: np.ndarray | None = None,
 ) -> GmmResult:
     """Fit (g, H_ij) for one pair given the ``calibrate_univariate`` fits of
-    its two series (with the same ``delta`` and masks): their H, lambda^2
-    and T are held fixed, the lags are those of their residuals, and the
+    its two series (with the same masks): their H and lambda^2 are held
+    fixed, the pair runs on their window (n, delta, T and lags), and their
     residuals are the control variates of the second stage.  Marginal fits
-    at different T or on different lags are a ``ValueError``; a ``delta``,
-    mask or series length other than the marginal fits' is not detected,
-    and gives wrong control variates and model sequences.
+    on different windows, or a series whose length is not their n, are a
+    ``ValueError``; a mask other than the marginal fits' is not detected.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
     (amplitude box / bounded roughness bracket, equivalent to the tanh and
     scaled-logistic reparametrization of the same objective); the derived
     amplitude xi_ij = g sqrt(lambda_i^2 lambda_j^2) is returned alongside.
     """
+    fits = (marginal_i, marginal_j)
+    window_i, window_j = ((m.n, m.delta, m.params["T"],
+                           m.residuals.lags.tolist()) for m in fits)
+    if window_i != window_j:
+        raise ValueError("marginal fits disagree: n={}, delta={!r}, T={!r} "
+                         "on lags {} against n={}, delta={!r}, T={!r} on "
+                         "lags {}".format(*window_i, *window_j))
+    n, delta, T, lags = window_i
     x = _prepare_series(logvol_i, mask_i)
     y = _prepare_series(logvol_j, mask_j)
-    if x.size != y.size:
-        raise ValueError("series must be aligned")
-    n = x.size
-    fits = (marginal_i, marginal_j)
-    (H_i, lambda_i2, T), (H_j, lambda_j2, T_j) = (
-        (m.params["H"], m.params["lambda2"], m.params["T"]) for m in fits)
-    lags, lags_j = (m.residuals.lags for m in fits)
-    if T != T_j or not np.array_equal(lags, lags_j):
-        raise ValueError(f"marginal fits disagree: T={T!r} on lags "
-                         f"{lags.tolist()} against T={T_j!r} on lags "
-                         f"{lags_j.tolist()}")
+    if not x.size == y.size == n:
+        raise ValueError(f"series of lengths {x.size} and {y.size} are not "
+                         f"aligned with the marginal fits' n={n}")
+    (H_i, lambda_i2), (H_j, lambda_j2) = (
+        (m.params["H"], m.params["lambda2"]) for m in fits)
     hbar = 0.5 * (H_i + H_j)
     h_lo, h_hi = hbar + 1e-6, 0.4999
     if not h_lo < h_hi:
@@ -669,7 +666,8 @@ def calibrate_pair(
         objective=float(second.objective),
         iterations=int(first.evals + second.evals),
         converged=bool(first.converged and second.converged),
-        weight=weight, residuals=residuals, notes=tuple(notes))
+        weight=weight, residuals=residuals, n=n, delta=delta,
+        notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -683,10 +681,6 @@ class PanelCalibration:
     xi_eigenvalues: np.ndarray | None
     validation: ValidationReport | None
     T: float
-
-    @property
-    def d(self) -> int:
-        return self.h_mat.shape[0]
 
     @property
     def complete(self) -> bool:
@@ -759,7 +753,7 @@ def calibrate_panel(
         if i not in marginals or j not in marginals:
             raise CalibrationError("marginal fit missing")
         return calibrate_pair(panel.data[i], panel.data[j], marginals[i],
-                              marginals[j], delta, mask_i=row_mask(i),
+                              marginals[j], mask_i=row_mask(i),
                               mask_j=row_mask(j))
 
     marginals, failed = _run_each(fit_marginal, range(d))
@@ -897,8 +891,7 @@ def _one_replica(config: McConfig, factor: SpectralFactor, run_seed: int,
     t_true = config.params.T
     res0 = calibrate_univariate(agg_panel.data[0], agg_panel.delta, t_true)
     res1 = calibrate_univariate(agg_panel.data[1], agg_panel.delta, t_true)
-    pair = calibrate_pair(agg_panel.data[0], agg_panel.data[1], res0, res1,
-                          agg_panel.delta)
+    pair = calibrate_pair(agg_panel.data[0], agg_panel.data[1], res0, res1)
     return {
         "H_0": res0.params["H"], "lambda2_0": res0.params["lambda2"],
         "H_1": res1.params["H"], "lambda2_1": res1.params["lambda2"],

@@ -144,7 +144,8 @@ def _header_index(header: list) -> dict:
 
 
 def parse_ohlc_csv(source) -> tuple[list, ParseReport]:
-    """Parse one asset's bars from a CSV path, file object, or text.
+    """Parse one asset's bars from a ``Path``, a file object, or CSV text
+    (a ``str`` is always the text, never a file name).
 
     Extra columns are ignored; bars violating the range invariants are
     dropped and counted in the report; duplicate dates are an error.
@@ -154,8 +155,6 @@ def parse_ohlc_csv(source) -> tuple[list, ParseReport]:
         text = source.read()
     elif isinstance(source, Path):
         text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source and Path(source).is_file():
-        text = Path(source).read_text()
     else:
         text = str(source)
     rows = list(csv.reader(io.StringIO(text)))

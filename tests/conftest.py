@@ -295,14 +295,22 @@ def scalar_calibrate_pair(
         objective=float(second.objective),
         iterations=int(first.evals + second.evals),
         converged=bool(first.converged and second.converged),
-        weight=weight, residuals=residuals, notes=tuple(notes))
+        weight=weight, residuals=residuals, n=n, delta=delta,
+        notes=tuple(notes))
 
 
-def given_marginal(H: float, lambda2: float, T: float,
+def given_marginal(H: float, lambda2: float, T: float, n: int,
                    lags: Sequence[int] = (1, 2)) -> GmmResult:
-    """A marginal fit at given values, built directly for the pair tests
-    that need them: zero residuals on ``lags``, no search."""
+    """A marginal fit at given values on the window (n, delta = 1, T, lags),
+    built directly for the pair tests that need them: zero residuals, no
+    search."""
     q = len(lags)
     return GmmResult(params={"H": H, "lambda2": lambda2, "T": T},
                      objective=0.0, iterations=0, converged=True,
-                     weight=np.eye(q), residuals=CovCurve(lags, np.zeros(q)))
+                     weight=np.eye(q), residuals=CovCurve(lags, np.zeros(q)),
+                     n=n, delta=1.0)
+
+
+def default_lags_below(support: int) -> tuple[int, ...]:
+    """The lags of ``LagGrid.default()`` below ``support``."""
+    return tuple(t for t in LagGrid.default().taus if t < support)

@@ -188,14 +188,18 @@ class TestCovarianceCommand:
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("grid_flag, q",
-                             [([], 19), (["--grid-q", "5"], 5)])
+                             [([], 19), (["--grid-q", "5"], 5),
+                              (["--grid-q", "1"], 1), (["--grid-q", "0"], 0)])
     def test_default_lags_are_the_grid(self, tmp_path, pair_file, grid_flag,
                                        q):
+        # q = 0 and q = 1 both give the one-lag grid (1,): one row a curve
         assert main(["covariance", "--pair", str(pair_file), *grid_flag,
                      "--out", str(tmp_path)]) == 0
-        _, rows = read_csv_rows(tmp_path / "cross_cov.csv")
-        assert [row[0] for row in rows] == [
-            repr(float(t)) for t in LagGrid.default(q).taus]
+        curves = sorted(tmp_path.glob("*.csv"))
+        assert len(curves) == 6
+        for path in curves:
+            assert [row[0] for row in read_csv_rows(path)[1]] == [
+                repr(float(t)) for t in LagGrid.default(q).taus]
 
     @pytest.mark.parametrize("delta", ["0", "-1", "nan"])
     def test_non_positive_delta_exits_before_any_output(self, tmp_path,
@@ -206,6 +210,13 @@ class TestCovarianceCommand:
                      "--lags", "8", "--out", str(out)]) == 2
         assert f"delta must be positive, got [{float(delta)!r}]" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_grid_q_names_q(self, tmp_path, pair_file, capsys):
+        out = tmp_path / "cov"
+        assert main(["covariance", "--pair", str(pair_file), "--grid-q", "-3",
+                     "--out", str(out)]) == 2
+        assert "grid q must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_pair_file(self, tmp_path):
@@ -249,6 +260,22 @@ def simulated_panel(tmp_path_factory):
     out = tmp / "sim"
     assert main(["simulate", "--params", str(ppath), "--n", str(2**13),
                  "--seed", "11", "--agg", "16", "--out", str(out)]) == 0
+    return out / "logvol_proxy_p000.csv", params
+
+
+@pytest.fixture(scope="module")
+def five_asset_panel(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("panel5")
+    h = np.full((5, 5), 0.2)
+    np.fill_diagonal(h, 0.05)
+    xi = np.full((5, 5), 0.02)
+    np.fill_diagonal(xi, 0.05)
+    params = ModelParams(T=float(2**9), H=h, xi=xi)
+    ppath = tmp / "params.json"
+    ppath.write_text(params.to_json())
+    out = tmp / "sim"
+    assert main(["simulate", "--params", str(ppath), "--n", str(2**13),
+                 "--seed", "13", "--agg", "16", "--out", str(out)]) == 0
     return out / "logvol_proxy_p000.csv", params
 
 
@@ -308,6 +335,36 @@ class TestCalibrateCommand:
                      "scatter_intermittency.csv", "scatter_correlation.csv",
                      "resolved_config.json"):
             assert (out / name).is_file()
+
+    def test_pair_failures_exit_four_after_writing(
+            self, tmp_path, five_asset_panel, monkeypatch, capsys):
+        # 3 of the 10 pairs fail and the other 7 converge: 7 fitted pairs
+        # are below 80% of 10, the second exit-4 rule
+        import dataclasses
+        import mlogsfbm.estimate as est
+        panel_path, params = five_asset_panel
+        panel, _ = _read_any_panel(str(panel_path))
+        rows = {row.tobytes(): i for i, row in enumerate(panel.data)}
+        failing = {(0, 1), (1, 2), (3, 4)}
+        fit = est.calibrate_pair
+
+        def some_fail(x, y, *args, **kwargs):
+            if (rows[x.tobytes()], rows[y.tobytes()]) in failing:
+                raise est.CalibrationError("forced")
+            return dataclasses.replace(fit(x, y, *args, **kwargs),
+                                       converged=True)
+
+        monkeypatch.setattr(est, "calibrate_pair", some_fail)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--panel", str(panel_path),
+                     "--T", repr(params.T), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "calibration degraded: pair failures\n")
+        doc = json.loads((out / "params_estimate.json").read_text())
+        assert doc["failures"] == {f"pair-{i}-{j}": "forced"
+                                   for i, j in sorted(failing)}
+        assert doc["converged_pair_fraction"] == 1.0
+        assert len(json.loads((out / "pairs.json").read_text())) == 7
 
     def test_missing_panel(self, tmp_path):
         assert main(["calibrate", "--panel", str(tmp_path / "no.csv"),

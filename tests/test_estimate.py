@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import re
 import weakref
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import _curve_map, given_marginal, scalar_calibrate_pair
+from conftest import (_curve_map, default_lags_below, given_marginal,
+                      scalar_calibrate_pair)
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     CalibrationError,
@@ -48,11 +50,11 @@ class TestLagGrid:
         # duplicates from floor(sqrt(2^k)) removed: 20 raw values, 18 kept
         assert len(grid.taus) == 18
 
-    def test_restrict(self):
-        grid = LagGrid.default().restrict(100)
-        assert grid.taus[-1] == 90
-        with pytest.raises(CalibrationError):
-            LagGrid.default().restrict(1)
+    @pytest.mark.parametrize("q", [-1, -3])
+    def test_negative_q_named(self, q):
+        with pytest.raises(ValueError, match=f"grid q must be at least 0, "
+                                             f"got {q}$"):
+            LagGrid.default(q)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -335,7 +337,7 @@ class TestCurveMap:
     def test_constant_sequence_has_zero_expectation(self, n):
         # the demeaned moments cannot see a constant: exactly 0 when the
         # entries are dyadic (n a power of two), else within their rounding
-        taus = LagGrid.default().restrict(n).taus
+        taus = default_lags_below(n)
         curve_map = _curve_map(n, taus, n)
         zero = curve_map @ np.ones(n)
         if n & (n - 1) == 0:
@@ -348,8 +350,7 @@ class TestCurveMap:
                              ids=["T-1024-delta", "T-N-delta"])
     def test_fixed_shapes_match_oracle(self, t_over_delta):
         n, delta = 2**14, 16.0
-        taus = LagGrid.default().restrict(
-            min(n, t_over_delta - 1)).taus
+        taus = default_lags_below(min(n, t_over_delta - 1))
         support = block_support(n, delta, t_over_delta * delta)
         curve_map = _curve_map(n, taus, support)
         for hij, h_bar in ((0.02, 0.02), (0.15, 0.02), (0.25, 0.25)):
@@ -445,7 +446,7 @@ class TestClosedFormCurve:
     @pytest.mark.parametrize("delta", [1.0, 16.0])
     def test_fixed_shapes(self, t_over_delta, delta):
         n, T = 2**14, t_over_delta * delta
-        taus = LagGrid.default().restrict(block_support(n, delta, T)).taus
+        taus = default_lags_below(block_support(n, delta, T))
         for h_ij, h_bar in ((0.0, 0.0), (0.02, 0.02), (0.15, 0.02),
                             (0.25, 0.25), (0.45, 0.05), (0.4999, 0.4999)):
             got = _model_curve(n, taus, delta, T)(h_ij, h_bar)
@@ -549,7 +550,7 @@ class TestCurveCost:
         x, y = self._series()
         mi, mj = (calibrate_univariate(s, 1.0, T=t_val) for s in (x, y))
         built = self._count(monkeypatch)
-        res = calibrate_pair(x, y, mi, mj, 1.0)
+        res = calibrate_pair(x, y, mi, mj)
         assert len(built) == 3
         assert res.iterations > 20
 
@@ -578,7 +579,7 @@ class TestScaleInvariance:
                                                    delta, seed):
         t, t2 = base * n * delta, base * ratio * n * delta
         assert block_support(n, delta, t) == block_support(n, delta, t2) == n
-        taus = LagGrid.default().restrict(n).taus
+        taus = default_lags_below(n)
 
         # the unit curves scale by (T'/T)^(-2h): the closed form has no term
         # in r(0), so only the rounding of r(0) - r(k) and of the block
@@ -713,8 +714,7 @@ class TestCalibratePair:
         for prox in proxies:
             m0 = calibrate_univariate(prox.data[0], prox.delta, T=params.T)
             m1 = calibrate_univariate(prox.data[1], prox.delta, T=params.T)
-            res = calibrate_pair(prox.data[0], prox.data[1], m0, m1,
-                                 prox.delta)
+            res = calibrate_pair(prox.data[0], prox.data[1], m0, m1)
             gs.append(res.params["g"])
             hs.append(res.params["H_ij"])
         assert np.mean(gs) == pytest.approx(0.5, abs=0.15)
@@ -724,7 +724,7 @@ class TestCalibratePair:
         params, proxies = fig2_proxy_panels
         prox = proxies[2]
         m0 = calibrate_univariate(prox.data[0], prox.delta, T=params.T)
-        res = calibrate_pair(prox.data[0], prox.data[0], m0, m0, prox.delta)
+        res = calibrate_pair(prox.data[0], prox.data[0], m0, m0)
         assert res.params["g"] == pytest.approx(1.0, abs=0.05)
 
     def test_constraints_hold_by_construction(self, fig2_proxy_panels):
@@ -732,7 +732,7 @@ class TestCalibratePair:
         prox = proxies[3]
         m0, m1 = (calibrate_univariate(row, prox.delta, T=params.T)
                   for row in prox.data)
-        res = calibrate_pair(prox.data[0], prox.data[1], m0, m1, prox.delta)
+        res = calibrate_pair(prox.data[0], prox.data[1], m0, m1)
         assert abs(res.params["g"]) <= 1.0
         assert res.params["H_ij"] >= 0.5 * (m0.params["H"] + m1.params["H"])
         assert res.params["xi_ij"] == pytest.approx(
@@ -747,33 +747,54 @@ class TestCalibratePair:
         monkeypatch.setattr(est, "_profiled_minimize",
                             lambda *args: calls.append(args))
         x, y = np.random.default_rng(9).standard_normal((2, 512))
-        ceiling = given_marginal(0.4999, 0.05, 512.0)
+        ceiling = given_marginal(0.4999, 0.05, 512.0, 512)
         with pytest.raises(CalibrationError, match=r"h_bar=0\.4999\b"):
-            calibrate_pair(x, y, ceiling, ceiling, 1.0)
+            calibrate_pair(x, y, ceiling, ceiling)
         assert calls == []
 
     def test_misaligned_series_rejected(self):
-        marginal = given_marginal(0.02, 0.05, 100.0)
+        marginal = given_marginal(0.02, 0.05, 100.0, 100)
         with pytest.raises(ValueError, match="aligned"):
             calibrate_pair(np.zeros(100) + np.arange(100),
                            np.zeros(50) + np.arange(50),
-                           marginal, marginal, 1.0)
+                           marginal, marginal)
+
+    def test_takes_its_window_from_the_marginal_fits(self):
+        assert list(inspect.signature(calibrate_pair).parameters) == [
+            "logvol_i", "logvol_j", "marginal_i", "marginal_j", "mask_i",
+            "mask_j"]
 
     @pytest.mark.parametrize("other", [{"T": 1024.0},
-                                       {"grid": LagGrid((1, 2, 4))}],
-                             ids=["T", "lags"])
+                                       {"grid": LagGrid((1, 2, 4))},
+                                       {"delta": 16.0}, {"n": 1024}],
+                             ids=["T", "lags", "delta", "n"])
     def test_disagreeing_marginal_fits_named(self, other):
-        # the pair takes T and its lags from the marginal fits, so fits at
-        # different T or on different lags have no pair
+        # the pair runs on the marginal fits' window (n, delta, T, lags), so
+        # fits on different windows have no pair.  At T = 16 N delta every
+        # fit but the grid one keeps the whole default grid, so each differs
+        # from the first fit in the one value named
         x, y = np.random.default_rng(9).standard_normal((2, 2048))
-        mi = calibrate_univariate(x, 1.0, T=2048.0)
-        mj = calibrate_univariate(y, 1.0, **{"T": 2048.0, **other})
-        lags_i, lags_j = (m.residuals.lags.tolist() for m in (mi, mj))
-        named = re.escape(
-            f"marginal fits disagree: T=2048.0 on lags {lags_i} against "
-            f"T={mj.params['T']!r} on lags {lags_j}")
-        with pytest.raises(ValueError, match=named):
-            calibrate_pair(x, y, mi, mj, 1.0)
+        fit_i = {"delta": 1.0, "T": 32768.0}
+        fit_j = {"n": 2048, **fit_i, **other}
+        mi = calibrate_univariate(x, **fit_i)
+        mj = calibrate_univariate(y[:fit_j.pop("n")], **fit_j)
+        if "grid" not in other:
+            assert mi.residuals.lags.tolist() == mj.residuals.lags.tolist()
+        window_i, window_j = (
+            f"n={m.n}, delta={m.delta!r}, T={m.params['T']!r} on lags "
+            f"{m.residuals.lags.tolist()}" for m in (mi, mj))
+        named = re.escape(f"marginal fits disagree: {window_i} against "
+                          f"{window_j}")
+        with pytest.raises(ValueError, match=named + "$"):
+            calibrate_pair(x, y, mi, mj)
+
+    def test_series_shorter_than_the_fits_rejected(self):
+        x, y = np.random.default_rng(9).standard_normal((2, 2048))
+        mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
+        with pytest.raises(ValueError, match=re.escape(
+                "series of lengths 1024 and 1024 are not aligned with the "
+                "marginal fits' n=2048")):
+            calibrate_pair(x[:1024], y[:1024], mi, mj)
 
 
 @pytest.fixture(scope="module")
@@ -814,7 +835,7 @@ class TestPairTakesMarginalFits:
         masks = tuple(mask) if masked else (None, None)
         mi, mj = (calibrate_univariate(row, delta, t_val, mask=m)
                   for row, m in zip(panel.data, masks))
-        got = calibrate_pair(*panel.data, mi, mj, delta, *masks)
+        got = calibrate_pair(*panel.data, mi, mj, *masks)
         want = scalar_calibrate_pair(
             *panel.data, mi.params["lambda2"], mj.params["lambda2"],
             mi.params["H"], mj.params["H"], delta, t_val, None, *masks)
@@ -903,7 +924,7 @@ class TestWindowRule:
     def test_default_grid_fits_two_lags_from_three_delta(self, t_val):
         x, y = self._series()
         mi, mj = (calibrate_univariate(s, 1.0, t_val) for s in (x, y))
-        pair = calibrate_pair(x, y, mi, mj, 1.0)
+        pair = calibrate_pair(x, y, mi, mj)
         assert list(mi.residuals.lags) == [1.0, 2.0]
         assert list(pair.residuals.lags) == [1.0, 2.0]
 
@@ -982,7 +1003,7 @@ class TestOutOfBoxFit:
         monkeypatch.setattr(est, "_profiled_minimize",
                             self._profile_returning(0.7))
         with pytest.raises(CalibrationError, match="H_ij=0.7"):
-            calibrate_pair(x, y, mi, mj, 1.0)
+            calibrate_pair(x, y, mi, mj)
 
 
 class TestWeightDefects:
@@ -1001,7 +1022,7 @@ class TestWeightDefects:
         assert "identity-weight-fallback" not in mi.notes + mj.notes
         monkeypatch.setattr(est, "_regularized_inverse",
                             lambda s: (np.eye(s.shape[0]), True))
-        res = calibrate_pair(x, y, mi, mj, 1.0)
+        res = calibrate_pair(x, y, mi, mj)
         assert "identity-weight-fallback" in res.notes
 
     def test_indefinite_covariance_gives_definite_weight(self, monkeypatch):
@@ -1020,7 +1041,7 @@ class TestWeightDefects:
         mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
         monkeypatch.setattr(est, "_product_moment_cov", indefinite)
         fits = (lambda: calibrate_univariate(x, 1.0, T=2048.0),
-                lambda: calibrate_pair(x, y, mi, mj, 1.0))
+                lambda: calibrate_pair(x, y, mi, mj))
         for fit, blocks in zip(fits, (1, 6)):
             calls.clear()
             res = fit()
@@ -1114,8 +1135,10 @@ class TestCalibratePanel:
         assert sorted(cal.failures) == ["pair-0-2", "pair-1-2"]
         for message in cal.failures.values():
             assert message.startswith(
-                f"marginal fits disagree: T={params.T!r} on lags ")
-            assert f"against T={0.5 * params.T!r} on lags " in message
+                f"marginal fits disagree: n={panel.n}, delta={panel.delta!r}, "
+                f"T={params.T!r} on lags ")
+            assert (f"against n={panel.n}, delta={panel.delta!r}, "
+                    f"T={0.5 * params.T!r} on lags ") in message
 
     def test_only_library_errors_fail_a_pair(self, fig2_proxy_panels,
                                              monkeypatch):

@@ -193,7 +193,7 @@ class TestAgainstSchurReference:
         x, y = rng.standard_normal((2, 2048))
         mi, mj = (calibrate_univariate(s, 1.0, T=t_val) for s in (x, y))
         monkeypatch.setattr(est, "_regularized_inverse", counting)
-        res = calibrate_pair(x, y, mi, mj, 1.0)
+        res = calibrate_pair(x, y, mi, mj)
         q = len(res.residuals.lags)
         assert calls == [(3 * q, 3 * q)]
 
@@ -261,8 +261,7 @@ def long_window_fit():
               for i in range(2))
 
     def fit():
-        return calibrate_pair(proxy.data[0], proxy.data[1], mi, mj,
-                              proxy.delta)
+        return calibrate_pair(proxy.data[0], proxy.data[1], mi, mj)
 
     return fit, fit(), (mi, mj)
 

@@ -72,6 +72,19 @@ class TestParse:
         with pytest.raises(OhlcParseError, match="empty"):
             parse_ohlc_csv("")
 
+    def test_path_is_read(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(SAMPLE)
+        assert parse_ohlc_csv(path) == parse_ohlc_csv(SAMPLE)
+
+    def test_file_name_as_str_is_text(self, tmp_path):
+        # a str is always CSV text: an existing file's name is a one-cell
+        # header, not a path to read
+        path = tmp_path / "bars.csv"
+        path.write_text(SAMPLE)
+        with pytest.raises(OhlcParseError, match="header missing columns"):
+            parse_ohlc_csv(str(path))
+
     def test_unparseable_rows_counted(self):
         text = ("Date,Open,High,Low,Close\n"
                 "2020-01-02,100,104,99,103\n"

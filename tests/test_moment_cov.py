@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import default_lags_below
 from mlogsfbm.estimate import (
-    LagGrid,
     _joint_moment_cov,
     _product_moment_cov,
     _seq_transforms,
@@ -150,8 +150,7 @@ def _pattern_args(name, t_val):
 
 def _fixed_taus(t_val):
     # the lags the calibrations keep: blocks must fit inside T
-    return LagGrid.default().restrict(
-        min(N_FIXED, int((t_val - DELTA) // DELTA))).taus
+    return default_lags_below(min(N_FIXED, int((t_val - DELTA) // DELTA)))
 
 
 @pytest.mark.parametrize("t_val", [1024 * DELTA, N_FIXED * DELTA],

@@ -36,6 +36,13 @@ class TestValidate:
         report = validate(ModelParams(T=10.0, H=h, xi=xi))
         assert "symmetry-xi" in report.codes()
 
+    def test_asymmetric_hurst_reported(self):
+        h = np.array([[0.02, 0.15], [0.16, 0.02]])
+        xi = np.array([[0.05, 0.025], [0.025, 0.05]])
+        hits = [v for v in validate(ModelParams(T=10.0, H=h, xi=xi)).violations
+                if v.code == "symmetry-H"]
+        assert [v.indices for v in hits] == [(0, 1)]
+
     def test_zero_co_hurst_off_diagonal_rejected(self):
         p = ModelParams(T=10.0, H=[[0.0, 0.0], [0.0, 0.0]],
                         xi=[[0.05, 0.02], [0.02, 0.05]])
@@ -49,6 +56,21 @@ class TestValidate:
     def test_hurst_half_rejected(self):
         p = ModelParams(T=10.0, H=[[0.5]], xi=[[0.05]])
         assert "hurst-range" in validate(p).codes()
+
+    @pytest.mark.parametrize("lambda2", [0.0, -0.05])
+    def test_non_positive_intermittency_reported(self, lambda2):
+        p = ModelParams(T=10.0, H=[[0.02, 0.15], [0.15, 0.02]],
+                        xi=[[0.05, 0.0], [0.0, lambda2]])
+        hits = [v for v in validate(p).violations
+                if v.code == "intermittency-positive"]
+        assert [v.indices for v in hits] == [(1,)]
+
+    @pytest.mark.parametrize("hij", [0.5, 0.7, -0.1])
+    def test_off_diagonal_hurst_range_reported(self, hij):
+        p = ModelParams(T=10.0, H=[[0.02, hij], [hij, 0.02]],
+                        xi=[[0.05, 0.02], [0.02, 0.05]])
+        hits = [v for v in validate(p).violations if v.code == "hurst-range"]
+        assert [v.indices for v in hits] == [(0, 1)]
 
     def test_cauchy_schwarz_violation(self):
         p = ModelParams(T=10.0, H=[[0.02, 0.15], [0.15, 0.02]],
