@@ -21,12 +21,18 @@ complex standard normals z and yields two independent exact paths: path 2s
 from the Hermitian half w[k] = (z[k] + conj z[M-k]) / 2 and path 2s + 1
 from the anti-Hermitian half v[k] = (z[k] - conj z[M-k]) / 2i (real at
 k = 0 and M/2).  An inverse real FFT of F[k] w[k] gives Re(ifft(F z)) of
-the full-spectrum sampler, and one of F[k] v[k] gives Im(ifft(F z)).  Any
-path can be regenerated on its own from its stream.
+the full-spectrum sampler, and one of F[k] v[k] gives Im(ifft(F z)); one
+batched inverse FFT serves both paths of a stream.  Any path can be
+regenerated on its own from its stream.
 
-Streams, and chunks of frequencies in the factorisation, are computed on
-``default_workers()`` threads; each is an independent computation written
-to its own slot, so the result does not depend on the thread count.
+Three kinds of task run on ``default_workers()`` threads: a pair's
+covariance row and its DCT-I, a chunk of frequencies of the factorisation
+with its eigenvalue diagnostics (|lambda| sums, clipped sums, minima), and a
+Philox stream.  Each is an independent computation written to its own slot,
+so the result does not depend on the thread count.  The factorisation holds
+one (M/2 + 1, d, d) array, the spectrum factorised in place, beside
+per-row and per-chunk temporaries; a stream holds one (M/2 + 1, d, k, 2)
+array for its k <= 2 paths and one (M, d) array of normals at a time.
 """
 
 from __future__ import annotations
@@ -196,28 +202,28 @@ def _covariance_sequence(params: ModelParams, i: int, j: int,
 
 def _spectral_matrices(params: ModelParams, n: int, delta: float):
     """Embedding size M and the spectral matrices at frequencies 0..M/2,
-    shape (M/2 + 1, d, d); the matrix at M - k equals the one at k."""
+    shape (M/2 + 1, d, d); the matrix at M - k equals the one at k.  Each
+    pair's row is one task on ``default_workers()`` threads."""
     m_max = int(math.floor(params.T / delta))
     m = 1 << int(math.ceil(math.log2(2 * max(n, m_max))))
     d = params.d
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    # m_max <= M/2, so no lag wraps onto another: entries 0..M/2 are the
-    # sequence, zero-padded, except that lags M/2 and -M/2 are one point
-    padded = np.zeros((len(pairs), m // 2 + 1))
-    for row, (i, j) in zip(padded, pairs):
+    spectra = np.empty((m // 2 + 1, d, d))
+
+    def pair_row(pair: tuple[int, int]):
+        i, j = pair
+        # m_max <= M/2, so no lag wraps onto another: entries 0..M/2 are the
+        # sequence, zero-padded, except that lags M/2 and -M/2 are one point
+        row = np.zeros(m // 2 + 1)
         row[: m_max + 1] = _covariance_sequence(params, i, j, delta, m_max)
-    padded[:, -1] *= 2.0
-    # the DFT of an even sequence of length m is the DCT-I of its half (on
-    # the calling thread: worker threads keep their scratch resident, +28 MB
-    # of peak RSS at d = 5, n = 2^18)
-    half_spectra = scipy.fft.dct(padded, type=1, axis=1, overwrite_x=True)
-    # entry (i, j) of every matrix is row index[i, j] of half_spectra.  take
-    # returns C order (half_spectra.T[:, index] would not) through a C copy
-    # of its input, which the in-place transform leaves room for
-    index = np.empty((d, d), dtype=np.intp)
-    for row, (i, j) in enumerate(pairs):
-        index[i, j] = index[j, i] = row
-    return m, np.take(half_spectra.T, index, axis=1)
+        row[-1] *= 2.0
+        # the DFT of an even sequence of length m is the DCT-I of its half
+        # (rows on worker threads: +11-13 MB of peak RSS at d = 5,
+        # n = 2^18, over the same rows on the calling thread)
+        spectra[:, i, j] = spectra[:, j, i] = scipy.fft.dct(
+            row, type=1, overwrite_x=True)
+
+    fan_out(pair_row, [(i, j) for i in range(d) for j in range(i, d)])
+    return m, spectra
 
 
 @dataclass(frozen=True)
@@ -267,40 +273,49 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
     """Factorize the circulant embedding for paths of length ``n`` at step
     ``delta``; ``EmbeddingError`` if the clipped mass exceeds CLIP_APPROX.
 
-    The per-frequency factors run in chunks of ``_EIGH_CHUNK`` frequencies
-    on ``default_workers()`` threads, each frequency on its own, so the
-    factor does not depend on the thread count.  At d = 2 each factor is
-    the closed-form symmetric root of ``_symmetric_root_2x2``, computed in
-    place.  At any other d it is the eigenvectors scaled by the square
-    roots of the clipped eigenvalues: LAPACK factors each matrix on its own,
-    so the factor equals that of one whole-array ``eigh`` call bit for
-    bit."""
+    The pair rows of the spectrum, then the per-frequency factors in chunks
+    of ``_EIGH_CHUNK`` frequencies, run on ``default_workers()`` threads,
+    each row and each frequency on its own, so the factor does not depend
+    on the thread count.  Each chunk also writes its rows of the
+    diagnostics: the sums of |eigenvalues| and of clipped eigenvalues, and
+    the minima.  At d = 2 each factor is the closed-form symmetric root of
+    ``_symmetric_root_2x2``; at any other d it is the eigenvectors of
+    ``eigh`` scaled by the square roots of the clipped eigenvalues: LAPACK
+    factors each matrix on its own, so the factor equals that of one
+    whole-array ``eigh`` call bit for bit.  Either is written over the
+    spectrum, so the one (M/2 + 1, d, d) array held is the factor."""
     require_admissible(params, strict_pd=True)
     if n < 2:
         raise ValueError("n must be >= 2")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    m, spectra = _spectral_matrices(params, n, delta)
-    n_freq, d = spectra.shape[:2]
-    eigvals = np.empty((n_freq, d))
-    matrix = spectra if d == 2 else np.empty((n_freq, d, d))
+    m, matrix = _spectral_matrices(params, n, delta)
+    n_freq, d = matrix.shape[:2]
+    # per frequency: sum of |eigenvalues|, clipped (negative) mass, minimum
+    row_abs, row_clipped, half_min = (np.empty(n_freq) for _ in range(3))
 
     def factor_chunk(start: int):
         chunk = slice(start, start + _EIGH_CHUNK)
+        block = matrix[chunk]
         if d == 2:
-            _symmetric_root_2x2(matrix[chunk], eigvals[chunk])
+            eigvals = np.empty((len(block), 2))
+            _symmetric_root_2x2(block, eigvals)
         else:
-            eigvals[chunk], matrix[chunk] = np.linalg.eigh(spectra[chunk])
+            eigvals, block[...] = np.linalg.eigh(block)
+        row_abs[chunk] = np.abs(eigvals).sum(axis=1)
+        row_clipped[chunk] = -np.clip(eigvals, None, 0.0).sum(axis=1)
+        half_min[chunk] = eigvals.min(axis=1)
+        if d != 2:
+            # eigenvectors scaled in place: no second (M/2 + 1, d, d) array
+            block *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
 
     fan_out(factor_chunk, range(0, n_freq, _EIGH_CHUNK))
-    del spectra
     # an interior frequency k also stands for its mirror M - k
-    weight = np.full(eigvals.shape[0], 2.0)
+    weight = np.full(n_freq, 2.0)
     weight[[0, -1]] = 1.0
-    total = float(weight @ np.abs(eigvals).sum(axis=1))
-    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
+    total = float(weight @ row_abs)
+    clipped = float(weight @ row_clipped)
     mass = clipped / total if total > 0 else 0.0
-    half_min = eigvals.min(axis=1)
     diagnostics = EmbeddingDiagnostics(
         embedding_size=m,
         min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
@@ -313,9 +328,6 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
             f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
             diagnostics,
         )
-    if d != 2:
-        # eigenvectors scaled in place: no second (M/2 + 1, d, d) array
-        matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
     matrix.setflags(write=False)
     return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
                           diagnostics=diagnostics)
@@ -324,19 +336,6 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
 def _path_rng(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _hermitian_half(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """w[k] = (z[k] + conj z[M-k]) / 2 for k = 0..M/2, with z = re + i im
-    of length M along axis 0 and z[M] read as z[0]; the real and imaginary
-    parts of w are stacked on a new last axis.  w[0] and w[M/2] are real."""
-    half = re.shape[0] // 2
-    w = np.empty((half + 1,) + re.shape[1:] + (2,))
-    w[0, ..., 0] = re[0]
-    w[0, ..., 1] = 0.0
-    w[1:, ..., 0] = 0.5 * (re[1:half + 1] + re[:half - 1:-1])
-    w[1:, ..., 1] = 0.5 * (im[1:half + 1] - im[:half - 1:-1])
-    return w
 
 
 def simulate_field(
@@ -373,30 +372,46 @@ def simulate_field(
             and np.array_equal(factor.params.xi, params.xi)):
         raise ValueError(f"spectral factor for n={factor.n}, delta={factor.delta!r}"
                          " does not fit this call's params, n or delta")
-    m = factor.diagnostics.embedding_size
+    m, d = factor.diagnostics.embedding_size, params.d
+    half = m // 2
     scale = math.sqrt(m)
     end = first_path + n_paths
 
     def draw(stream: int) -> list[FieldPanel]:
         """The panels of this stream's paths that fall in the call's range."""
         rng = _path_rng(seed, stream)
-        re = rng.standard_normal((m, params.d))
-        im = rng.standard_normal((m, params.d))
         paths = range(max(first_path, 2 * stream), min(end, 2 * stream + 2))
-        # z = re + i im; the Hermitian half of -i z = im - i re is v
-        halves = [_hermitian_half(re, im) if path % 2 == 0
-                  else _hermitian_half(im, -re) for path in paths]
-        # each temporary is freed before the next is allocated; otherwise a
-        # many-path call fragments the heap around the panels it keeps
-        del re, im
+        # (M/2 + 1, d, path, 2): real and imaginary parts of each path's half
+        halves = np.empty((half + 1, d, len(paths), 2))
+        # z = re + i im: the even path's half is w of z, the odd path's is w
+        # of -i z = im - i re, so re gives the even real and the odd
+        # imaginary part, im the even imaginary and the odd real part
+        for part in (0, 1):  # re, then im: one (M, d) normal array at a time
+            x = rng.standard_normal((m, d))
+            ahead, behind = x[1:half + 1], x[:half - 1:-1]  # z[k], z[M-k]
+            for slot, path in enumerate(paths):
+                out = halves[:, :, slot, part ^ path % 2]
+                if part == path % 2:  # real part: 2 Re w[k], w[0] = x[0]
+                    out[0] = x[0]
+                    np.add(ahead, behind, out=out[1:])
+                else:  # imaginary part: 2 Im w[k], w[0] real
+                    out[0] = 0.0
+                    # the odd path's -re[k] - (-re[M-k]) is re[M-k] - re[k]
+                    np.subtract(*((ahead, behind) if part else (behind, ahead)),
+                                out=out[1:])
+            del x, ahead, behind, out  # views keep their base alive
+        halves[1:] *= 0.5
+        # F[k] w[k] in place, a chunk of frequencies at a time
+        columns = halves.reshape(half + 1, d, -1)
+        for start in range(0, half + 1, _EIGH_CHUNK):
+            chunk = slice(start, start + _EIGH_CHUNK)
+            np.matmul(factor.matrix[chunk], columns[chunk], out=columns[chunk])
+        # one inverse real FFT for the stream's paths
+        draws = np.fft.irfft(halves.view(complex)[..., 0], n=m, axis=0)
+        del halves, columns
         panels = []
-        for path in paths:
-            # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
-            spectral = (factor.matrix @ halves.pop(0)).view(complex)
-            draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
-            del spectral
-            data = np.ascontiguousarray(draws[:n].T)
-            del draws
+        for slot, path in enumerate(paths):
+            data = np.ascontiguousarray(draws[:n, :, slot].T)
             data *= scale
             panels.append(FieldPanel(data=data, delta=delta, seed=seed,
                                      provenance="gaussian-field", path=path))

@@ -8,6 +8,7 @@ import scipy.fft
 from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
+from mlogsfbm.params import require_admissible
 from mlogsfbm import simulate
 from mlogsfbm.estimate import (
     CalibrationError,
@@ -27,6 +28,7 @@ from mlogsfbm.simulate import (
     CLIP_EXACT,
     EmbeddingDiagnostics,
     EmbeddingError,
+    FieldPanel,
     SpectralFactor,
     _spectral_matrices,
 )
@@ -130,6 +132,141 @@ def serial_spectral_factor(params: ModelParams, n: int,
     matrix.setflags(write=False)
     return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
                           diagnostics=diagnostics)
+
+
+# The spectrum, factorisation and draw as they stood before the pair rows
+# ran on worker threads, the diagnostics were reduced per chunk and a
+# stream's paths shared one array and one inverse FFT, kept verbatim but
+# for their names and docstrings (the helpers they call are looked up on
+# the module): the oracles that the pooled code equals byte for byte.
+
+def gathered_spectral_matrices(params: ModelParams, n: int, delta: float):
+    """Embedding size M and the spectral matrices at frequencies 0..M/2,
+    shape (M/2 + 1, d, d); the matrix at M - k equals the one at k."""
+    m_max = int(math.floor(params.T / delta))
+    m = 1 << int(math.ceil(math.log2(2 * max(n, m_max))))
+    d = params.d
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    # m_max <= M/2, so no lag wraps onto another: entries 0..M/2 are the
+    # sequence, zero-padded, except that lags M/2 and -M/2 are one point
+    padded = np.zeros((len(pairs), m // 2 + 1))
+    for row, (i, j) in zip(padded, pairs):
+        row[: m_max + 1] = simulate._covariance_sequence(params, i, j, delta,
+                                                         m_max)
+    padded[:, -1] *= 2.0
+    # the DFT of an even sequence of length m is the DCT-I of its half (on
+    # the calling thread: worker threads keep their scratch resident, +28 MB
+    # of peak RSS at d = 5, n = 2^18)
+    half_spectra = scipy.fft.dct(padded, type=1, axis=1, overwrite_x=True)
+    # entry (i, j) of every matrix is row index[i, j] of half_spectra.  take
+    # returns C order (half_spectra.T[:, index] would not) through a C copy
+    # of its input, which the in-place transform leaves room for
+    index = np.empty((d, d), dtype=np.intp)
+    for row, (i, j) in enumerate(pairs):
+        index[i, j] = index[j, i] = row
+    return m, np.take(half_spectra.T, index, axis=1)
+
+
+def whole_array_spectral_factor(params: ModelParams, n: int,
+                                delta: float = 1.0) -> SpectralFactor:
+    """``simulate.spectral_factor`` with its diagnostics reduced over the
+    whole eigenvalue array, and at d != 2 a second array for ``eigh``."""
+    require_admissible(params, strict_pd=True)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    m, spectra = gathered_spectral_matrices(params, n, delta)
+    n_freq, d = spectra.shape[:2]
+    eigvals = np.empty((n_freq, d))
+    matrix = spectra if d == 2 else np.empty((n_freq, d, d))
+
+    def factor_chunk(start: int):
+        chunk = slice(start, start + simulate._EIGH_CHUNK)
+        if d == 2:
+            simulate._symmetric_root_2x2(matrix[chunk], eigvals[chunk])
+        else:
+            eigvals[chunk], matrix[chunk] = np.linalg.eigh(spectra[chunk])
+
+    simulate.fan_out(factor_chunk, range(0, n_freq, simulate._EIGH_CHUNK))
+    del spectra
+    # an interior frequency k also stands for its mirror M - k
+    weight = np.full(eigvals.shape[0], 2.0)
+    weight[[0, -1]] = 1.0
+    total = float(weight @ np.abs(eigvals).sum(axis=1))
+    clipped = float(weight @ -np.clip(eigvals, None, 0.0).sum(axis=1))
+    mass = clipped / total if total > 0 else 0.0
+    half_min = eigvals.min(axis=1)
+    diagnostics = EmbeddingDiagnostics(
+        embedding_size=m,
+        min_eigenvalues=np.concatenate([half_min, half_min[-2:0:-1]]),
+        clipped_mass=mass,
+        flag="exact" if mass <= CLIP_EXACT else "approximate",
+    )
+    if mass > CLIP_APPROX:
+        raise EmbeddingError(
+            f"clipped spectral mass {mass:.3e} exceeds the tolerance "
+            f"{CLIP_APPROX:.0e}; the requested configuration does not embed",
+            diagnostics,
+        )
+    if d != 2:
+        # eigenvectors scaled in place: no second (M/2 + 1, d, d) array
+        matrix *= np.sqrt(np.clip(eigvals, 0.0, None))[:, None, :]
+    matrix.setflags(write=False)
+    return SpectralFactor(params=params, n=n, delta=delta, matrix=matrix,
+                          diagnostics=diagnostics)
+
+
+def hermitian_half(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """w[k] = (z[k] + conj z[M-k]) / 2 for k = 0..M/2, with z = re + i im
+    of length M along axis 0 and z[M] read as z[0]; the real and imaginary
+    parts of w are stacked on a new last axis.  w[0] and w[M/2] are real."""
+    half = re.shape[0] // 2
+    w = np.empty((half + 1,) + re.shape[1:] + (2,))
+    w[0, ..., 0] = re[0]
+    w[0, ..., 1] = 0.0
+    w[1:, ..., 0] = 0.5 * (re[1:half + 1] + re[:half - 1:-1])
+    w[1:, ..., 1] = 0.5 * (im[1:half + 1] - im[:half - 1:-1])
+    return w
+
+
+def two_half_field(params: ModelParams, n: int, delta: float, seed: int,
+                   n_paths: int, first_path: int,
+                   factor: SpectralFactor) -> list:
+    """The panels of ``simulate.simulate_field`` drawn with one
+    ``hermitian_half`` array, one product and one inverse FFT per path."""
+    m = factor.diagnostics.embedding_size
+    scale = math.sqrt(m)
+    end = first_path + n_paths
+
+    def draw(stream: int) -> list[FieldPanel]:
+        """The panels of this stream's paths that fall in the call's range."""
+        rng = simulate._path_rng(seed, stream)
+        re = rng.standard_normal((m, params.d))
+        im = rng.standard_normal((m, params.d))
+        paths = range(max(first_path, 2 * stream), min(end, 2 * stream + 2))
+        # z = re + i im; the Hermitian half of -i z = im - i re is v
+        halves = [hermitian_half(re, im) if path % 2 == 0
+                  else hermitian_half(im, -re) for path in paths]
+        # each temporary is freed before the next is allocated; otherwise a
+        # many-path call fragments the heap around the panels it keeps
+        del re, im
+        panels = []
+        for path in paths:
+            # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
+            spectral = (factor.matrix @ halves.pop(0)).view(complex)
+            draws = np.fft.irfft(spectral[..., 0], n=m, axis=0)
+            del spectral
+            data = np.ascontiguousarray(draws[:n].T)
+            del draws
+            data *= scale
+            panels.append(FieldPanel(data=data, delta=delta, seed=seed,
+                                     provenance="gaussian-field", path=path))
+        return panels
+
+    streams = range(first_path // 2, (end + 1) // 2)
+    return [panel for pair in simulate.fan_out(draw, streams)
+            for panel in pair]
 
 
 def factor_or_diagnostics(build, *args):

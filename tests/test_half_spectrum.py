@@ -19,7 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_or_diagnostics, random_admissible, with_box
+from conftest import (
+    factor_or_diagnostics,
+    hermitian_half,
+    random_admissible,
+    with_box,
+)
 from mlogsfbm import ModelParams
 from mlogsfbm import simulate
 from mlogsfbm.simulate import (
@@ -218,7 +223,7 @@ class TestHermitianHalf:
         z = re + 1j * im
         k = np.arange(m // 2 + 1)
         expected = (z[k] + np.conj(z[(m - k) % m])) / 2
-        w = simulate._hermitian_half(re, im)
+        w = hermitian_half(re, im)
         assert w.shape == (m // 2 + 1, 3, 2)
         assert np.array_equal(w[[0, -1], :, 1], np.zeros((2, 3)))
         assert np.array_equal(w[[0, -1], :, 0], re[[0, m // 2]])

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import os
 import sys
 import threading
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -41,9 +44,13 @@ from mlogsfbm.simulate import (
 )
 from conftest import (
     factor_or_diagnostics,
+    gathered_spectral_matrices,
+    hermitian_half,
     random_admissible,
     scatter_spectral_matrices,
     serial_spectral_factor,
+    two_half_field,
+    whole_array_spectral_factor,
     with_box,
 )
 
@@ -664,7 +671,7 @@ def per_path_field(params: ModelParams, n: int, delta: float, seed: int,
         re = rng.standard_normal((m, params.d))
         im = rng.standard_normal((m, params.d))
         # (M/2 + 1, d, 2) real and imaginary parts, viewed as complex
-        spectral = (factor.matrix @ simulate._hermitian_half(re, im)).view(complex)
+        spectral = (factor.matrix @ hermitian_half(re, im)).view(complex)
         # each temporary is freed before the next is allocated; otherwise a
         # many-path call fragments the heap around the panels it keeps
         del re, im
@@ -955,3 +962,92 @@ class TestClosedFormRoot:
         _, clipped = eigh_clipped(spectra)
         assert np.abs(got[0] @ got[0] - clipped[0]).max() <= 1e-12 * max(
             1.0, np.abs(spectra).max())
+
+
+# ---------------------------------------------------------------------------
+# pooled pair rows, per-chunk diagnostics and one array per stream against
+# the code they replaced
+# ---------------------------------------------------------------------------
+
+class TestPooledFactor:
+    @example(d=3, n=2**14, at_n_delta=True, delta=1.0, seed=5, eps=0.0,
+             first_path=1, n_paths=3, workers="2")  # three eigh chunks
+    @given(d=st.sampled_from([2, 3, 5]), n=st.integers(2, 600),
+           at_n_delta=st.booleans(), delta=st.sampled_from([1.0, 0.5]),
+           seed=st.integers(0, 2**32), eps=st.sampled_from([0.0, 0.0, 1e-3, 1.0]),
+           first_path=st.integers(0, 5), n_paths=st.integers(1, 3),
+           workers=st.sampled_from(["1", "2"]))
+    def test_property_equals_the_whole_array_code_byte_for_byte(
+            self, d, n, at_n_delta, delta, seed, eps, first_path, n_paths,
+            workers):
+        rng = np.random.default_rng(seed)
+        if at_n_delta:
+            T = n * delta
+        else:  # a support of 1..n-1 lags
+            T = (int(rng.integers(1, n)) + 0.5) * delta
+        params = random_admissible(rng, d, T=T)
+        with with_box(eps), mock.patch.dict(os.environ,
+                                            {"MSFBM_WORKERS": workers}):
+            m, spectra = _spectral_matrices(params, n, delta)
+            m_old, gathered = gathered_spectral_matrices(params, n, delta)
+            factor, diag = factor_or_diagnostics(spectral_factor, params, n,
+                                                 delta)
+            want, want_diag = factor_or_diagnostics(
+                whole_array_spectral_factor, params, n, delta)
+        assert m == m_old and spectra.shape == gathered.shape
+        assert spectra.tobytes() == gathered.tobytes()
+        assert (diag.embedding_size, diag.clipped_mass, diag.flag) == (
+            want_diag.embedding_size, want_diag.clipped_mass, want_diag.flag)
+        assert diag.min_eigenvalues.tobytes() == want_diag.min_eigenvalues.tobytes()
+        assert (factor is None) == (want is None)
+        if factor is None:
+            return
+        assert factor.matrix.tobytes() == want.matrix.tobytes()
+
+        with mock.patch.dict(os.environ, {"MSFBM_WORKERS": workers}):
+            panels, _ = simulate_field(params, n, delta, seed=seed,
+                                       n_paths=n_paths, first_path=first_path,
+                                       factor=factor)
+            expected = two_half_field(params, n, delta, seed, n_paths,
+                                      first_path, want)
+        for panel, old in zip(panels, expected, strict=True):
+            assert panel.path == old.path
+            assert panel.data.tobytes() == old.data.tobytes()
+
+
+class TestFactorMemory:
+    """Traced allocations at d = 5, n = 2^16, T = n delta: the factorisation
+    holds one (M/2 + 1, d, d) array, and a one-path draw about two (M, d)
+    ones (the stream's half spectra and then its inverse FFT, beside one
+    array of normals or the panel)."""
+
+    n = 2**16
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_factor_peak_stays_near_the_factor(self, workers, monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", workers)
+        params = equicorrelated_d5(self.n)
+        tracemalloc.start()
+        try:
+            factor = spectral_factor(params, self.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * factor.matrix.nbytes
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_path_allocates_about_two_path_arrays(self, workers,
+                                                      monkeypatch):
+        monkeypatch.setenv("MSFBM_WORKERS", workers)
+        params = equicorrelated_d5(self.n)
+        factor = spectral_factor(params, self.n)
+        m = factor.diagnostics.embedding_size
+        tracemalloc.start()
+        try:
+            (panel,), _ = simulate_field(params, self.n, seed=3,
+                                         factor=factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.data.shape == (params.d, self.n)
+        assert peak <= 2.25 * m * params.d * 8
