@@ -182,9 +182,9 @@ def cmd_simulate(resolved: dict) -> int:
         x0 = x0 * params.d
     if len(x0) != params.d:
         raise ConfigError(f"x0 needs {params.d} entries")
-    out = _out_dir(resolved)
     panels, diagnostics = simulate_field(
         params, n, resolved["delta"], resolved["seed"], resolved["paths"])
+    out = _out_dir(resolved)
 
     def dump(panel: FieldPanel, stem: str):
         if resolved["format"] == "binary":
@@ -327,7 +327,6 @@ def cmd_calibrate(resolved: dict) -> int:
                            seed=panel.seed, provenance=panel.provenance,
                            path=panel.path)
     grid = LagGrid.default(resolved["grid_q"])
-    out = _out_dir(resolved)
     cal = calibrate_panel(panel, grid=grid, T=resolved["T"], mask=mask)
 
     estimate_doc = {
@@ -341,6 +340,7 @@ def cmd_calibrate(resolved: dict) -> int:
         "failures": cal.failures,
         "converged_pair_fraction": cal.converged_pair_fraction,
     }
+    out = _out_dir(resolved)
     (out / "params_estimate.json").write_text(json.dumps(estimate_doc, indent=2))
     (out / "marginals.json").write_text(json.dumps(
         {str(i): res.to_dict() for i, res in sorted(cal.marginals.items())},
@@ -398,8 +398,8 @@ def cmd_mc_validate(resolved: dict) -> int:
         agg=resolved["agg"],
         proxy=resolved["proxy"],
     )
-    out = _out_dir(resolved)
     report = mc_validate(config)
+    out = _out_dir(resolved)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2))
     _write_rows(out / "replicas.csv", ("n", "replica", "parameter", "value"),
                 [(n, rep, name, repr(value))
@@ -435,7 +435,6 @@ def cmd_analyze_index(resolved: dict) -> int:
     deltas = _parse_float_list(resolved["deltas"])
     _require_positive("taus", *taus)
     _require_positive("deltas", *deltas)
-    out = _out_dir(resolved)
 
     # homogeneous proxies for the ratio bound
     d = params.d
@@ -462,6 +461,7 @@ def cmd_analyze_index(resolved: dict) -> int:
                 except kernels.KernelDomainError:
                     pass
             rows.append((tau, delta, *variance, *bound))
+    out = _out_dir(resolved)
     _write_rows(out / "index.csv",
                 ("tau", "delta", "variance", "cross_term", "diag_term",
                  "ratio_bound_finite", "ratio_bound_limit", "c_h"), rows)

@@ -112,8 +112,8 @@ class LagGrid:
 @dataclass(frozen=True)
 class GmmResult:
     """A fit and its window: ``n`` and ``delta`` are the length and step of
-    the fitted series, T is in ``params`` and the lags are those of
-    ``residuals``."""
+    the fitted series, T is in ``params``, the lags are those of
+    ``residuals``, and ``mask`` (None: all) marks the observations used."""
 
     params: dict
     objective: float
@@ -124,6 +124,7 @@ class GmmResult:
     n: int
     delta: float
     notes: tuple = ()
+    mask: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -457,7 +458,10 @@ def _prepare_series(series: np.ndarray,
         raise ValueError("mask must match the series shape")
     if not np.all(np.isfinite(s[valid])):
         raise ValueError("series must be finite where unmasked")
-    if valid.sum() < 2 or float(np.var(s[valid])) == 0.0:
+    if valid.sum() < 2:
+        raise ZeroVarianceError(f"{valid.sum()} of {s.size} observations "
+                                "unmasked, fewer than 2")
+    if float(np.var(s[valid])) == 0.0:
         raise ZeroVarianceError("zero-variance series")
     return s
 
@@ -544,6 +548,7 @@ def calibrate_univariate(
     H < 1/4; the estimator is exposed on the whole (0, 1/2) box.  ``mask``
     marks valid observations (imputed market entries are excluded from the
     empirical moments; the theoretical side assumes the gaps are sparse)."""
+    mask = None if mask is None else np.asarray(mask, bool)
     s = _prepare_series(logvol, mask)
     n = s.size
     grid = _window_grid(grid, n, delta, T)
@@ -581,7 +586,7 @@ def calibrate_univariate(
                      iterations=int(first.evals + second.evals),
                      converged=bool(first.converged and second.converged),
                      weight=weight, residuals=residuals, n=n, delta=delta,
-                     notes=tuple(notes))
+                     notes=tuple(notes), mask=mask)
 
 
 def calibrate_pair(
@@ -589,15 +594,13 @@ def calibrate_pair(
     logvol_j: np.ndarray,
     marginal_i: GmmResult,
     marginal_j: GmmResult,
-    mask_i: np.ndarray | None = None,
-    mask_j: np.ndarray | None = None,
 ) -> GmmResult:
     """Fit (g, H_ij) for one pair given the ``calibrate_univariate`` fits of
-    its two series (with the same masks): their H and lambda^2 are held
-    fixed, the pair runs on their window (n, delta, T and lags), and their
-    residuals are the control variates of the second stage.  Marginal fits
-    on different windows, or a series whose length is not their n, are a
-    ``ValueError``; a mask other than the marginal fits' is not detected.
+    its two series: their H and lambda^2 are held fixed, the pair runs on
+    their window (n, delta, T and lags) and their masks, and their residuals
+    are the control variates of the second stage.  Marginal fits on
+    different windows, or a series whose length is not their n, are a
+    ``ValueError``.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
     (amplitude box / bounded roughness bracket, equivalent to the tanh and
@@ -612,8 +615,8 @@ def calibrate_pair(
                          "on lags {} against n={}, delta={!r}, T={!r} on "
                          "lags {}".format(*window_i, *window_j))
     n, delta, T, lags = window_i
-    x = _prepare_series(logvol_i, mask_i)
-    y = _prepare_series(logvol_j, mask_j)
+    x = _prepare_series(logvol_i, marginal_i.mask)
+    y = _prepare_series(logvol_j, marginal_j.mask)
     if not x.size == y.size == n:
         raise ValueError(f"series of lengths {x.size} and {y.size} are not "
                          f"aligned with the marginal fits' n={n}")
@@ -626,8 +629,8 @@ def calibrate_pair(
             f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
             f"(h_bar + 1e-6, {h_hi!r}) empty")
     grid = LagGrid(tuple(int(t) for t in lags))
-    observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
-                                   mask_y=mask_j).values
+    observed = empirical_cross_cov(x, y, grid, mask_x=marginal_i.mask,
+                                   mask_y=marginal_j.mask).values
     lam = math.sqrt(lambda_i2 * lambda_j2)
 
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
@@ -742,19 +745,17 @@ def calibrate_panel(
         mask = np.asarray(mask, bool)
         if mask.shape != panel.data.shape:
             raise ValueError("mask shape must match the panel")
-    row_mask = lambda i: None if mask is None else mask[i]
 
     def fit_marginal(i):
-        return calibrate_univariate(
-            panel.data[i], delta, t_val, grid=grid, mask=row_mask(i))
+        return calibrate_univariate(panel.data[i], delta, t_val, grid=grid,
+                                    mask=None if mask is None else mask[i])
 
     def fit_pair(ij):
         i, j = ij
         if i not in marginals or j not in marginals:
             raise CalibrationError("marginal fit missing")
         return calibrate_pair(panel.data[i], panel.data[j], marginals[i],
-                              marginals[j], mask_i=row_mask(i),
-                              mask_j=row_mask(j))
+                              marginals[j])
 
     marginals, failed = _run_each(fit_marginal, range(d))
     failures = {f"marginal-{i}": msg for i, (_, msg) in failed.items()}
@@ -774,8 +775,7 @@ def calibrate_panel(
         xi_mat[i, j] = xi_mat[j, i] = res.params["xi_ij"]
         g_mat[i, j] = g_mat[j, i] = res.params["g"]
 
-    eigs = None
-    report = None
+    eigs = report = None
     if not failures:
         eigs = np.linalg.eigvalsh(0.5 * (xi_mat + xi_mat.T))
         report = validate(ModelParams(T=t_val, H=h_mat, xi=xi_mat))
@@ -837,10 +837,8 @@ class McRun:
         return {k: float(np.mean(v)) for k, v in self.samples.items()}
 
     def stds(self) -> dict:
-        out = {}
-        for k, v in self.samples.items():
-            out[k] = float(np.std(v, ddof=1)) if len(v) > 1 else float("nan")
-        return out
+        return {k: float(np.std(v, ddof=1)) if len(v) > 1 else float("nan")
+                for k, v in self.samples.items()}
 
 
 @dataclass(frozen=True)

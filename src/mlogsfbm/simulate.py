@@ -453,6 +453,9 @@ def field_to_measure(panel: FieldPanel, params: ModelParams, agg: int) -> FieldP
     diagnostic instead of propagating infinities.
     """
     _check_aggregation(panel, agg)
+    if panel.d != params.d:
+        raise ValueError(f"panel has {panel.d} rows but the parameters "
+                         f"have d = {params.d}")
     shifted = panel.data + _marginal_means(params, panel.delta)[:, None]
     peak = float(shifted.max())
     if peak > _EXP_OVERFLOW:

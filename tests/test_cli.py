@@ -75,7 +75,23 @@ class TestSimulateCommand:
                      "--agg", "8", "--substeps", "0", "--out", str(out)])
         assert code == 2
         assert "substeps=0 must be >= 1" in capsys.readouterr().err
-        assert not (out / "field_p000.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--paths", "0"], "n_paths must be >= 1"),
+        (["--delta", "0"], "delta must be positive"),
+        (["--delta", "-1"], "delta must be positive"),
+        (["--n", "1", "--agg", "1"], "n must be >= 2"),
+    ])
+    def test_rejected_draw_exits_before_any_output(self, tmp_path,
+                                                   params_file, flags,
+                                                   message, capsys):
+        # the output directory is made only once the field is drawn
+        out = tmp_path / "o"
+        assert main(["simulate", "--params", str(params_file), *flags,
+                     "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inadmissible_params(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -128,6 +144,7 @@ class TestSimulateCommand:
         assert code == 2
         assert "MSFBM_WORKERS='two' is not an integer" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_embedding_failure_exits_three(self, tmp_path, capsys):
         # a log (H_00 = 0) marginal next to power-law cross kernels that is
@@ -141,7 +158,7 @@ class TestSimulateCommand:
                      "--agg", "1", "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err.startswith("simulation error: ")
-        assert not (tmp_path / "o" / "field_p000.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_binary_format(self, tmp_path, params_file):
         out = tmp_path / "bin"
@@ -409,8 +426,8 @@ class TestCalibrateCommand:
             assert (mask is None) == (path != market)
         assert panel.delta == 1.0 and panel.provenance == "market"
 
-    @pytest.mark.parametrize("t_arg", ["0", "-3", "nan", "inf", "1.5", "2",
-                                       "2.5"])
+    @pytest.mark.parametrize("t_arg", ["0", "-3", "nan", "inf", "1", "1.5",
+                                       "2", "2.5"])
     def test_bad_scale_exits_before_any_fit(self, tmp_path, simulated_panel,
                                             t_arg, capsys, monkeypatch):
         import mlogsfbm.estimate as est
@@ -423,7 +440,7 @@ class TestCalibrateCommand:
                      f"--T={t_arg}", "--out", str(out)]) == 2
         assert f"T={float(t_arg)!r}" in capsys.readouterr().err
         assert calls == []
-        assert not (out / "params_estimate.json").exists()
+        assert not out.exists()
 
     def test_one_lag_grid_exits_before_any_fit(self, tmp_path,
                                                simulated_panel, capsys,
@@ -438,7 +455,7 @@ class TestCalibrateCommand:
                      "--grid-q", "1", "--out", str(out)]) == 2
         assert "fewer than 2 grid lags" in capsys.readouterr().err
         assert calls == []
-        assert not (out / "params_estimate.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("\ndate,a\n2020-01-01,1.0\n",
@@ -506,6 +523,7 @@ class TestMcValidateCommand:
         err = capsys.readouterr().err
         assert "3/3 replicas failed at n=256 (3 ZeroVarianceError)" in err
         assert "series has zero variance" in err
+        assert not (tmp_path / "mc").exists()
 
 
     def test_malformed_worker_count(self, tmp_path, params_file,
@@ -517,6 +535,7 @@ class TestMcValidateCommand:
         assert code == 2
         assert "MSFBM_WORKERS='two' is not an integer" in (
             capsys.readouterr().err)
+        assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-list", "", "n_list must hold counts >= 2, got []"),
@@ -604,12 +623,14 @@ class TestAnalyzeIndexCommand:
         ("--deltas", "0,-1", "deltas must be positive, got [0.0, -1.0]"),
         ("--deltas", "4,-0.5", "deltas must be positive, got [-0.5]"),
         ("--taus", "0", "taus must be positive, got [0.0]"),
+        ("--weights=-1,2", None, "weights must be positive"),
     ])
     def test_non_positive_lengths_exit_before_any_output(
             self, tmp_path, params_file, flag, value, message, capsys):
         out = tmp_path / "idx"
+        flags = [flag] if value is None else [flag, value]
         assert main(["analyze-index", "--params", str(params_file),
-                     flag, value, "--out", str(out)]) == 2
+                     *flags, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -673,6 +673,27 @@ class TestCalibrateUnivariate:
         with pytest.raises(ZeroVarianceError):
             calibrate_univariate(np.full(512, 1.0), 1.0, T=512.0)
 
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_mask_keeping_fewer_than_two_named(self, kept):
+        # a varying series that the mask empties is not called flat
+        mask = np.zeros(64, bool)
+        mask[:kept] = True
+        x = np.random.default_rng(5).standard_normal(64)
+        with pytest.raises(ZeroVarianceError, match=re.escape(
+                f"{kept} of 64 observations unmasked, fewer than 2")):
+            calibrate_univariate(x, 1.0, T=64.0, mask=mask)
+
+    def test_fit_records_its_mask(self):
+        x = np.random.default_rng(5).standard_normal(256)
+        assert calibrate_univariate(x, 1.0, T=256.0).mask is None
+        mask = np.random.default_rng(6).random(256) > 0.1
+        masked = calibrate_univariate(x, 1.0, T=256.0, mask=mask)
+        assert masked.mask is mask
+        # a non-bool mask is recorded as the bool array the fit used
+        as_int = calibrate_univariate(x, 1.0, T=256.0, mask=mask.astype(int))
+        assert as_int.mask.dtype == bool
+        assert np.array_equal(as_int.mask, mask)
+
     def test_amplitude_at_bound_is_a_note_not_a_failure(self):
         # differenced white noise has a negative lag-1 autocovariance that
         # no positive amplitude fits, so the amplitude ends at its floor;
@@ -761,8 +782,7 @@ class TestCalibratePair:
 
     def test_takes_its_window_from_the_marginal_fits(self):
         assert list(inspect.signature(calibrate_pair).parameters) == [
-            "logvol_i", "logvol_j", "marginal_i", "marginal_j", "mask_i",
-            "mask_j"]
+            "logvol_i", "logvol_j", "marginal_i", "marginal_j"]
 
     @pytest.mark.parametrize("other", [{"T": 1024.0},
                                        {"grid": LagGrid((1, 2, 4))},
@@ -820,7 +840,8 @@ class TestPairTakesMarginalFits:
     fit that took their values as loose arguments
     (``conftest.scalar_calibrate_pair``): a marginal fit's residuals are the
     observed moments minus lambda^2 times the model curve at its H, on the
-    same lags, mask and floats as the old fit's own control variates."""
+    same lags, mask and floats as the old fit's own control variates.  The
+    pair takes its masks from the marginal fits alone."""
 
     @pytest.mark.parametrize("masked", [False, True],
                              ids=["unmasked", "masked"])
@@ -835,7 +856,7 @@ class TestPairTakesMarginalFits:
         masks = tuple(mask) if masked else (None, None)
         mi, mj = (calibrate_univariate(row, delta, t_val, mask=m)
                   for row, m in zip(panel.data, masks))
-        got = calibrate_pair(*panel.data, mi, mj, *masks)
+        got = calibrate_pair(*panel.data, mi, mj)
         want = scalar_calibrate_pair(
             *panel.data, mi.params["lambda2"], mj.params["lambda2"],
             mi.params["H"], mj.params["H"], delta, t_val, None, *masks)
@@ -848,6 +869,23 @@ class TestPairTakesMarginalFits:
         assert _bits(got.residuals.values) == _bits(want.residuals.values)
         assert (got.iterations, got.converged, got.notes) == (
             want.iterations, want.converged, want.notes)
+
+    def test_panel_fits_hold_row_views_of_its_mask(self, oracle_panels):
+        panels, mask = oracle_panels
+        panel = panels[16.0]
+        t_val = 0.125 * panel.n * panel.delta
+        cal = calibrate_panel(panel, T=t_val, mask=mask)
+        for i, fit in cal.marginals.items():
+            assert np.shares_memory(fit.mask, mask)
+            assert np.array_equal(fit.mask, mask[i])
+        mi, mj = cal.marginals[0], cal.marginals[1]
+        want = scalar_calibrate_pair(
+            *panel.data, mi.params["lambda2"], mj.params["lambda2"],
+            mi.params["H"], mj.params["H"], panel.delta, t_val, None, *mask)
+        got = cal.pairs[(0, 1)]
+        for key, value in got.params.items():
+            assert _bits(value) == _bits(want.params[key]), key
+        assert _bits(got.weight) == _bits(want.weight)
 
 
 BAD_SCALES = (0.0, -3.0, math.nan, math.inf, 1.5, 2.0, 2.5)

@@ -321,6 +321,18 @@ class TestMeasure:
         with pytest.raises(ValueError):
             field_to_measure(panel, params, agg=3)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_parameter_dimension_must_match_rows(self, d):
+        # d = 1 would shift every row by marginal 0's mean, and d = 3 would
+        # fail in numpy's broadcast: both are named with their two counts
+        params = ModelParams(T=256.0, H=np.full((d, d), 0.02),
+                             xi=np.full((d, d), 0.05) * (1 + np.eye(d)))
+        panel = FieldPanel(data=np.zeros((2, 8)), delta=1.0, seed=0,
+                           provenance="gaussian-field")
+        with pytest.raises(ValueError, match=f"panel has 2 rows but the "
+                                             f"parameters have d = {d}$"):
+            field_to_measure(panel, params, agg=2)
+
 
 class TestGaussianProxy:
     def test_agg_one_is_identity(self):
