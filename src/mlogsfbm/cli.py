@@ -129,8 +129,14 @@ def _write_run_artifacts(out: Path, command: str, resolved: dict):
         log.write(f"{dt.datetime.now().isoformat()} {command}\n")
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(key: str, text: str, kind) -> list:
+    """A comma-separated list setting; an entry ``kind`` cannot read is a
+    ConfigError naming the setting and its value."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{key} must be a comma-separated list of "
+                          f"{kind.__name__} values, got {text!r}") from None
 
 
 def _require_positive(key: str, *values: float):
@@ -163,7 +169,8 @@ _SIMULATE = (
     ("agg", int, 16, "aggregation factor (must divide n)"),
     ("proxy", _PROXIES, "gaussian", None),
     ("format", ("csv", "binary"), "csv", None),
-    ("x0", str, "0.0", "comma-separated initial prices"),
+    ("x0", str, "0.0", "comma-separated initial prices; a list whose first "
+     "entry is negative is written --x0=-1,2"),
     ("substeps", int, 1, "price sub-steps per block"),
 )
 
@@ -177,7 +184,7 @@ def cmd_simulate(resolved: dict) -> int:
         raise ConfigError(f"agg={agg} must divide n={n}")
     if resolved["substeps"] < 1:
         raise ConfigError(f"substeps={resolved['substeps']} must be >= 1")
-    x0 = _parse_float_list(resolved["x0"])
+    x0 = _parse_list("x0", resolved["x0"], float)
     if len(x0) == 1:
         x0 = x0 * params.d
     if len(x0) != params.d:
@@ -258,7 +265,7 @@ def cmd_covariance(resolved: dict) -> int:
     delta = resolved["delta"]
     _require_positive("delta", delta)
     lags = (LagGrid.default(resolved["grid_q"]).taus if resolved["lags"] is None
-            else _parse_float_list(resolved["lags"]))
+            else _parse_list("lags", resolved["lags"], float))
     out = _out_dir(resolved)
     for name, kernel in (
             ("cross_cov", lambda t: kernels.msfbm_cross_cov(t, pair)),
@@ -391,8 +398,7 @@ def cmd_mc_validate(resolved: dict) -> int:
         raise ConfigError("a params file is required (--params)")
     config = McConfig(
         params=_load_params(resolved["params"]),
-        n_list=tuple(int(tok) for tok in resolved["n_list"].split(",")
-                     if tok.strip()),
+        n_list=tuple(_parse_list("n_list", resolved["n_list"], int)),
         replicas=resolved["replicas"],
         seed=resolved["seed"],
         agg=resolved["agg"],
@@ -426,13 +432,13 @@ def cmd_analyze_index(resolved: dict) -> int:
         raise ConfigError("a params file is required (--params)")
     params = _load_params(resolved["params"])
     if resolved["weights"] is not None:
-        weights = _parse_float_list(resolved["weights"])
+        weights = _parse_list("weights", resolved["weights"], float)
     else:
         weights = [1.0 / params.d] * params.d
     if len(weights) != params.d:
         raise ConfigError(f"weights need {params.d} entries")
-    taus = _parse_float_list(resolved["taus"])
-    deltas = _parse_float_list(resolved["deltas"])
+    taus = _parse_list("taus", resolved["taus"], float)
+    deltas = _parse_list("deltas", resolved["deltas"], float)
     _require_positive("taus", *taus)
     _require_positive("deltas", *deltas)
 

@@ -17,9 +17,9 @@ tanh/logistic reparametrization but deterministically, without ridge
 wandering.  This is the one optimiser path, at one given T: when T >= N
 delta the moment curves fix only lambda^2 T^(-2H), so a search over T would
 have nothing to find.  Every model curve is a closed form in the variogram
-of the block covariance (``kernels.block_variogram``) at the q lags and at
-2q + 1 block lengths, O(q) per roughness; only the weights, built twice per
-fit, evaluate whole sequences (``kernels.block_cov_sequence``).
+of the block covariance (``kernels.expected_cross_cov``) at the q lags and
+at 2q + 1 block lengths, O(q) per roughness; only the weights, built twice
+per fit, evaluate whole sequences (``kernels.block_cov_sequence``).
 
 The second-stage weight inverts the exact Gaussian covariance of the moment
 vector at the first-stage estimate.
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.optimize as sopt
 
 from .kernels import (CovCurve, block_cov_sequence, block_support,
-                      block_variogram)
+                      expected_cross_cov)
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
@@ -194,36 +194,8 @@ def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 # ---------------------------------------------------------------------------
-# model curves
+# moment covariances
 # ---------------------------------------------------------------------------
-
-def _model_curve(n: int, taus: Sequence[int], delta: float,
-                 T: float) -> Callable[[float, float], np.ndarray]:
-    """The model side of the moment conditions at unit amplitude, as a
-    function of (h_ij, h_bar): the exact expectation of
-    ``empirical_cross_cov`` at the lags ``taus`` for the sequence
-    r = ``block_cov_sequence(n, delta, h_ij, h_bar, T)``, in O(len(taus)).
-    With V(L) the variance of a sum of L consecutive entries,
-
-        E Chat(k) = (n-k)/n (r(k) + V(n)/n^2) - (V(n-k) + V(n) - V(k))/n^2,
-
-    and in the variogram (``kernels.block_variogram``) r(k) = r(0) -
-    gamma(k), V(L) = L^2 r(0) - Gamma(L), the terms in r(0) cancel:
-
-        E Chat(k) = (Gamma(n-k) - Gamma(k) + k/n Gamma(n))/n^2
-                    - (n-k)/n gamma(k)."""
-    k = np.asarray(taus)
-    q = k.size
-    lengths = np.concatenate((k, n - k, (n,)))
-    rest, share = (n - k) / n, k / n
-
-    def curve(h_ij: float, h_bar: float) -> np.ndarray:
-        gamma, sums = block_variogram(n, k, lengths, delta, h_ij, h_bar, T)
-        sums /= n * n
-        return sums[q:2 * q] - sums[:q] + share * sums[-1] - rest * gamma
-
-    return curve
-
 
 @dataclass(frozen=True)
 class _SeqTransforms:
@@ -554,7 +526,7 @@ def calibrate_univariate(
     grid = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
 
-    curve = _model_curve(n, grid.taus, delta, T)
+    curve = expected_cross_cov(n, grid.taus, delta, T)
 
     def unit(h: float) -> np.ndarray:
         return curve(h, h)
@@ -636,7 +608,7 @@ def calibrate_pair(
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
         return scale * block_cov_sequence(n, delta, hij, h_bar, T)
 
-    curve = _model_curve(n, grid.taus, delta, T)
+    curve = expected_cross_cov(n, grid.taus, delta, T)
     unit = lambda hij: curve(hij, hbar)
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)

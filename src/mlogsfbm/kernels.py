@@ -11,10 +11,10 @@ The kernel coefficients have one implementation,
 computes its constants (xi_ij, A, B, C, T, 2 H_ij) once and caches them,
 so a kernel call reads them instead of deriving them.
 The block covariance has one implementation, shared by ``integrated_cov``,
-``block_cov_sequence``, ``block_variogram``, ``logvol_incr_cov`` and
+``block_cov_sequence``, ``expected_cross_cov``, ``logvol_incr_cov`` and
 ``index_ratio_bound``; it is finite at H_ij = 0, where it is that of the log
 kernel -ln(|x - y|/T).  Its lag-0 branch is the one block-variance formula,
-which ``block_variogram`` also evaluates at longer blocks.
+which ``expected_cross_cov`` also evaluates at longer blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "integrated_cov",
     "block_cov_sequence",
     "block_support",
-    "block_variogram",
+    "expected_cross_cov",
     "interval_cov",
     "logvol_incr_cov",
     "logvol_incr_corr",
@@ -365,41 +365,56 @@ def block_cov_sequence(n: int, delta: float, H_ij: float, h_bar: float,
     return r
 
 
-def block_variogram(n: int, lags, lengths, delta: float, H_ij: float,
-                    h_bar: float, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """The variogram of r = ``block_cov_sequence(n, delta, H_ij, h_bar, T)``
-    at ascending lags k < n, gamma(k) = r(0) - r(k), and its sums at block
-    lengths 0 <= L <= n, Gamma(L) = sum_{|k| < L} (L - |k|) gamma(|k|) =
-    L^2 r(0) - V(L), V(L) the variance of a sum of L consecutive entries.
+def expected_cross_cov(n: int, taus, delta: float, T: float):
+    """curve(H_ij, h_bar): the model side of the moment conditions at unit
+    amplitude, the exact expectation of ``estimate.empirical_cross_cov`` at
+    the ascending lags ``taus`` (below n) of a series whose covariance
+    sequence is r = ``block_cov_sequence(n, delta, H_ij, h_bar, T)``.  In the
+    variogram gamma(k) = r(0) - r(k) and its sums Gamma(L) = sum_{|k| < L}
+    (L - |k|) gamma(|k|) = L^2 r(0) - V(L), V(L) the variance of a sum of L
+    consecutive entries, the terms in r(0) cancel:
 
-    Cost O(len(lags) + len(lengths)), not O(n): r is needed at the lags
-    alone, and V(L) is L^2 times the unit block variance at block length
-    L Delta while L is at most the support M = ``block_support(n, delta,
-    T)``.  Beyond it r vanishes (gamma = r(0)), so V(L) = V(M) + (L - M) S
-    with S = sum_{|k| < M} r(k) in closed form, and Gamma(L) = Gamma(M) +
-    (L - M)((L + M) r(0) - S)."""
+        E Chat(k) = (Gamma(n-k) - Gamma(k) + k/n Gamma(n))/n^2
+                    - (n-k)/n gamma(k).
+
+    So a curve costs O(len(taus)), not O(n): r at the lags, and V(L) is L^2
+    times the unit block variance at block length L Delta while L is at most
+    the support M = ``block_support(n, delta, T)``.  Beyond it r vanishes
+    (gamma = r(0)), so Gamma(L) = Gamma(M) + (L - M)((L + M) r(0) - S), with
+    S = sum_{|k| < M} r(k) in closed form.  What depends on the window alone
+    (the support, the lags inside it, the block lengths k, n - k and n with
+    their spans, the weights) is computed once, here; ``curve`` only reads
+    it."""
+    k = np.asarray(taus)
+    q = k.size
     m = block_support(n, delta, T)
-    lags = np.asarray(lags)
-    lengths = np.asarray(lengths)
-    if m == 0:
-        return np.zeros(lags.shape), np.zeros(lengths.shape)
-    alpha = 2.0 * H_ij
-    c = linear_coeff(alpha, h_bar)
-    inside = int(np.searchsorted(lags, m))
-    r = _unit_block_cov(np.concatenate(([0], lags[:inside])) * delta, delta,
-                        T, H_ij, h_bar)
-    gamma = r[0] - r[1:]
-    if inside < lags.size:
-        gamma = np.append(gamma, np.full(lags.size - inside, r[0]))
-    # Gamma(min(L, M)) = min(L, M)^2 (r(0) - V/L^2), V/L^2 the block variance
+    rest, share = (n - k) / n, k / n
+    inside = int(np.searchsorted(k, m))
+    lags = np.concatenate(([0], k[:inside])) * delta
+    lengths = np.concatenate((k, n - k, (n,)))
     length = np.minimum(lengths, m)
     span = np.maximum(length, 1) * delta
-    sums = length * length * (
-        r[0] - _unit_block_var(span, np.log(span / T), T, alpha, c))
-    if m < n:
-        s = r[0] if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
-        sums += (lengths - length) * ((lengths + m) * r[0] - s)
-    return gamma, sums
+    log_span = np.log(span / T)
+    blocks = length * length
+    beyond, reach = lengths - length, lengths + m
+
+    def curve(H_ij: float, h_bar: float) -> np.ndarray:
+        if m == 0:
+            return np.zeros(q)
+        alpha = 2.0 * H_ij
+        c = linear_coeff(alpha, h_bar)
+        r = _unit_block_cov(lags, delta, T, H_ij, h_bar)
+        gamma = np.full(q, r[0])
+        gamma[:inside] -= r[1:]
+        # Gamma(min(L, M)) = min(L, M)^2 (r(0) - V/L^2)
+        sums = blocks * (r[0] - _unit_block_var(span, log_span, T, alpha, c))
+        if m < n:
+            s = r[0] if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
+            sums += beyond * (reach * r[0] - s)
+        sums /= n * n
+        return sums[q:2 * q] - sums[:q] + share * sums[-1] - rest * gamma
+
+    return curve
 
 
 def interval_cov(interval_i: tuple, interval_j: tuple, pair: PairParams) -> float:

@@ -124,7 +124,8 @@ class VolPanel:
                 values.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise OhlcParseError(f"line {line_no}: {exc}") from None
-        data = np.array(values, dtype=float).T
+        # shaped, so a table with no data rows is (assets, 0), not (0,)
+        data = np.array(values, float).reshape(len(dates), len(assets)).T
         imputed = data <= math.log(GK_ZERO_FLOOR)
         return cls(assets=assets, dates=tuple(dates), values=data,
                    imputed=imputed)

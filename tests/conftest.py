@@ -1,5 +1,5 @@
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
@@ -8,21 +8,22 @@ import scipy.fft
 from hypothesis import settings
 
 from mlogsfbm import ModelParams, PairParams
-from mlogsfbm.params import require_admissible
+from mlogsfbm.params import linear_coeff, require_admissible
 from mlogsfbm import simulate
 from mlogsfbm.estimate import (
     CalibrationError,
     GmmResult,
     LagGrid,
     _joint_moment_cov,
-    _model_curve,
     _prepare_series,
     _profiled_minimize,
     _regularized_inverse,
     _window_grid,
     empirical_cross_cov,
 )
-from mlogsfbm.kernels import CovCurve, block_cov_sequence
+from mlogsfbm.kernels import (CovCurve, _unit_block_cov, _unit_block_var,
+                              _unit_window_sum, block_cov_sequence,
+                              block_support, expected_cross_cov)
 from mlogsfbm.simulate import (
     CLIP_APPROX,
     CLIP_EXACT,
@@ -302,7 +303,7 @@ def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
     - L [tau=0] counts it in n sum_{l<=L} E[x_l mean(y)].
 
     The linear-map form of the model curve: the oracle of the closed forms
-    of ``estimate._model_curve``."""
+    of ``kernels.expected_cross_cov``."""
     tau = np.arange(support)
     curve_map = (tau == np.asarray(taus)[:, None]).astype(float)
     zero = tau == 0
@@ -315,6 +316,77 @@ def _curve_map(n: int, taus: Sequence[int], support: int) -> np.ndarray:
     for row, k in zip(curve_map, taus):  # row by row: no q x M temporaries
         row[:] = (n - k) / n * (row + v) - (w(n - k) + w(n) - w(k)) / n**2
     return curve_map
+
+
+# The variogram and the model curve as they stood when the curve re-derived
+# its window (support, lags, block spans and their logs) at each roughness,
+# kept verbatim but for their names: the oracles that
+# ``kernels.expected_cross_cov`` equals bit for bit.
+
+def oracle_block_variogram(n: int, lags, lengths, delta: float, H_ij: float,
+                           h_bar: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The variogram of r = ``block_cov_sequence(n, delta, H_ij, h_bar, T)``
+    at ascending lags k < n, gamma(k) = r(0) - r(k), and its sums at block
+    lengths 0 <= L <= n, Gamma(L) = sum_{|k| < L} (L - |k|) gamma(|k|) =
+    L^2 r(0) - V(L), V(L) the variance of a sum of L consecutive entries.
+
+    Cost O(len(lags) + len(lengths)), not O(n): r is needed at the lags
+    alone, and V(L) is L^2 times the unit block variance at block length
+    L Delta while L is at most the support M = ``block_support(n, delta,
+    T)``.  Beyond it r vanishes (gamma = r(0)), so V(L) = V(M) + (L - M) S
+    with S = sum_{|k| < M} r(k) in closed form, and Gamma(L) = Gamma(M) +
+    (L - M)((L + M) r(0) - S)."""
+    m = block_support(n, delta, T)
+    lags = np.asarray(lags)
+    lengths = np.asarray(lengths)
+    if m == 0:
+        return np.zeros(lags.shape), np.zeros(lengths.shape)
+    alpha = 2.0 * H_ij
+    c = linear_coeff(alpha, h_bar)
+    inside = int(np.searchsorted(lags, m))
+    r = _unit_block_cov(np.concatenate(([0], lags[:inside])) * delta, delta,
+                        T, H_ij, h_bar)
+    gamma = r[0] - r[1:]
+    if inside < lags.size:
+        gamma = np.append(gamma, np.full(lags.size - inside, r[0]))
+    # Gamma(min(L, M)) = min(L, M)^2 (r(0) - V/L^2), V/L^2 the block variance
+    length = np.minimum(lengths, m)
+    span = np.maximum(length, 1) * delta
+    sums = length * length * (
+        r[0] - _unit_block_var(span, np.log(span / T), T, alpha, c))
+    if m < n:
+        s = r[0] if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
+        sums += (lengths - length) * ((lengths + m) * r[0] - s)
+    return gamma, sums
+
+
+def oracle_model_curve(n: int, taus: Sequence[int], delta: float,
+                       T: float) -> Callable[[float, float], np.ndarray]:
+    """The model side of the moment conditions at unit amplitude, as a
+    function of (h_ij, h_bar): the exact expectation of
+    ``empirical_cross_cov`` at the lags ``taus`` for the sequence
+    r = ``block_cov_sequence(n, delta, h_ij, h_bar, T)``, in O(len(taus)).
+    With V(L) the variance of a sum of L consecutive entries,
+
+        E Chat(k) = (n-k)/n (r(k) + V(n)/n^2) - (V(n-k) + V(n) - V(k))/n^2,
+
+    and in the variogram (``oracle_block_variogram``) r(k) = r(0) -
+    gamma(k), V(L) = L^2 r(0) - Gamma(L), the terms in r(0) cancel:
+
+        E Chat(k) = (Gamma(n-k) - Gamma(k) + k/n Gamma(n))/n^2
+                    - (n-k)/n gamma(k)."""
+    k = np.asarray(taus)
+    q = k.size
+    lengths = np.concatenate((k, n - k, (n,)))
+    rest, share = (n - k) / n, k / n
+
+    def curve(h_ij: float, h_bar: float) -> np.ndarray:
+        gamma, sums = oracle_block_variogram(n, k, lengths, delta, h_ij,
+                                             h_bar, T)
+        sums /= n * n
+        return sums[q:2 * q] - sums[:q] + share * sums[-1] - rest * gamma
+
+    return curve
 
 
 # The pair fit as it stood when it took the marginal parameters, T and the
@@ -398,7 +470,7 @@ def scalar_calibrate_pair(
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
         return scale * block_cov_sequence(n, delta, hij, h_bar, T)
 
-    curve = _model_curve(n, grid.taus, delta, T)
+    curve = expected_cross_cov(n, grid.taus, delta, T)
     unit = lambda hij: curve(hij, hbar)
     first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
                                h_lo, h_hi, -lam, lam)

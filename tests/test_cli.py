@@ -93,6 +93,15 @@ class TestSimulateCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_first_price_is_joined_to_its_flag(self, tmp_path,
+                                                         params_file):
+        # argparse reads "--x0 -1,2" as a flag; "--x0=-1,2" is the value
+        out = tmp_path / "o"
+        assert main(["simulate", "--params", str(params_file), "--n", "512",
+                     "--agg", "8", "--x0=-1,2", "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "prices_p000.csv")
+        assert [float(v) for v in rows[0][1:]] == [-1.0, 2.0]
+
     def test_inadmissible_params(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -297,6 +306,17 @@ def five_asset_panel(tmp_path_factory):
 
 
 class TestCalibrateCommand:
+    @pytest.mark.parametrize("rows", ["", "2020-01-01,-9.1,-8.9\n"],
+                             ids=["0-dates", "1-date"])
+    def test_market_panel_needs_two_dates(self, tmp_path, rows, capsys):
+        market = tmp_path / "vol.csv"
+        market.write_text("date,A,B\n" + rows)
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--panel", str(market),
+                     "--out", str(out)]) == 2
+        assert "panel needs at least 2 dates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_asset_panel(self, tmp_path, simulated_panel):
         panel_path, params = simulated_panel
         out = tmp_path / "cal"
@@ -680,6 +700,38 @@ class TestConfigPrecedence:
         assert "unknown config keys: ['workers']" in capsys.readouterr().err
 
 
+class TestListSettings:
+    """An entry of a comma-separated list setting that its type cannot read
+    exits 2 naming the setting and its value, whether it comes from a flag
+    or from a config file, before any output is made."""
+
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("simulate", "x0", "1,b", "float"),
+        ("covariance", "lags", "1,a", "float"),
+        ("mc-validate", "n_list", "1e3", "int"),
+        ("analyze-index", "weights", "0.5,x", "float"),
+        ("analyze-index", "taus", "1,a", "float"),
+        ("analyze-index", "deltas", "4,,y", "float"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_entry_names_the_setting(self, tmp_path, params_file,
+                                         pair_file, command, key, value,
+                                         kind, source, capsys):
+        needs = (["--pair", str(pair_file)] if command == "covariance"
+                 else ["--params", str(params_file)])
+        if source == "flag":
+            given = [f"--{key.replace('_', '-')}", value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main([command, *needs, *given, "--out", str(out)]) == 2
+        assert (f"error: {key} must be a comma-separated list of {kind} "
+                f"values, got {value!r}") in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _options(command):
     """(flag, dest, resolved default, choices, help) of each option."""
     parser = _build_parser()
@@ -710,7 +762,8 @@ class TestSettings:
             ("--agg", "agg", 16, None, "aggregation factor (must divide n)"),
             ("--proxy", "proxy", "gaussian", _PROXY, None),
             ("--format", "format", "csv", ["csv", "binary"], None),
-            ("--x0", "x0", "0.0", None, "comma-separated initial prices"),
+            ("--x0", "x0", "0.0", None, "comma-separated initial prices; "
+             "a list whose first entry is negative is written --x0=-1,2"),
             ("--substeps", "substeps", 1, None, "price sub-steps per block")]),
         ("covariance", [
             ("--out", "out", "runs/covariance", None, "output directory"),

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (_curve_map, default_lags_below, given_marginal,
-                      scalar_calibrate_pair)
+                      oracle_model_curve, scalar_calibrate_pair)
 from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     CalibrationError,
@@ -22,7 +22,6 @@ from mlogsfbm.estimate import (
     ZeroVarianceError,
     _AMP_FLOOR,
     _ProfileOutcome,
-    _model_curve,
     _profiled_minimize,
     calibrate_pair,
     calibrate_panel,
@@ -31,7 +30,8 @@ from mlogsfbm.estimate import (
     mc_validate,
 )
 from mlogsfbm.kernels import (_unit_block_var, _unit_window_sum,
-                              block_cov_sequence, block_support)
+                              block_cov_sequence, block_support,
+                              expected_cross_cov)
 from mlogsfbm.params import linear_coeff
 from mlogsfbm.simulate import (
     FieldPanel,
@@ -421,9 +421,9 @@ def closed_form_cases(draw, max_n=300):
 
 
 class TestClosedFormCurve:
-    """``estimate._model_curve``, the closed form in the variogram, against
-    the ``_curve_map`` oracle within the rounding of both, on both sides of
-    T = N delta and down to H_ij = h_bar = 0."""
+    """``kernels.expected_cross_cov``, the closed form in the variogram,
+    against the ``_curve_map`` oracle within the rounding of both, on both
+    sides of T = N delta and down to H_ij = h_bar = 0."""
 
     @settings(max_examples=300, deadline=None)
     @given(closed_form_cases())
@@ -436,7 +436,7 @@ class TestClosedFormCurve:
     @example((4, [0, 1, 2, 3], 1.0, 5e-324, 0.0, 4.0))  # subnormal H_ij
     def test_property_matches_curve_map(self, case):
         n, lags, delta, h_ij, h_bar, T = case
-        got = _model_curve(n, lags, delta, T)(h_ij, h_bar)
+        got = expected_cross_cov(n, lags, delta, T)(h_ij, h_bar)
         assert_closed_form_within_rounding(got, n, lags, delta, h_ij, h_bar,
                                            T)
 
@@ -449,7 +449,7 @@ class TestClosedFormCurve:
         taus = default_lags_below(block_support(n, delta, T))
         for h_ij, h_bar in ((0.0, 0.0), (0.02, 0.02), (0.15, 0.02),
                             (0.25, 0.25), (0.45, 0.05), (0.4999, 0.4999)):
-            got = _model_curve(n, taus, delta, T)(h_ij, h_bar)
+            got = expected_cross_cov(n, taus, delta, T)(h_ij, h_bar)
             assert_closed_form_within_rounding(got, n, taus, delta, h_ij,
                                                h_bar, T)
 
@@ -458,7 +458,7 @@ class TestClosedFormCurve:
         (17, [2, 5, 16], 1.0, 9.0), (30, [1, 2, 29], 16.0, 32.0)])
     def test_bound_sees_a_perturbed_entry(self, case):
         n, lags, delta, T = case
-        got = _model_curve(n, lags, delta, T)(0.15, 0.02)
+        got = expected_cross_cov(n, lags, delta, T)(0.15, 0.02)
         assert_closed_form_within_rounding(got, n, lags, delta, 0.15, 0.02, T)
         got[np.argmax(np.abs(got))] *= 1.0 + 1e-12
         with pytest.raises(AssertionError):
@@ -519,6 +519,52 @@ class TestClosedFormCurve:
         naive = m * m * var[0] - (m - 1) ** 2 * var[1]
         want = self._window_sum_mpmath(m, delta, T, alpha, c)
         assert abs(naive - want) > self._window_sum_bound(m, delta, T, alpha, c)
+
+
+class TestCurveWindowOnce:
+    """``kernels.expected_cross_cov`` computes its window (support, lags,
+    block spans and weights) once per call and only the roughness terms per
+    curve evaluation: the arithmetic of ``conftest.oracle_model_curve``,
+    which re-derived the window each time, in the same order, so the same
+    bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(closed_form_cases())
+    @example((300, [0, 1, 2, 150, 299], 1.0, 0.0, 0.0, 300.0))
+    @example((300, [1, 5, 100], 16.0, 0.4999, 0.0, 300 * 16.0 / 4))
+    @example((257, [1, 2, 200], 1.0, 0.15, 0.02, 2.0))
+    @example((8, [0, 3, 7], 16.0, 0.1, 0.1, 8.0))  # T < delta: no support
+    @example((4, [0, 1, 2, 3], 1.0, 5e-324, 0.0, 4.0))  # subnormal H_ij
+    def test_property_equals_oracle(self, case):
+        n, lags, delta, h_ij, h_bar, T = case
+        got = expected_cross_cov(n, lags, delta, T)(h_ij, h_bar)
+        want = oracle_model_curve(n, lags, delta, T)(h_ij, h_bar)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("t_over_delta", [2, 1024, 2**13, 2**14, 2**16],
+                             ids=["T-2-delta", "T-1024-delta", "T-half-N",
+                                  "T-N-delta", "T-4N-delta"])
+    @pytest.mark.parametrize("delta", [1.0, 16.0])
+    def test_fixed_shapes_equal_oracle(self, t_over_delta, delta):
+        n, T = 2**14, t_over_delta * delta
+        taus = default_lags_below(block_support(n, delta, T))
+        curve = expected_cross_cov(n, taus, delta, T)
+        for h_ij, h_bar in ((0.0, 0.0), (0.02, 0.02), (0.15, 0.02),
+                            (0.25, 0.25), (0.45, 0.05), (0.4999, 0.4999)):
+            want = oracle_model_curve(n, taus, delta, T)(h_ij, h_bar)
+            assert _bits(curve(h_ij, h_bar)) == _bits(want), (h_ij, h_bar)
+
+    @pytest.mark.parametrize("case", [
+        (2**14, default_lags_below(2**14), 16.0, 2**14 * 16.0),
+        (300, [0, 1, 5, 100, 299], 16.0, 300 * 16.0 / 4)],
+        ids=["T=N*delta", "lags-beyond-support"])
+    def test_no_call_writes_the_window(self, case):
+        n, lags, delta, T = case
+        curve = expected_cross_cov(n, lags, delta, T)
+        first = _bits(curve(0.15, 0.02))
+        other = curve(0.4, 0.3)
+        assert _bits(other) != first
+        assert _bits(curve(0.15, 0.02)) == first
 
 
 class TestCurveCost:
@@ -587,7 +633,7 @@ class TestScaleInvariance:
         # cases, against 1.8e-15 for the map); the scale is the size of the
         # terms of the oracle's sum, before the constant cancels
         def unit(t_val):
-            curve = _model_curve(n, taus, delta, t_val)
+            curve = expected_cross_cov(n, taus, delta, t_val)
             return lambda hh: curve(hh, hh)
 
         r2 = block_cov_sequence(n, delta, h, h, t2)

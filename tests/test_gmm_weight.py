@@ -15,13 +15,13 @@ from mlogsfbm import ModelParams
 from mlogsfbm.estimate import (
     LagGrid,
     _cv_adjusted_cross_moments,
-    _model_curve,
     _regularized_inverse,
     calibrate_pair,
     calibrate_univariate,
     empirical_cross_cov,
 )
-from mlogsfbm.kernels import block_cov_sequence, block_support
+from mlogsfbm.kernels import (block_cov_sequence, block_support,
+                              expected_cross_cov)
 from mlogsfbm.simulate import field_to_gaussian_proxy, simulate_field
 
 _product_moment_cov = est._product_moment_cov
@@ -120,7 +120,7 @@ def joint_cases(draw):
                       for _ in range(2))
     seqs = tuple(lam2 * block_cov_sequence(N_SMALL, 1.0, h, h, t_val)
                  for lam2, h in marginals) + (rng.standard_normal(N_SMALL),)
-    curve = _model_curve(N_SMALL, TAUS[:q], 1.0, t_val)
+    curve = expected_cross_cov(N_SMALL, TAUS[:q], 1.0, t_val)
     curves = tuple(lam2 * curve(h, h) for lam2, h in marginals)
     return joint, q, x, y, seqs, curves, t_val, rng.standard_normal(q)
 
@@ -274,9 +274,13 @@ class TestRoundingStability:
         exact = est.block_cov_sequence
         monkeypatch.setattr(est, "block_cov_sequence",
                             lambda *args: exact(*args) * (1.0 + eps))
-        exact_variogram = est.block_variogram
-        monkeypatch.setattr(est, "block_variogram", lambda *args: tuple(
-            v * (1.0 + eps) for v in exact_variogram(*args)))
+        exact_curve = est.expected_cross_cov
+
+        def scaled_curve(*args):
+            curve = exact_curve(*args)
+            return lambda *h: curve(*h) * (1.0 + eps)
+
+        monkeypatch.setattr(est, "expected_cross_cov", scaled_curve)
         scaled = fit()
         for res in (plain, scaled):
             assert np.linalg.eigvalsh(res.weight)[0] > 0.0
