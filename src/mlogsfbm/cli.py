@@ -313,8 +313,8 @@ def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
     if text.startswith("#"):
         return read_panel_csv(text), None
     vol = VolPanel.from_csv(text)
-    if vol.n < 2:
-        raise ConfigError("panel needs at least 2 dates")
+    if vol.n < 3:  # a fit needs two lags below the support
+        raise ConfigError("panel needs at least 3 dates")
     panel = FieldPanel(data=vol.values, delta=1.0, seed=0,
                        provenance="market")
     mask = ~vol.imputed

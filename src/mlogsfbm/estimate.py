@@ -18,8 +18,9 @@ wandering.  This is the one optimiser path, at one given T: when T >= N
 delta the moment curves fix only lambda^2 T^(-2H), so a search over T would
 have nothing to find.  Every model curve is a closed form in the variogram
 of the block covariance (``kernels.expected_cross_cov``) at the q lags and
-at 2q + 1 block lengths, O(q) per roughness; only the weights, built twice
-per fit, evaluate whole sequences (``kernels.block_cov_sequence``).
+at 2q + 1 block lengths, O(q) per roughness; the coarse scan of a search
+evaluates all its roughness values in one call, as rows.  Only the weights,
+built twice per fit, evaluate whole sequences (``kernels.block_cov_sequence``).
 
 The second-stage weight inverts the exact Gaussian covariance of the moment
 vector at the first-stage estimate.
@@ -376,7 +377,7 @@ class _ProfileOutcome:
 
 def _profiled_minimize(
     observed: np.ndarray,
-    unit_curve: Callable[[float], np.ndarray],
+    unit_curve: Callable[[float | np.ndarray], np.ndarray],
     weight: np.ndarray,
     h_lo: float,
     h_hi: float,
@@ -385,11 +386,12 @@ def _profiled_minimize(
 ) -> _ProfileOutcome:
     """Minimize (obs - a c(h))' W (obs - a c(h)) with the amplitude a solved
     in closed form (clipped to its box) at each roughness h: a coarse scan
-    locates the basin, a bounded Brent search refines it."""
-    evals = 0
+    locates the basin, a bounded Brent search refines it.  ``unit_curve``
+    takes one roughness, or an array of them and returns one curve per
+    row: the scan is one call, and each scan value is computed from its
+    row as from a one-point curve."""
 
-    def amp_and_value(h: float) -> tuple[float, float]:
-        c = unit_curve(h)
+    def amp_and_value(c: np.ndarray) -> tuple[float, float]:
         wc = weight @ c
         denom = float(c @ wc)
         a = float(observed @ wc) / denom if denom > 0 else 0.0
@@ -398,23 +400,20 @@ def _profiled_minimize(
         return a, float(resid @ weight @ resid)
 
     hs = np.linspace(h_lo, h_hi, _N_SCAN)
-    vals = []
-    for h in hs:
-        vals.append(amp_and_value(h)[1])
-        evals += 1
+    vals = [amp_and_value(c)[1] for c in unit_curve(hs)]
     best = int(np.argmin(vals))
     lo = hs[max(0, best - 1)]
     hi = hs[min(_N_SCAN - 1, best + 1)]
-    res = sopt.minimize_scalar(lambda h: amp_and_value(h)[1],
+    res = sopt.minimize_scalar(lambda h: amp_and_value(unit_curve(h))[1],
                                bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-7})
-    evals += int(res.nfev)
     h_star = float(res.x)
     if vals[best] < res.fun:
         h_star = float(hs[best])
-    amp, value = amp_and_value(h_star)
+    amp, value = amp_and_value(unit_curve(h_star))
     at_bound = amp in (amp_lo, amp_hi)
-    return _ProfileOutcome(h=h_star, amp=amp, objective=value, evals=evals,
+    return _ProfileOutcome(h=h_star, amp=amp, objective=value,
+                           evals=_N_SCAN + int(res.nfev),
                            amp_at_bound=at_bound,
                            h_at_bound=min(h_star - h_lo, h_hi - h_star) <= 1e-6,
                            converged=bool(res.success) or vals[best] < res.fun)
@@ -528,7 +527,7 @@ def calibrate_univariate(
 
     curve = expected_cross_cov(n, grid.taus, delta, T)
 
-    def unit(h: float) -> np.ndarray:
+    def unit(h: float | np.ndarray) -> np.ndarray:
         return curve(h, h)
 
     def search(weight) -> _ProfileOutcome:

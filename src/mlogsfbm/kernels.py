@@ -14,7 +14,10 @@ The block covariance has one implementation, shared by ``integrated_cov``,
 ``block_cov_sequence``, ``expected_cross_cov``, ``logvol_incr_cov`` and
 ``index_ratio_bound``; it is finite at H_ij = 0, where it is that of the log
 kernel -ln(|x - y|/T).  Its lag-0 branch is the one block-variance formula,
-which ``expected_cross_cov`` also evaluates at longer blocks.
+which ``expected_cross_cov`` also evaluates at longer blocks.  It computes
+what depends on the lags alone once per lag set, and its roughness terms
+take a number or a column of P roughness values (P rows), each row with the
+bits of its own one-roughness call.
 """
 
 from __future__ import annotations
@@ -209,52 +212,76 @@ def noise_correlation(h, pair: PairParams):
     return _dispatch(h, compute)
 
 
-def _power_log(log_y, alpha: float):
+def _rows(alpha) -> tuple:
+    """The row axes of a roughness term: () for one roughness, (P,) for a
+    column (P, 1) of P roughness values."""
+    return alpha.shape[:-1] if isinstance(alpha, np.ndarray) else ()
+
+
+def _power_log(log_y, alpha):
     """(y^a - 1)/a from ln y; ln y itself at a < 1e-290, where a ln y could
     be subnormal (|ln y| >= 1.1e-16 unless y = 1) and lose its bits, while
-    ln y is off by at most a (ln y)^2/2, far below its rounding."""
-    return log_y if alpha < 1e-290 else np.expm1(alpha * log_y) / alpha
+    ln y is off by at most a (ln y)^2/2, far below its rounding.  For a
+    column of rows each row takes its own branch."""
+    small = alpha < 1e-290
+    if isinstance(small, np.ndarray):
+        if small.any():
+            safe = np.where(small, 1.0, alpha)
+            return np.where(small, log_y, np.expm1(safe * log_y) / safe)
+    elif small:
+        return log_y
+    return np.expm1(alpha * log_y) / alpha
 
 
-def _second_diff_excess(z: np.ndarray, alpha: float, n_log: int) -> np.ndarray:
-    """(E(z, a) - 1)/a at descending z, E(z, a) = (|1+z|^(a+2) + |1-z|^(a+2)
-    - 2) / (z^2 (1+a)(2+a)); every term carries the factor a before it is
-    divided out.  The first n_log entries use |1+-z|^(a+2) = |1+-z|^2 (1 + a
-    (|1+-z|^a - 1)/a), which loses about eps/z^2; the rest (z < _SERIES_Z)
-    the binomial series sum_{k>=2} 2 (a-1)(a-2)...(a-2k+3)/(2k)! z^(2k-2)."""
-    out = np.empty(z.size)
+def _second_diff_excess(z: np.ndarray, n_log: int):
+    """excess(a): (E(z, a) - 1)/a at descending z, E(z, a) = (|1+z|^(a+2) +
+    |1-z|^(a+2) - 2) / (z^2 (1+a)(2+a)); every term carries the factor a
+    before it is divided out.  The first n_log entries use |1+-z|^(a+2) =
+    |1+-z|^2 (1 + a (|1+-z|^a - 1)/a), which loses about eps/z^2; the rest
+    (z < _SERIES_Z) the binomial series sum_{k>=2} 2 (a-1)(a-2)...(a-2k+3)
+    /(2k)! z^(2k-2), whose coefficients a column of rows holds per row.
+    What depends on z alone is computed once, here."""
     zl = z[:n_log]
     zp, zm = 1.0 + zl, np.abs(1.0 - zl)
-    s = zp * zp * _power_log(np.log1p(zl), alpha)
-    s += zm * zm * _power_log(np.log(np.maximum(zm, _TINY)), alpha)  # zm = 0 at z = 1
-    out[:n_log] = (s / (zl * zl) - (3.0 + alpha)) / ((1.0 + alpha) * (2.0 + alpha))
-    coefs = [(alpha - 1.0) / 12.0]
-    for k in range(2, _SERIES_TERMS + 1):
-        coefs.append(coefs[-1] * (alpha - 2.0 * k + 2.0) * (alpha - 2.0 * k + 1.0)
-                     / ((2.0 * k + 1.0) * (2.0 * k + 2.0)))
+    zp2, log_zp, zl2 = zp * zp, np.log1p(zl), zl * zl
+    zm2, log_zm = zm * zm, np.log(np.maximum(zm, _TINY))  # zm = 0 at z = 1
     w = z[n_log:] ** 2
-    acc = out[n_log:]
-    acc[:] = coefs[-1]
-    for coef in coefs[-2::-1]:
+
+    def excess(alpha) -> np.ndarray:
+        out = np.empty(_rows(alpha) + z.shape)
+        s = zp2 * _power_log(log_zp, alpha)
+        s += zm2 * _power_log(log_zm, alpha)
+        out[..., :n_log] = (s / zl2 - (3.0 + alpha)) / ((1.0 + alpha)
+                                                       * (2.0 + alpha))
+        coefs = [(alpha - 1.0) / 12.0]
+        for k in range(2, _SERIES_TERMS + 1):
+            coefs.append(coefs[-1] * (alpha - 2.0 * k + 2.0)
+                         * (alpha - 2.0 * k + 1.0)
+                         / ((2.0 * k + 1.0) * (2.0 * k + 2.0)))
+        acc = out[..., n_log:]
+        acc[:] = coefs[-1]
+        for coef in coefs[-2::-1]:
+            acc *= w
+            acc += coef
         acc *= w
-        acc += coef
-    acc *= w
-    return out
+        return out
+
+    return excess
 
 
-def _unit_block_var(length, log_y, T: float, alpha: float, c: float):
+def _unit_block_var(length, log_y, T: float, alpha, c):
     """Unit-amplitude variance of a block of the given length (at most T)
     over length^2, from log_y = ln(length/T): the tau = 0 branch of
-    ``_unit_block_cov``, c (1 - length/(3T)) - (p - e)/(1 - a) with
+    ``_block_cov_at``, c (1 - length/(3T)) - (p - e)/(1 - a) with
     p = (y^a - 1)/a and e = (1 + a p)(3 + a)/((1+a)(2+a)), since there
-    1 - u^a E = -a p + y^a (1 - 2/((1+a)(2+a))).  Vectorized over length."""
+    1 - u^a E = -a p + y^a (1 - 2/((1+a)(2+a))).  Vectorized over length,
+    and over rows when a and c are columns."""
     p = _power_log(log_y, alpha)
     e = (1.0 + alpha * p) * (3.0 + alpha) / ((1.0 + alpha) * (2.0 + alpha))
     return c * (1.0 - length / (3.0 * T)) - (p - e) / (1.0 - alpha)
 
 
-def _unit_window_sum(m: int, delta: float, T: float, alpha: float,
-                     c: float) -> float:
+def _unit_window_sum(m: int, delta: float, T: float, alpha, c):
     """S = sum_{|k| < m} r(k) of the unit block covariance r (m >= 2,
     m Delta <= T): the first difference V(m) - V(m-1) of V(L) = L^2
     ``_unit_block_var``(L Delta) = c (L^2 - L^3 Delta/(3T)) - L^2 (2 p_L - 3
@@ -267,42 +294,58 @@ def _unit_window_sum(m: int, delta: float, T: float, alpha: float,
     log1p.  Neither bracket cancels (the first lies in [m - 1, 2m), p_m <= 0
     and (m-1)^2 (p_m - p_(m-1)) < m), where the difference of the two V,
     each of size m^2 r(0), loses a factor m; the two terms cancel only as the
-    kernel's own B- and C-terms do near H_ij = 1/2."""
+    kernel's own B- and C-terms do near H_ij = 1/2.  For columns a and c it
+    is a column: ((m-1) Delta/T)^a is ``math.exp`` row by row, since
+    ``np.exp`` can differ from it in the last bit."""
     log_prev = math.log((m - 1) * delta / T)
     p_m = _power_log(math.log(m * delta / T), alpha)
-    step = math.exp(alpha * log_prev) * _power_log(math.log1p(1.0 / (m - 1)),
-                                                   alpha)
+    expo = alpha * log_prev
+    y_prev = (np.reshape([math.exp(v) for v in expo.ravel()], expo.shape)
+              if isinstance(expo, np.ndarray) else math.exp(expo))
+    step = y_prev * _power_log(math.log1p(1.0 / (m - 1)), alpha)
     lin = 2 * m - 1 - (3 * m * m - 3 * m + 1) * delta / (3.0 * T)
     power = ((2 * m - 1) * (3.0 + alpha - 2.0 * p_m)
              - 2.0 * (m - 1) ** 2 * step)
-    return float(c * lin + power / ((1.0 - alpha) * (1.0 + alpha)
-                                    * (2.0 + alpha)))
+    return c * lin + power / ((1.0 - alpha) * (1.0 + alpha) * (2.0 + alpha))
 
 
-def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
-                    h_bar: float) -> np.ndarray:
-    """Unit-amplitude block covariance over Delta^2 at ascending lags tau:
-    B (1 - u^a E(z, a)) + C (1 - u E(z, 1)), a = 2 H_ij, u = tau/T,
-    z = Delta/tau, A = B + C.  The B-term is -[(u^a - 1)/a + u^a (E - 1)/a]
-    /(1 - a), finite at a = 0 (the log kernel -ln(|x - y|/T)); at tau = 0,
-    u^a E is its z -> infinity limit (Delta/T)^a 2/((1+a)(2+a)).  z falls
-    as tau grows, so each form is a slice."""
-    alpha = 2.0 * h_ij
-    c = linear_coeff(alpha, h_bar)
+def _block_cov_at(tau: np.ndarray, delta: float, T: float):
+    """cov(a, c): the unit-amplitude block covariance over Delta^2 at
+    ascending lags tau, B (1 - u^a E(z, a)) + C (1 - u E(z, 1)), a = 2 H_ij,
+    c = C = ``linear_coeff``(a, h_bar), u = tau/T, z = Delta/tau, A = B + C.
+    The B-term is -[(u^a - 1)/a + u^a (E - 1)/a]/(1 - a), finite at a = 0
+    (the log kernel -ln(|x - y|/T)); at tau = 0, u^a E is its z -> infinity
+    limit (Delta/T)^a 2/((1+a)(2+a)).  z falls as tau grows, so each form is
+    a slice.  What depends on the lags alone is computed once, here; a and c
+    are numbers, or columns (P, 1) that give P rows."""
     # ends of the lags tau = 0, tau < Delta and z >= _SERIES_Z
     i0, i1, i2 = np.searchsorted(
         tau, (0.0, math.nextafter(delta, 0.0), delta / _SERIES_Z), side="right")
-    out = np.empty(tau.size)
-    out[:i0] = _unit_block_var(delta, math.log(delta / T), T, alpha, c)
+    log_block = math.log(delta / T)
     u, z = tau[i0:] / T, delta / tau[i0:]
-    p = _power_log(np.log(u), alpha)
-    power = p + (alpha * p + 1.0) * _second_diff_excess(z, alpha, i2 - i0)
+    log_u = np.log(u)
+    excess = _second_diff_excess(z, i2 - i0)
     lin = 1.0 - u
     if i1 > i0:  # tau < Delta: E(z, 1) - 1 = (z - 1)^3/(3 z^2)
         zs = z[:i1 - i0]
         lin[:i1 - i0] -= u[:i1 - i0] * (zs - 1.0) ** 3 / (3.0 * zs * zs)
-    out[i0:] = c * lin - power / (1.0 - alpha)
-    return out
+
+    def cov(alpha, c) -> np.ndarray:
+        out = np.empty(_rows(alpha) + tau.shape)
+        out[..., :i0] = _unit_block_var(delta, log_block, T, alpha, c)
+        p = _power_log(log_u, alpha)
+        power = p + (alpha * p + 1.0) * excess(alpha)
+        out[..., i0:] = c * lin - power / (1.0 - alpha)
+        return out
+
+    return cov
+
+
+def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
+                    h_bar: float) -> np.ndarray:
+    """``_block_cov_at`` at one (H_ij, h_bar)."""
+    alpha = 2.0 * h_ij
+    return _block_cov_at(tau, delta, T)(alpha, linear_coeff(alpha, h_bar))
 
 
 def _check_window(tau, delta: float, T: float):
@@ -384,7 +427,13 @@ def expected_cross_cov(n: int, taus, delta: float, T: float):
     S = sum_{|k| < M} r(k) in closed form.  What depends on the window alone
     (the support, the lags inside it, the block lengths k, n - k and n with
     their spans, the weights) is computed once, here; ``curve`` only reads
-    it."""
+    it.
+
+    ``curve`` takes one roughness (numbers H_ij and h_bar) and returns the
+    (q,) curve, or P of them (1-d arrays H_ij and h_bar of length P, or a
+    number h_bar that every row shares) and returns a (P, q) array whose
+    row i is curve(H_ij[i], h_bar[i]) bit for bit: the rows share every
+    numpy call, so a roughness scan costs one call."""
     k = np.asarray(taus)
     q = k.size
     m = block_support(n, delta, T)
@@ -397,22 +446,30 @@ def expected_cross_cov(n: int, taus, delta: float, T: float):
     log_span = np.log(span / T)
     blocks = length * length
     beyond, reach = lengths - length, lengths + m
+    block_cov = _block_cov_at(lags, delta, T) if m else None
 
-    def curve(H_ij: float, h_bar: float) -> np.ndarray:
-        if m == 0:
-            return np.zeros(q)
+    def curve(H_ij, h_bar) -> np.ndarray:
+        if isinstance(H_ij, np.ndarray):  # rows: columns (P, 1)
+            H_ij = H_ij[:, None]
+            if isinstance(h_bar, np.ndarray):
+                h_bar = h_bar[:, None]
         alpha = 2.0 * H_ij
+        if m == 0:
+            return np.zeros(_rows(alpha) + (q,))
         c = linear_coeff(alpha, h_bar)
-        r = _unit_block_cov(lags, delta, T, H_ij, h_bar)
-        gamma = np.full(q, r[0])
-        gamma[:inside] -= r[1:]
+        r = block_cov(alpha, c)
+        r0 = r[..., :1]
+        gamma = np.empty(_rows(alpha) + (q,))
+        gamma[...] = r0
+        gamma[..., :inside] -= r[..., 1:]
         # Gamma(min(L, M)) = min(L, M)^2 (r(0) - V/L^2)
-        sums = blocks * (r[0] - _unit_block_var(span, log_span, T, alpha, c))
+        sums = blocks * (r0 - _unit_block_var(span, log_span, T, alpha, c))
         if m < n:
-            s = r[0] if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
-            sums += beyond * (reach * r[0] - s)
+            s = r0 if m == 1 else _unit_window_sum(m, delta, T, alpha, c)
+            sums += beyond * (reach * r0 - s)
         sums /= n * n
-        return sums[q:2 * q] - sums[:q] + share * sums[-1] - rest * gamma
+        return (sums[..., q:2 * q] - sums[..., :q] + share * sums[..., -1:]
+                - rest * gamma)
 
     return curve
 

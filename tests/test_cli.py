@@ -306,16 +306,28 @@ def five_asset_panel(tmp_path_factory):
 
 
 class TestCalibrateCommand:
-    @pytest.mark.parametrize("rows", ["", "2020-01-01,-9.1,-8.9\n"],
-                             ids=["0-dates", "1-date"])
-    def test_market_panel_needs_two_dates(self, tmp_path, rows, capsys):
+    @pytest.mark.parametrize("dates", [0, 1, 2],
+                             ids=["0-dates", "1-date", "2-dates"])
+    def test_market_panel_needs_three_dates(self, tmp_path, dates, capsys):
         market = tmp_path / "vol.csv"
-        market.write_text("date,A,B\n" + rows)
+        market.write_text("date,A,B\n" + "".join(
+            f"2020-01-0{day + 1},-9.{day},-8.{day}\n" for day in range(dates)))
         out = tmp_path / "cal"
         assert main(["calibrate", "--panel", str(market),
                      "--out", str(out)]) == 2
-        assert "panel needs at least 2 dates" in capsys.readouterr().err
+        assert "panel needs at least 3 dates" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_three_dates_pass_the_window_rule(self, tmp_path, capsys):
+        # T defaults to N delta = 3 delta, the shortest window a fit takes
+        market = tmp_path / "vol.csv"
+        market.write_text("date,A,B\n2020-01-01,-9.1,-8.9\n"
+                          "2020-01-02,-9.4,-8.7\n2020-01-03,-9.0,-9.2\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--panel", str(market),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "params_estimate.json").read_text())["T"] == 3.0
 
     def test_two_asset_panel(self, tmp_path, simulated_panel):
         panel_path, params = simulated_panel
@@ -435,7 +447,8 @@ class TestCalibrateCommand:
         binary.write_bytes(write_panel_binary(read_panel_csv(
             panel_path.read_text())))
         market = tmp_path / "vol.csv"
-        market.write_text("date,A\n2020-01-01,-9.1\n2020-01-02,-8.9\n")
+        market.write_text("date,A\n2020-01-01,-9.1\n2020-01-02,-8.9\n"
+                          "2020-01-03,-9.0\n")
         for path in (panel_path, binary, market):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

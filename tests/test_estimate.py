@@ -21,6 +21,7 @@ from mlogsfbm.estimate import (
     McValidationError,
     ZeroVarianceError,
     _AMP_FLOOR,
+    _N_SCAN,
     _ProfileOutcome,
     _profiled_minimize,
     calibrate_pair,
@@ -521,6 +522,28 @@ class TestClosedFormCurve:
         assert abs(naive - want) > self._window_sum_bound(m, delta, T, alpha, c)
 
 
+@st.composite
+def curve_rows(draw):
+    """A ``closed_form_cases`` window with 1 to 30 (h_ij, h_bar) rows on it,
+    drawn as that case draws its own.  A batch of four rows or more may
+    hold the ends H_ij = 0, subnormal and 0.4999 among the others, so that a
+    branch taken for the whole batch shows."""
+    n, lags, delta, h_ij, h_bar, T = draw(closed_form_cases())
+    size = draw(st.integers(1, 30))
+    rows = [(h_ij, h_bar)]
+    if size >= 4 and draw(st.booleans()):
+        rows += [(0.0, 0.0), (5e-324, 0.0), (0.4999, draw(roughness()))]
+    while len(rows) < size:
+        low = draw(roughness())
+        rows.append((draw(roughness(low)), low))
+    rows = draw(st.permutations(rows))
+    return (n, lags, delta, T), rows
+
+
+_END_ROWS = [(0.0, 0.0), (5e-324, 0.0), (0.15, 0.02), (0.4999, 0.2),
+             (1e-300, 0.0), (0.25, 0.25), (0.4999, 0.4999)]
+
+
 class TestCurveWindowOnce:
     """``kernels.expected_cross_cov`` computes its window (support, lags,
     block spans and weights) once per call and only the roughness terms per
@@ -540,6 +563,25 @@ class TestCurveWindowOnce:
         got = expected_cross_cov(n, lags, delta, T)(h_ij, h_bar)
         want = oracle_model_curve(n, lags, delta, T)(h_ij, h_bar)
         assert _bits(got) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve_rows())
+    @example(((8, [0, 3, 7], 16.0, 8.0), _END_ROWS))  # m = 0: no support
+    @example(((10, [0, 1, 5], 1.0, 1.5), _END_ROWS))  # m = 1
+    @example(((300, [1, 5, 100], 16.0, 300 * 16.0 / 4), _END_ROWS))  # m < n
+    @example(((300, [0, 1, 2, 150, 299], 1.0, 300.0), _END_ROWS))  # m = n
+    def test_rows_equal_oracle(self, case):
+        # row i of one call is the oracle's curve at row i, bit for bit,
+        # also when every row shares the first row's h_bar
+        (n, lags, delta, T), rows = case
+        h_ij, h_bar = (np.array(column) for column in zip(*rows))
+        curve = expected_cross_cov(n, lags, delta, T)
+        oracle = oracle_model_curve(n, lags, delta, T)
+        got, shared = curve(h_ij, h_bar), curve(h_ij, float(h_bar[0]))
+        assert got.shape == shared.shape == (len(rows), len(lags))
+        for i, (h, low) in enumerate(rows):
+            assert _bits(got[i]) == _bits(oracle(h, low)), (h, low)
+            assert _bits(shared[i]) == _bits(oracle(h, rows[0][1])), h
 
     @pytest.mark.parametrize("t_over_delta", [2, 1024, 2**13, 2**14, 2**16],
                              ids=["T-2-delta", "T-1024-delta", "T-half-N",
@@ -609,6 +651,65 @@ class TestCurveCost:
         assert res.iterations > 20
 
 
+class TestScanIsOneCall:
+    """Each ``_profiled_minimize`` stage evaluates its _N_SCAN scan points in
+    one curve call; Brent's points and the other evaluations are one-point
+    calls, and ``GmmResult.iterations`` still counts _N_SCAN per scan plus
+    Brent's evaluations."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import mlogsfbm.estimate as est
+        calls, brent = [], []
+        exact_curve = est.expected_cross_cov
+        exact_minimize = est.sopt.minimize_scalar
+
+        def counting_curve(*args):
+            curve = exact_curve(*args)
+
+            def counted(H_ij, h_bar):
+                calls.append((np.array(H_ij), np.array(h_bar)))
+                return curve(H_ij, h_bar)
+
+            return counted
+
+        def counting_minimize(*args, **kwargs):
+            res = exact_minimize(*args, **kwargs)
+            brent.append(int(res.nfev))
+            return res
+
+        monkeypatch.setattr(est, "expected_cross_cov", counting_curve)
+        monkeypatch.setattr(est.sopt, "minimize_scalar", counting_minimize)
+        return calls, brent
+
+    @staticmethod
+    def _check(calls, brent, res, h_lo, shared_h_bar):
+        # scan, Brent, the stage's optimum; twice; then the residuals
+        first, second = brent
+        want = ([_N_SCAN] + [0] * (first + 1) + [_N_SCAN] + [0] * (second + 1)
+                + [0])
+        assert [h.size if h.ndim else 0 for h, _ in calls] == want
+        assert res.iterations == 2 * _N_SCAN + first + second
+        scan = np.linspace(h_lo, 0.4999, _N_SCAN)
+        for h, h_bar in (calls[0], calls[first + 2]):
+            assert _bits(h) == _bits(scan)
+            assert h_bar.shape == (() if shared_h_bar else scan.shape)
+
+    def test_univariate(self, monkeypatch):
+        x = TestCurveCost._series()[0]
+        calls, brent = self._count(monkeypatch)
+        res = calibrate_univariate(x, 1.0, T=1024.0)
+        self._check(calls, brent, res, 1e-4, shared_h_bar=False)
+
+    def test_pair(self, monkeypatch):
+        x, y = TestCurveCost._series()
+        mi, mj = (calibrate_univariate(s, 1.0, T=1024.0) for s in (x, y))
+        calls, brent = self._count(monkeypatch)
+        res = calibrate_pair(x, y, mi, mj)
+        h_lo = 0.5 * (mi.params["H"] + mj.params["H"]) + 1e-6
+        self._check(calls, brent, res, h_lo, shared_h_bar=True)
+
+
 class TestScaleInvariance:
     """At T >= N delta every block fits the window, the marginal kernel is a
     constant minus lambda^2 T^(-2H) tau^(2H) / (2H (1 - 2H)), and the
@@ -676,10 +777,15 @@ class TestProfiledReduction:
         wls = float(b @ weight @ observed) / float(b @ weight @ b)
         return b, observed, weight, wls
 
+    @staticmethod
+    def _constant(b):
+        """The curve b at every roughness: one row per entry of an array."""
+        return lambda h: np.broadcast_to(b, np.shape(h) + b.shape)
+
     def test_reduces_to_weighted_least_squares(self):
         b, observed, weight, wls = self._case()
-        out = _profiled_minimize(observed, lambda h: b, weight, 0.1, 0.4,
-                                 -10.0, 10.0)
+        out = _profiled_minimize(observed, self._constant(b), weight, 0.1,
+                                 0.4, -10.0, 10.0)
         assert out.amp == pytest.approx(wls, rel=1e-12)
         assert out.converged and not out.amp_at_bound
 
@@ -688,8 +794,8 @@ class TestProfiledReduction:
         b, observed, weight, wls = self._case()
         lo, hi = (wls + 1.0, wls + 2.0) if side == "below" else \
             (wls - 2.0, wls - 1.0)
-        out = _profiled_minimize(observed, lambda h: b, weight, 0.1, 0.4,
-                                 lo, hi)
+        out = _profiled_minimize(observed, self._constant(b), weight, 0.1,
+                                 0.4, lo, hi)
         assert out.amp == (lo if side == "below" else hi)
         assert out.amp_at_bound
 
