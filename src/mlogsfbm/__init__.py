@@ -17,7 +17,6 @@ from .params import (
     validate,
 )
 from .kernels import (
-    CovCurve,
     KernelDomainError,
     RatioBound,
     SeriesResult,

@@ -36,8 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize as sopt
 
-from .kernels import (CovCurve, block_cov_sequence, block_support,
-                      expected_cross_cov)
+from .kernels import block_cov_sequence, block_support, expected_cross_cov
 from .params import ModelParams, ValidationReport, validate
 from .simulate import (
     FieldPanel,
@@ -90,16 +89,18 @@ class McValidationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LagGrid:
-    """Strictly increasing positive lags, in units of the series step; the
-    default is the geometric grid floor(sqrt(2^k)), k = 0..q."""
+    """Strictly increasing positive integer lags, in units of the series
+    step; the default is the geometric grid floor(sqrt(2^k)), k = 0..q."""
 
     taus: tuple[int, ...]
 
     def __post_init__(self):
+        bad = [t for t in self.taus if not (float(t).is_integer() and t > 0)]
+        if bad:
+            raise ValueError(f"lags must be positive integers, got {bad[0]}")
+        object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
         if not self.taus:
             raise ValueError("lag grid must not be empty")
-        if any(t <= 0 for t in self.taus):
-            raise ValueError("lags must be positive integers")
         if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError("lags must be strictly increasing")
 
@@ -113,17 +114,19 @@ class LagGrid:
 @dataclass(frozen=True)
 class GmmResult:
     """A fit and its window: ``n`` and ``delta`` are the length and step of
-    the fitted series, T is in ``params``, the lags are those of
-    ``residuals``, and ``mask`` (None: all) marks the observations used."""
+    the fitted series, T is in ``params``, ``grid`` holds its lags, and
+    ``mask`` (None: all) marks the observations used; ``residuals`` (the
+    observed moments minus the fitted curve) align with ``grid.taus``."""
 
     params: dict
     objective: float
     iterations: int
     converged: bool
     weight: np.ndarray
-    residuals: CovCurve
+    residuals: np.ndarray
     n: int
     delta: float
+    grid: LagGrid
     notes: tuple = ()
     mask: np.ndarray | None = None
 
@@ -143,12 +146,14 @@ def empirical_cross_cov(
     grid: LagGrid,
     mask_x: np.ndarray | None = None,
     mask_y: np.ndarray | None = None,
-) -> CovCurve:
-    """Chat(k) = (1/N) sum_{l=1}^{N-k} (x_l - m_x)(y_{l+k} - m_y).
+) -> np.ndarray:
+    """Chat(k) = (1/N) sum_{l=1}^{N-k} (x_l - m_x)(y_{l+k} - m_y) at the
+    lags k of ``grid``: a (q,) array aligned with ``grid.taus``.
 
     Deliberately 1/N (not 1/(N-k)) so longer lags are shrunk toward zero.
     Directional: the (y, x) curve is a different object for k > 0.  Masked
-    entries (mask False) are dropped from the means and from the products.
+    entries (mask False) are dropped from the means and from the products;
+    an unmasked entry that is not finite is a ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -166,6 +171,8 @@ def empirical_cross_cov(
                              f"series shape {x.shape}")
     if not valid_x.any() or not valid_y.any():
         raise ValueError("mask excludes every observation")
+    if not (np.isfinite(x[valid_x]).all() and np.isfinite(y[valid_y]).all()):
+        raise ValueError("series must be finite where unmasked")
     xc = np.where(valid_x, x - x[valid_x].mean(), 0.0)
     yc = np.where(valid_y, y - y[valid_y].mean(), 0.0)
     values = np.empty(len(lags))
@@ -174,7 +181,7 @@ def empirical_cross_cov(
     # about 1000 times slower
     for pos, k in enumerate(lags):
         values[pos] = float(np.einsum("i,i", xc[: n - k], yc[k:])) / n
-    return CovCurve(np.array(lags, dtype=float), values)
+    return values
 
 
 def _regularized_inverse(s: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -523,7 +530,7 @@ def calibrate_univariate(
     s = _prepare_series(logvol, mask)
     n = s.size
     grid = _window_grid(grid, n, delta, T)
-    observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask).values
+    observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask)
 
     curve = expected_cross_cov(n, grid.taus, delta, T)
 
@@ -551,13 +558,13 @@ def calibrate_univariate(
         raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
     if not lam2 > 0.0:
         raise CalibrationError(f"fitted lambda2={lam2!r} not positive")
-    residuals = CovCurve(grid.taus, observed - lam2 * unit(h))
     return GmmResult(params={"H": h, "lambda2": lam2, "T": T},
                      objective=float(second.objective),
                      iterations=int(first.evals + second.evals),
                      converged=bool(first.converged and second.converged),
-                     weight=weight, residuals=residuals, n=n, delta=delta,
-                     notes=tuple(notes), mask=mask)
+                     weight=weight, residuals=observed - lam2 * unit(h),
+                     n=n, delta=delta, grid=grid, notes=tuple(notes),
+                     mask=mask)
 
 
 def calibrate_pair(
@@ -568,9 +575,9 @@ def calibrate_pair(
 ) -> GmmResult:
     """Fit (g, H_ij) for one pair given the ``calibrate_univariate`` fits of
     its two series: their H and lambda^2 are held fixed, the pair runs on
-    their window (n, delta, T and lags) and their masks, and their residuals
-    are the control variates of the second stage.  Marginal fits on
-    different windows, or a series whose length is not their n, are a
+    their window (n, delta, T and ``grid``) and their masks, and their
+    residuals are the control variates of the second stage.  Marginal fits
+    on different windows, or a series whose length is not their n, are a
     ``ValueError``.
 
     The constraints |g| <= 1 and H_ij >= (H_i + H_j)/2 hold at every iterate
@@ -579,13 +586,14 @@ def calibrate_pair(
     amplitude xi_ij = g sqrt(lambda_i^2 lambda_j^2) is returned alongside.
     """
     fits = (marginal_i, marginal_j)
-    window_i, window_j = ((m.n, m.delta, m.params["T"],
-                           m.residuals.lags.tolist()) for m in fits)
+    window_i, window_j = ((m.n, m.delta, m.params["T"], list(m.grid.taus))
+                          for m in fits)
     if window_i != window_j:
         raise ValueError("marginal fits disagree: n={}, delta={!r}, T={!r} "
                          "on lags {} against n={}, delta={!r}, T={!r} on "
                          "lags {}".format(*window_i, *window_j))
-    n, delta, T, lags = window_i
+    n, delta, T, _ = window_i
+    grid = marginal_i.grid
     x = _prepare_series(logvol_i, marginal_i.mask)
     y = _prepare_series(logvol_j, marginal_j.mask)
     if not x.size == y.size == n:
@@ -599,9 +607,8 @@ def calibrate_pair(
         raise CalibrationError(
             f"no H_ij to search: h_bar={hbar!r} leaves the bracket "
             f"(h_bar + 1e-6, {h_hi!r}) empty")
-    grid = LagGrid(tuple(int(t) for t in lags))
     observed = empirical_cross_cov(x, y, grid, mask_x=marginal_i.mask,
-                                   mask_y=marginal_j.mask).values
+                                   mask_y=marginal_j.mask)
     lam = math.sqrt(lambda_i2 * lambda_j2)
 
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
@@ -618,7 +625,7 @@ def calibrate_pair(
     # their errors are strongly correlated with the cross moments, so the
     # regression adjustment sharpens the fit without moving its expectation
     target, weight, fallback = _cv_adjusted_cross_moments(
-        observed, np.concatenate([m.residuals.values for m in fits]),
+        observed, np.concatenate([m.residuals for m in fits]),
         (r_ii, r_jj, r_ij), n, grid.taus)
     second = _profiled_minimize(target, unit, weight,
                                 h_lo, h_hi, -lam, lam)
@@ -634,14 +641,13 @@ def calibrate_pair(
     if not hbar <= hij < 0.5:
         raise CalibrationError(
             f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
-    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij))
     return GmmResult(
         params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
         objective=float(second.objective),
         iterations=int(first.evals + second.evals),
         converged=bool(first.converged and second.converged),
-        weight=weight, residuals=residuals, n=n, delta=delta,
-        notes=tuple(notes))
+        weight=weight, residuals=observed - lam * g * unit(hij), n=n,
+        delta=delta, grid=grid, notes=tuple(notes))
 
 
 @dataclass(frozen=True)

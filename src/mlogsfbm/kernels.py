@@ -33,7 +33,6 @@ from .special import power_exp_integral
 
 __all__ = [
     "KernelDomainError",
-    "CovCurve",
     "SeriesResult",
     "RatioBound",
     "msfbm_cross_cov",
@@ -75,38 +74,6 @@ _NO_POWER_LAW = ("H_ij = 0 has no power-law kernel; use log_kernel_cov for "
 
 class KernelDomainError(ValueError):
     """Arguments outside the validity window of a closed-form kernel."""
-
-
-@dataclass(frozen=True)
-class CovCurve:
-    """A covariance curve: strictly increasing lags with one value each.
-
-    The kernels return plain arrays; ``estimate`` builds these curves, for
-    the empirical moments (``empirical_cross_cov``) and for a fit's
-    residuals (``GmmResult.residuals``).
-    """
-
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if lags.ndim != 1 or vals.shape != lags.shape:
-            raise ValueError("lags and values must be 1-d arrays of equal length")
-        if lags.size < 1:
-            raise ValueError("curve needs at least one lag")
-        if np.any(lags < 0):
-            raise ValueError("lags must be non-negative")
-        if np.any(np.diff(lags) <= 0):
-            raise ValueError("lags must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.lags.size
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from mlogsfbm.estimate import (
     _window_grid,
     empirical_cross_cov,
 )
-from mlogsfbm.kernels import (CovCurve, _unit_block_cov, _unit_block_var,
+from mlogsfbm.kernels import (_unit_block_cov, _unit_block_var,
                               _unit_window_sum, block_cov_sequence,
                               block_support, expected_cross_cov)
 from mlogsfbm.simulate import (
@@ -415,10 +415,8 @@ def scalar_cv_adjusted_cross_moments(
     x, y = series
     mask_i, mask_j = masks
     grid = LagGrid(tuple(taus))
-    obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i,
-                                 mask_y=mask_i).values
-    obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j,
-                                 mask_y=mask_j).values
+    obs_ii = empirical_cross_cov(x, x, grid, mask_x=mask_i, mask_y=mask_i)
+    obs_jj = empirical_cross_cov(y, y, grid, mask_x=mask_j, mask_y=mask_j)
     curve_ii, curve_jj = marginal_curves
     marg_resid = np.concatenate([obs_ii - curve_ii, obs_jj - curve_jj])
 
@@ -464,7 +462,7 @@ def scalar_calibrate_pair(
             f"(h_bar + 1e-6, {h_hi!r}) empty")
     grid = _window_grid(grid, n, delta, T)
     observed = empirical_cross_cov(x, y, grid, mask_x=mask_i,
-                                   mask_y=mask_j).values
+                                   mask_y=mask_j)
     lam = math.sqrt(lambda_i2 * lambda_j2)
 
     def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
@@ -498,13 +496,13 @@ def scalar_calibrate_pair(
     if not hbar <= hij < 0.5:
         raise CalibrationError(
             f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
-    residuals = CovCurve(grid.taus, observed - lam * g * unit(hij))
+    residuals = observed - lam * g * unit(hij)
     return GmmResult(
         params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
         objective=float(second.objective),
         iterations=int(first.evals + second.evals),
         converged=bool(first.converged and second.converged),
-        weight=weight, residuals=residuals, n=n, delta=delta,
+        weight=weight, residuals=residuals, n=n, delta=delta, grid=grid,
         notes=tuple(notes))
 
 
@@ -516,8 +514,8 @@ def given_marginal(H: float, lambda2: float, T: float, n: int,
     q = len(lags)
     return GmmResult(params={"H": H, "lambda2": lambda2, "T": T},
                      objective=0.0, iterations=0, converged=True,
-                     weight=np.eye(q), residuals=CovCurve(lags, np.zeros(q)),
-                     n=n, delta=1.0)
+                     weight=np.eye(q), residuals=np.zeros(q), n=n, delta=1.0,
+                     grid=LagGrid(tuple(lags)))
 
 
 def default_lags_below(support: int) -> tuple[int, ...]:

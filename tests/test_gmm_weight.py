@@ -56,10 +56,8 @@ def _cv_adjusted_cross_moments_reference(
     mask_i, mask_j = masks
     r_ii, r_jj, r_ij = model_seqs
     grid_obj = LagGrid(tuple(taus))
-    obs_ii = empirical_cross_cov(x, x, grid_obj, mask_x=mask_i,
-                                 mask_y=mask_i).values
-    obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j,
-                                 mask_y=mask_j).values
+    obs_ii = empirical_cross_cov(x, x, grid_obj, mask_x=mask_i, mask_y=mask_i)
+    obs_jj = empirical_cross_cov(y, y, grid_obj, mask_x=mask_j, mask_y=mask_j)
     support = curve_map.shape[1]
     marg_resid = np.concatenate([obs_ii - curve_map @ r_ii[:support],
                                  obs_jj - curve_map @ r_jj[:support]])
@@ -164,7 +162,7 @@ class TestAgainstSchurReference:
         est._seq_transforms = lambda model_seqs, n, taus: tuple(model_seqs)
         grid = LagGrid(taus)
         residuals = np.concatenate([
-            empirical_cross_cov(s, s, grid).values - curve
+            empirical_cross_cov(s, s, grid) - curve
             for s, curve in zip((x, y), curves)])
         try:
             got = _cv_adjusted_cross_moments(observed, residuals, seqs,
@@ -194,7 +192,7 @@ class TestAgainstSchurReference:
         mi, mj = (calibrate_univariate(s, 1.0, T=t_val) for s in (x, y))
         monkeypatch.setattr(est, "_regularized_inverse", counting)
         res = calibrate_pair(x, y, mi, mj)
-        q = len(res.residuals.lags)
+        q = len(res.grid.taus)
         assert calls == [(3 * q, 3 * q)]
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlogsfbm import (
-    CovCurve,
     KernelDomainError,
     ModelParams,
     PairParams,
@@ -850,13 +849,3 @@ class TestIndexRatioBound:
             index_ratio_bound(0.05, 0.2, 1.0, 10.0, 100.0, 7)
         with pytest.raises(KernelDomainError):
             index_ratio_bound(0.2, 0.05, 10.0, 1.0, 100.0, 7)
-
-
-class TestCovCurve:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            CovCurve(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            CovCurve(np.array([1.0, 2.0]), np.array([0.1, np.inf]))
-        with pytest.raises(ValueError):
-            CovCurve(np.array([]), np.array([]))
