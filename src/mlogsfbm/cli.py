@@ -122,21 +122,32 @@ def _out_dir(resolved: dict) -> Path:
     return out
 
 
+def _write_json(path: Path, doc):
+    """``doc`` as strict JSON (RFC 8259), indented: NaN and the infinities,
+    which JSON cannot hold, are written as null."""
+    to_null = dict.fromkeys(("NaN", "Infinity", "-Infinity"))
+    strict = json.loads(json.dumps(doc), parse_constant=to_null.get)
+    path.write_text(json.dumps(strict, indent=2))
+
+
 def _write_run_artifacts(out: Path, command: str, resolved: dict):
-    (out / "resolved_config.json").write_text(
-        json.dumps({"command": command, **resolved}, indent=2, sort_keys=True))
+    _write_json(out / "resolved_config.json",
+                dict(sorted({"command": command, **resolved}.items())))
     with (out / "run_log.txt").open("a") as log:
         log.write(f"{dt.datetime.now().isoformat()} {command}\n")
 
 
 def _parse_list(key: str, text: str, kind) -> list:
-    """A comma-separated list setting; an entry ``kind`` cannot read is a
-    ConfigError naming the setting and its value."""
+    """A comma-separated list setting; an entry ``kind`` cannot read, or no
+    entry at all, is a ConfigError naming the setting and its value."""
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ConfigError(f"{key} must be a comma-separated list of "
-                          f"{kind.__name__} values, got {text!r}") from None
+                          f"{kind.__name__} values, got {text!r}")
+    return values
 
 
 def _require_positive(key: str, *values: float):
@@ -210,8 +221,7 @@ def cmd_simulate(resolved: dict) -> int:
                                  resolved["substeps"])
         (out / f"prices_p{panel.path:03d}.csv").write_text(
             write_table_csv(prices, "x"))
-    (out / "diagnostics.json").write_text(
-        json.dumps(diagnostics.to_dict(), indent=2))
+    _write_json(out / "diagnostics.json", diagnostics.to_dict())
     _write_run_artifacts(out, "simulate", resolved)
     return EXIT_OK
 
@@ -321,10 +331,6 @@ def _read_any_panel(path: str) -> tuple[FieldPanel, np.ndarray | None]:
     return panel, mask
 
 
-def _nan_to_null(mat) -> list[list]:
-    return [[None if math.isnan(v) else v for v in row] for row in mat]
-
-
 def cmd_calibrate(resolved: dict) -> int:
     if resolved["panel"] is None:
         raise ConfigError("a panel file is required (--panel)")
@@ -338,9 +344,9 @@ def cmd_calibrate(resolved: dict) -> int:
 
     estimate_doc = {
         "T": cal.T,
-        "H": _nan_to_null(cal.h_mat),
-        "xi": _nan_to_null(cal.xi_mat),
-        "g": _nan_to_null(cal.g_mat),
+        "H": cal.h_mat.tolist(),
+        "xi": cal.xi_mat.tolist(),
+        "g": cal.g_mat.tolist(),
         "xi_eigenvalues": (None if cal.xi_eigenvalues is None
                            else list(cal.xi_eigenvalues)),
         "validation": (None if cal.validation is None else str(cal.validation)),
@@ -348,13 +354,11 @@ def cmd_calibrate(resolved: dict) -> int:
         "converged_pair_fraction": cal.converged_pair_fraction,
     }
     out = _out_dir(resolved)
-    (out / "params_estimate.json").write_text(json.dumps(estimate_doc, indent=2))
-    (out / "marginals.json").write_text(json.dumps(
-        {str(i): res.to_dict() for i, res in sorted(cal.marginals.items())},
-        indent=2))
-    (out / "pairs.json").write_text(json.dumps(
-        {f"{i}-{j}": res.to_dict() for (i, j), res in sorted(cal.pairs.items())},
-        indent=2))
+    _write_json(out / "params_estimate.json", estimate_doc)
+    _write_json(out / "marginals.json", {
+        str(i): res.to_dict() for i, res in sorted(cal.marginals.items())})
+    _write_json(out / "pairs.json", {
+        f"{i}-{j}": res.to_dict() for (i, j), res in sorted(cal.pairs.items())})
 
     d = panel.d
     cells = [("marginal", i, i) for i in range(d)] + [
@@ -406,7 +410,7 @@ def cmd_mc_validate(resolved: dict) -> int:
     )
     report = mc_validate(config)
     out = _out_dir(resolved)
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2))
+    _write_json(out / "report.json", report.to_dict())
     _write_rows(out / "replicas.csv", ("n", "replica", "parameter", "value"),
                 [(n, rep, name, repr(value))
                  for n, rep, name, value in report.replica_rows()])

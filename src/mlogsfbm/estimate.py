@@ -508,6 +508,34 @@ def _window_grid(grid: LagGrid | None, n: int, delta: float,
     return LagGrid(kept)
 
 
+def _two_stage_fit(observed: np.ndarray, unit: Callable, h_lo: float,
+                   h_hi: float, amp_lo: float, amp_hi: float,
+                   reweigh: Callable[[_ProfileOutcome], tuple],
+                   names: tuple[str, str, str]) -> tuple[float, float, dict]:
+    """Two-step GMM: a profiled search under the identity weight, then one
+    under the (target, weight, fallback) that ``reweigh(first)`` builds.
+    ``names`` are the roughness, the amplitude and its at-bound note; an
+    estimate out of its bracket or box (or NaN) is a ``CalibrationError``."""
+    box = (h_lo, h_hi, amp_lo, amp_hi)
+    first = _profiled_minimize(observed, unit, np.eye(observed.size), *box)
+    target, weight, fallback = reweigh(first)
+    second = _profiled_minimize(target, unit, weight, *box)
+    h_name, amp_name, amp_note = names
+    if not (h_lo <= second.h <= h_hi and amp_lo <= second.amp <= amp_hi):
+        raise CalibrationError(
+            f"fitted {h_name}={second.h!r}, {amp_name}={second.amp!r} "
+            f"outside [{h_lo!r}, {h_hi!r}] x [{amp_lo!r}, {amp_hi!r}]")
+    notes = ["identity-weight-fallback"] if fallback else []
+    if second.amp_at_bound:
+        notes.append(amp_note)
+    if second.h_at_bound:
+        notes.append("roughness-at-bound")
+    return second.h, second.amp, dict(
+        objective=float(second.objective), weight=weight, notes=tuple(notes),
+        iterations=int(first.evals + second.evals),
+        converged=bool(first.converged and second.converged))
+
+
 def calibrate_univariate(
     logvol: np.ndarray,
     delta: float,
@@ -533,38 +561,20 @@ def calibrate_univariate(
     observed = empirical_cross_cov(s, s, grid, mask_x=mask, mask_y=mask)
 
     curve = expected_cross_cov(n, grid.taus, delta, T)
+    unit = lambda h: curve(h, h)
 
-    def unit(h: float | np.ndarray) -> np.ndarray:
-        return curve(h, h)
+    def reweigh(first: _ProfileOutcome):
+        r1 = first.amp * block_cov_sequence(n, delta, first.h, first.h, T)
+        (t1,) = _seq_transforms([r1], n, grid.taus)
+        return observed, *_regularized_inverse(
+            _product_moment_cov(t1, t1, t1, t1, n, grid.taus))
 
-    def search(weight) -> _ProfileOutcome:
-        return _profiled_minimize(observed, unit, weight, 1e-4, 0.4999,
-                                  _AMP_FLOOR, math.inf)
-
-    first = search(np.eye(len(grid.taus)))
-    r1 = max(first.amp, _AMP_FLOOR) * block_cov_sequence(
-        n, delta, first.h, first.h, T)
-    (t1,) = _seq_transforms([r1], n, grid.taus)
-    weight, fallback = _regularized_inverse(
-        _product_moment_cov(t1, t1, t1, t1, n, grid.taus))
-    second = search(weight)
-    h, lam2 = second.h, second.amp
-    notes = ["identity-weight-fallback"] if fallback else []
-    if second.amp_at_bound:
-        notes.append("amplitude-at-bound")
-    if second.h_at_bound:
-        notes.append("roughness-at-bound")
-    if not 0.0 < h < 0.5:
-        raise CalibrationError(f"fitted H={h!r} outside (0, 0.5)")
-    if not lam2 > 0.0:
-        raise CalibrationError(f"fitted lambda2={lam2!r} not positive")
+    h, lam2, fit = _two_stage_fit(observed, unit, 1e-4, 0.4999, _AMP_FLOOR,
+                                  math.inf, reweigh,
+                                  ("H", "lambda2", "amplitude-at-bound"))
     return GmmResult(params={"H": h, "lambda2": lam2, "T": T},
-                     objective=float(second.objective),
-                     iterations=int(first.evals + second.evals),
-                     converged=bool(first.converged and second.converged),
-                     weight=weight, residuals=observed - lam2 * unit(h),
-                     n=n, delta=delta, grid=grid, notes=tuple(notes),
-                     mask=mask)
+                     residuals=observed - lam2 * unit(h), n=n, delta=delta,
+                     grid=grid, mask=mask, **fit)
 
 
 def calibrate_pair(
@@ -610,44 +620,28 @@ def calibrate_pair(
     observed = empirical_cross_cov(x, y, grid, mask_x=marginal_i.mask,
                                    mask_y=marginal_j.mask)
     lam = math.sqrt(lambda_i2 * lambda_j2)
-
-    def sequence(hij: float, h_bar: float, scale: float) -> np.ndarray:
-        return scale * block_cov_sequence(n, delta, hij, h_bar, T)
-
     curve = expected_cross_cov(n, grid.taus, delta, T)
     unit = lambda hij: curve(hij, hbar)
-    first = _profiled_minimize(observed, unit, np.eye(len(grid.taus)),
-                               h_lo, h_hi, -lam, lam)
-    r_ii = sequence(H_i, H_i, lambda_i2)
-    r_jj = sequence(H_j, H_j, lambda_j2)
-    r_ij = sequence(first.h, hbar, first.amp)
-    # stack the (fixed) marginal moment conditions as control variates:
-    # their errors are strongly correlated with the cross moments, so the
-    # regression adjustment sharpens the fit without moving its expectation
-    target, weight, fallback = _cv_adjusted_cross_moments(
-        observed, np.concatenate([m.residuals for m in fits]),
-        (r_ii, r_jj, r_ij), n, grid.taus)
-    second = _profiled_minimize(target, unit, weight,
-                                h_lo, h_hi, -lam, lam)
-    hij = second.h
-    g = min(max(second.amp / lam, -1.0), 1.0)
-    notes = ["identity-weight-fallback"] if fallback else []
-    if second.amp_at_bound:
-        notes.append("correlation-at-bound")
-    if second.h_at_bound:
-        notes.append("roughness-at-bound")
-    if not abs(g) <= 1.0:
-        raise CalibrationError(f"fitted g={g!r} outside [-1, 1]")
-    if not hbar <= hij < 0.5:
-        raise CalibrationError(
-            f"fitted H_ij={hij!r} outside [{hbar!r}, 0.5)")
+
+    def reweigh(first: _ProfileOutcome):
+        r_ii = lambda_i2 * block_cov_sequence(n, delta, H_i, H_i, T)
+        r_jj = lambda_j2 * block_cov_sequence(n, delta, H_j, H_j, T)
+        r_ij = first.amp * block_cov_sequence(n, delta, first.h, hbar, T)
+        # stack the (fixed) marginal moment conditions as control variates:
+        # their errors are strongly correlated with the cross moments, so the
+        # regression adjustment sharpens the fit without moving its expectation
+        return _cv_adjusted_cross_moments(
+            observed, np.concatenate([m.residuals for m in fits]),
+            (r_ii, r_jj, r_ij), n, grid.taus)
+
+    hij, xi, fit = _two_stage_fit(observed, unit, h_lo, h_hi, -lam, lam,
+                                  reweigh,
+                                  ("H_ij", "xi_ij", "correlation-at-bound"))
+    g = xi / lam
     return GmmResult(
         params={"g": g, "H_ij": hij, "xi_ij": g * lam, "T": T},
-        objective=float(second.objective),
-        iterations=int(first.evals + second.evals),
-        converged=bool(first.converged and second.converged),
-        weight=weight, residuals=observed - lam * g * unit(hij), n=n,
-        delta=delta, grid=grid, notes=tuple(notes))
+        residuals=observed - lam * g * unit(hij), n=n, delta=delta,
+        grid=grid, **fit)
 
 
 @dataclass(frozen=True)
@@ -844,11 +838,9 @@ class McReport:
     def replica_rows(self):
         """(n, replica, parameter, value) rows for the per-replica CSV."""
         for run in self.runs:
-            length = max((len(v) for v in run.samples.values()), default=0)
-            for rep in range(length):
+            for rep in range(len(run.samples[_PARAM_KEYS[0]])):
                 for name, vals in sorted(run.samples.items()):
-                    if rep < len(vals):
-                        yield run.n, rep, name, float(vals[rep])
+                    yield run.n, rep, name, float(vals[rep])
 
 
 _PARAM_KEYS = ("H_0", "lambda2_0", "H_1", "lambda2_1", "H_01", "g_01", "xi_01")

@@ -539,6 +539,24 @@ class TestMcValidateCommand:
         assert header == ["n", "replica", "parameter", "value"]
         assert len(rows) == 3 * 7
 
+    def test_single_replica_report_is_strict_json(self, tmp_path, params_file,
+                                                  monkeypatch):
+        # one replica leaves every std undefined: null, not a bare NaN
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        out = tmp_path / "mc"
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
+        code = main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "256", "--replicas", "1", "--seed", "1",
+                     "--agg", "4", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text(),
+                         parse_constant=reject)
+        (run,) = doc["runs"]
+        assert len(run["stds"]) == 7
+        assert set(run["stds"].values()) == {None}
+
     def test_failed_sweep_names_the_exception_types(self, tmp_path, params_file,
                                                     monkeypatch, capsys):
         import mlogsfbm.estimate as est
@@ -571,7 +589,8 @@ class TestMcValidateCommand:
         assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n-list", "", "n_list must hold counts >= 2, got []"),
+        ("--n-list", "", "n_list must be a comma-separated list of int "
+         "values, got ''"),
         ("--n-list", "256,1", "n_list must hold counts >= 2, got [256, 1]"),
         ("--agg", "0", "agg must be >= 1, got 0"),
     ])
@@ -714,9 +733,10 @@ class TestConfigPrecedence:
 
 
 class TestListSettings:
-    """An entry of a comma-separated list setting that its type cannot read
-    exits 2 naming the setting and its value, whether it comes from a flag
-    or from a config file, before any output is made."""
+    """An entry of a comma-separated list setting that its type cannot read,
+    or a list with no entry, exits 2 naming the setting and its value,
+    whether it comes from a flag or from a config file, before any output
+    is made."""
 
     @pytest.mark.parametrize("command, key, value, kind", [
         ("simulate", "x0", "1,b", "float"),
@@ -725,6 +745,9 @@ class TestListSettings:
         ("analyze-index", "weights", "0.5,x", "float"),
         ("analyze-index", "taus", "1,a", "float"),
         ("analyze-index", "deltas", "4,,y", "float"),
+        ("covariance", "lags", ",", "float"),
+        ("analyze-index", "taus", "", "float"),
+        ("analyze-index", "deltas", " , ", "float"),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_entry_names_the_setting(self, tmp_path, params_file,

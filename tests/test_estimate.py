@@ -1196,35 +1196,39 @@ class TestWindowRule:
 
 
 class TestOutOfBoxFit:
-    """A search that returns a roughness outside its box is a typed
-    failure, not an assertion that ``python -O`` would strip."""
+    """A search that returns a roughness outside its box, or a NaN
+    amplitude, is a typed failure, not an assertion that ``python -O``
+    would strip."""
 
     @staticmethod
-    def _profile_returning(h):
+    def _profile_returning(h, amp=0.05):
         def fake(observed, unit_curve, weight, h_lo, h_hi, amp_lo, amp_hi):
-            amp = min(max(0.05, amp_lo), amp_hi)
-            return _ProfileOutcome(h=h, amp=amp, objective=0.0, evals=1,
+            clipped = min(max(amp, amp_lo), amp_hi)  # a NaN stays NaN
+            return _ProfileOutcome(h=h, amp=clipped, objective=0.0, evals=1,
                                    amp_at_bound=False, h_at_bound=False,
                                    converged=True)
         return fake
 
     def test_univariate(self, monkeypatch):
         import mlogsfbm.estimate as est
-        monkeypatch.setattr(est, "_profiled_minimize",
-                            self._profile_returning(0.7))
         x = np.random.default_rng(5).standard_normal(2048)
-        with pytest.raises(CalibrationError, match="H=0.7"):
-            calibrate_univariate(x, 1.0, T=2048.0)
+        for h, amp, named in ((0.7, 0.05, "H=0.7"), (0.45, math.nan, "=nan")):
+            monkeypatch.setattr(est, "_profiled_minimize",
+                                self._profile_returning(h, amp))
+            with pytest.raises(CalibrationError, match=named):
+                calibrate_univariate(x, 1.0, T=2048.0)
 
     def test_pair(self, monkeypatch):
         import mlogsfbm.estimate as est
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal((2, 2048))
         mi, mj = (calibrate_univariate(s, 1.0, T=2048.0) for s in (x, y))
-        monkeypatch.setattr(est, "_profiled_minimize",
-                            self._profile_returning(0.7))
-        with pytest.raises(CalibrationError, match="H_ij=0.7"):
-            calibrate_pair(x, y, mi, mj)
+        for h, amp, named in ((0.7, 0.05, "H_ij=0.7"),
+                              (0.45, math.nan, "=nan")):
+            monkeypatch.setattr(est, "_profiled_minimize",
+                                self._profile_returning(h, amp))
+            with pytest.raises(CalibrationError, match=named):
+                calibrate_pair(x, y, mi, mj)
 
 
 class TestWeightDefects:
