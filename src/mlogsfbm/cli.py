@@ -138,13 +138,14 @@ def _write_run_artifacts(out: Path, command: str, resolved: dict):
 
 
 def _parse_list(key: str, text: str, kind) -> list:
-    """A comma-separated list setting; an entry ``kind`` cannot read, or no
-    entry at all, is a ConfigError naming the setting and its value."""
+    """A comma-separated list setting; an entry ``kind`` cannot read or that
+    is not finite, or no entry at all, is a ConfigError naming the setting
+    and its value."""
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         values = []
-    if not values:
+    if not values or (kind is float and not all(map(math.isfinite, values))):
         raise ConfigError(f"{key} must be a comma-separated list of "
                           f"{kind.__name__} values, got {text!r}")
     return values

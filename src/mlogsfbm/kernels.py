@@ -17,7 +17,9 @@ kernel -ln(|x - y|/T).  Its lag-0 branch is the one block-variance formula,
 which ``expected_cross_cov`` also evaluates at longer blocks.  It computes
 what depends on the lags alone once per lag set, and its roughness terms
 take a number or a column of P roughness values (P rows), each row with the
-bits of its own one-roughness call.
+bits of its own one-roughness call.  Every block kernel, ``interval_cov``
+too, takes H_ij = 0; ``msfbm_cross_cov`` and the measure moments reject it
+(their B = 1/(2 H_ij (1 - 2 H_ij)) is infinite there).
 """
 
 from __future__ import annotations
@@ -315,12 +317,18 @@ def _unit_block_cov(tau: np.ndarray, delta: float, T: float, h_ij: float,
     return _block_cov_at(tau, delta, T)(alpha, linear_coeff(alpha, h_bar))
 
 
+def _pair_block_cov(t: np.ndarray, delta: float,
+                    pair: PairParams) -> np.ndarray:
+    """``_unit_block_cov`` of the pair at lags t in any order and shape."""
+    lags, inv = np.unique(t, return_inverse=True)
+    unit = _unit_block_cov(lags, delta, pair.T, pair.H_ij, pair.h_bar)
+    return unit[inv].reshape(t.shape)
+
+
 def _check_window(tau, delta: float, T: float):
     t = np.asarray(tau, dtype=float)
-    if delta <= 0:
+    if not delta > 0:
         raise KernelDomainError(f"Delta must be positive, got {delta}")
-    if np.any(t < 0):
-        raise KernelDomainError("lags must be non-negative")
     if np.any(t + delta > T * _DOMAIN_SLACK):
         raise KernelDomainError(
             f"tau + Delta = {float(np.max(t)) + delta} exceeds the validity "
@@ -336,14 +344,8 @@ def integrated_cov(tau, delta: float, pair: PairParams):
     lambda_j^2) as Delta -> 0, with a relative error of order (Delta/tau)^2
     for tau > 0.  On the lags k Delta it is g Delta^2 ``block_cov_sequence``."""
     _check_window(tau, delta, pair.T)
-    _pair_coeffs(pair)  # rejects H_ij = 0
-
-    def compute(t):
-        lags, inv = np.unique(t, return_inverse=True)
-        unit = _unit_block_cov(lags, delta, pair.T, pair.H_ij, pair.h_bar)
-        return pair.g * delta * delta * unit[inv].reshape(t.shape)
-
-    return _dispatch(tau, compute)
+    return _dispatch(tau, lambda t: pair.g * delta * delta
+                     * _pair_block_cov(t, delta, pair))
 
 
 def block_support(n: int, delta: float, T: float) -> int:
@@ -454,8 +456,8 @@ def interval_cov(interval_i: tuple, interval_j: tuple, pair: PairParams) -> floa
         raise KernelDomainError(
             f"interval separation {span} exceeds the validity window T = {pair.T}"
         )
-    _, _, c = _pair_coeffs(pair)
     alpha = 2.0 * pair.H_ij
+    c = linear_coeff(alpha, pair.h_bar)
     area = (q - p) * (s - r)
     # B (area - psi(a)) and C (area - psi(1)), psi(a) the four-point second
     # difference (signs + + - -) of |x|^(a+2) / (T^a (1+a)(2+a)); its
@@ -480,28 +482,22 @@ def logvol_incr_cov(tau, delta: float, pair: PairParams):
     if np.any(t <= 0):
         raise KernelDomainError("increment lag tau must be positive")
     _check_window(tau, delta, pair.T)
-    _pair_coeffs(pair)  # rejects H_ij = 0
 
     def compute(tt):
-        lags, inv = np.unique(np.append(0.0, tt), return_inverse=True)
-        unit = _unit_block_cov(lags, delta, pair.T, pair.H_ij, pair.h_bar)
-        return 2.0 * pair.g * (unit[0] - unit[inv[1:]].reshape(tt.shape))
+        unit = _pair_block_cov(np.append(0.0, tt), delta, pair)
+        return 2.0 * pair.g * (unit[0] - unit[1:].reshape(tt.shape))
 
     return _dispatch(tau, compute)
-
-
-def _diagonal_pair(pair: PairParams, which: str) -> PairParams:
-    if which == "i":
-        return PairParams.diagonal(pair.lambda_i2, pair.H_i, pair.T)
-    return PairParams.diagonal(pair.lambda_j2, pair.H_j, pair.T)
 
 
 def logvol_incr_corr(tau: float, delta: float, pair: PairParams) -> float:
     """Correlation of the lag-tau log-volatility increments of the two
     marginals in the small-amplitude regime; bounded by 1 in magnitude."""
     cov_ij = logvol_incr_cov(tau, delta, pair)
-    var_i = logvol_incr_cov(tau, delta, _diagonal_pair(pair, "i"))
-    var_j = logvol_incr_cov(tau, delta, _diagonal_pair(pair, "j"))
+    var_i = logvol_incr_cov(
+        tau, delta, PairParams.diagonal(pair.lambda_i2, pair.H_i, pair.T))
+    var_j = logvol_incr_cov(
+        tau, delta, PairParams.diagonal(pair.lambda_j2, pair.H_j, pair.T))
     if var_i <= 0 or var_j <= 0:
         raise KernelDomainError(
             f"degenerate increment variance (var_i={var_i}, var_j={var_j})"
@@ -519,14 +515,9 @@ def _series_constants(pair: PairParams) -> tuple[float, float, float]:
 
 
 def _check_series_domain(tau: float, delta: float, pair: PairParams):
-    if not delta > 0:
-        raise KernelDomainError(f"Delta must be positive, got {delta}")
+    _check_window(tau, delta, pair.T)
     if not tau > delta:
         raise KernelDomainError(f"need tau > Delta, got tau={tau}, Delta={delta}")
-    if tau + delta > pair.T * _DOMAIN_SLACK:
-        raise KernelDomainError(
-            f"tau + Delta = {tau + delta} exceeds the validity window T = {pair.T}"
-        )
 
 
 def mrm_cross_cov_series(tau: float, delta: float,
@@ -692,7 +683,7 @@ def index_variance_decomposition(
     w = np.asarray(weights, dtype=float)
     if w.shape != (params.d,):
         raise ValueError(f"expected {params.d} weights, got shape {w.shape}")
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("weights must be positive")
     if not (0 < delta < params.T and 0 < tau < params.T):
         raise KernelDomainError("need 0 < Delta, tau < T")

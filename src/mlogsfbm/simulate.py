@@ -176,8 +176,8 @@ class FieldPanel:
             raise ValueError("panel needs at least 2 samples per marginal")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         _check_values(data, self.provenance)
         data = np.ascontiguousarray(data)
         data.setflags(write=False)
@@ -287,8 +287,8 @@ def spectral_factor(params: ModelParams, n: int, delta: float = 1.0) -> Spectral
     require_admissible(params, strict_pd=True)
     if n < 2:
         raise ValueError("n must be >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     m, matrix = _spectral_matrices(params, n, delta)
     n_freq, d = matrix.shape[:2]
     # per frequency: sum of |eigenvalues|, clipped (negative) mass, minimum

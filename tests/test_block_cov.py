@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mlogsfbm import KernelDomainError, PairParams, integrated_cov
+from mlogsfbm import (
+    KernelDomainError,
+    PairParams,
+    integrated_cov,
+    interval_cov,
+    logvol_incr_cov,
+)
 from mlogsfbm.kernels import block_cov_sequence, block_support
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -171,18 +177,32 @@ def _log_kernel_quadrature(tau, delta, t_val):
 @pytest.mark.parametrize("delta, t_val", [(1.0, 64.0), (16.0, 16.0 * 1000.0),
                                           (0.1, 0.1 * 2**14)])
 def test_log_kernel_at_zero_roughness(delta, t_val):
-    # H_ij = 0: the block covariance of -ln(|x - y|/T); a power-law pair at
-    # H_ij = h_bar = 1e-12 is within its O(H) distance of it
+    # H_ij = 0: the block covariance of -ln(|x - y|/T), which the pair
+    # kernels take too; a power-law pair at H_ij = h_bar = 1e-12 is within
+    # its O(H) distance of it
     n = 64
     seq = block_cov_sequence(n, delta, 0.0, 0.0, t_val)
     pair = PairParams(g=1.0, H_ij=1e-12, lambda_i2=0.05, lambda_j2=0.05,
                       H_i=1e-12, H_j=1e-12, T=t_val)
+    g = 0.7
+    zero = PairParams(g=g, H_ij=0.0, lambda_i2=0.05, lambda_j2=0.03,
+                      H_i=0.0, H_j=0.0, T=t_val)
     support = block_support(n, delta, t_val)
     for k in sorted({0, 1, 2, 5, 17, support - 1}):
         want = _log_kernel_quadrature(k * delta, delta, t_val)
         assert seq[k] == pytest.approx(want, rel=1e-12, abs=0.0)
         near = integrated_cov(k * delta, delta, pair) / delta**2
         assert near == pytest.approx(want, rel=1e-10, abs=0.0)
+        exact = integrated_cov(k * delta, delta, zero) / (g * delta**2)
+        assert exact == pytest.approx(want, rel=1e-12, abs=0.0)
+        if k:
+            assert logvol_incr_cov(k * delta, delta, zero) == pytest.approx(
+                2.0 * g * (seq[0] - seq[k]), rel=1e-12, abs=0.0)
+        if k <= 17:
+            blocks = interval_cov((0.0, delta), (k * delta, k * delta + delta),
+                                  zero)
+            assert blocks == pytest.approx(
+                integrated_cov(k * delta, delta, zero), rel=1e-12, abs=0.0)
 
 
 @given(hij=st.floats(0.0, 5e-291, exclude_max=True),

@@ -81,6 +81,8 @@ class TestSimulateCommand:
         (["--paths", "0"], "n_paths must be >= 1"),
         (["--delta", "0"], "delta must be positive"),
         (["--delta", "-1"], "delta must be positive"),
+        (["--delta", "nan"], "delta must be positive and finite, got nan"),
+        (["--delta", "inf"], "delta must be positive and finite, got inf"),
         (["--n", "1", "--agg", "1"], "n must be >= 2"),
     ])
     def test_rejected_draw_exits_before_any_output(self, tmp_path,
@@ -237,6 +239,26 @@ class TestCovarianceCommand:
         assert f"delta must be positive, got [{float(delta)!r}]" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    def test_zero_roughness_pair_has_block_curves(self, tmp_path):
+        # H_ij = H_i = H_j = 0: the block kernels take the log kernel; the
+        # pointwise kernel and the measure moments have no value there
+        doc = {"g": 0.6, "H_ij": 0.0, "lambda_i2": 0.05, "lambda_j2": 0.03,
+               "H_i": 0.0, "H_j": 0.0, "T": T_SMALL}
+        pair_path = tmp_path / "zero.json"
+        pair_path.write_text(json.dumps(doc))
+        out = tmp_path / "cov"
+        assert main(["covariance", "--pair", str(pair_path), "--delta", "2",
+                     "--lags", "0,8,64", "--out", str(out)]) == 0
+        for name, first in (("block_cov", 0), ("logvol_incr_cov", 1),
+                            ("logvol_incr_corr", 1)):
+            rows = read_csv_rows(out / f"{name}.csv")[1]
+            assert all(math.isfinite(float(value)) and ok == "1"
+                       for _, value, ok in rows[first:]), name
+        for name in ("cross_cov", "measure_cross_moment_series",
+                     "measure_cross_moment_sia"):
+            rows = read_csv_rows(out / f"{name}.csv")[1]
+            assert [row[1:] for row in rows] == [["", "0"]] * 3, name
 
     def test_negative_grid_q_names_q(self, tmp_path, pair_file, capsys):
         out = tmp_path / "cov"
@@ -475,6 +497,18 @@ class TestCalibrateCommand:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_exits_before_any_fit(self, tmp_path,
+                                                   simulated_panel, delta,
+                                                   capsys):
+        panel_path, _ = simulated_panel
+        out = tmp_path / "bad"
+        assert main(["calibrate", "--panel", str(panel_path), "--delta",
+                     delta, "--out", str(out)]) == 2
+        assert (f"error: delta must be positive and finite, got {delta}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_one_lag_grid_exits_before_any_fit(self, tmp_path,
                                                simulated_panel, capsys,
                                                monkeypatch):
@@ -686,6 +720,23 @@ class TestAnalyzeIndexCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_multifractal_marginal_has_variance_cells(self, tmp_path):
+        # H_00 = 0 next to H_01 = 0.1: every row has its variance split
+        params = ModelParams(T=T_SMALL, H=[[0.0, 0.1], [0.1, 0.02]],
+                             xi=[[0.05, 0.025], [0.025, 0.05]])
+        ppath = tmp_path / "p.json"
+        ppath.write_text(params.to_json())
+        out = tmp_path / "idx"
+        assert main(["analyze-index", "--params", str(ppath),
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "index.csv")
+        assert len(rows) == 9
+        for row in rows:
+            cross, diag = index_variance_decomposition(
+                [0.5, 0.5], params, float(row[0]), float(row[1]))
+            assert row[2:5] == [repr(cross + diag), repr(cross), repr(diag)]
+            assert all(math.isfinite(float(cell)) for cell in row[2:5])
+
     def test_tau_at_T_is_an_out_of_domain_row(self, tmp_path, params_file):
         out = tmp_path / "idx"
         assert main(["analyze-index", "--params", str(params_file),
@@ -733,10 +784,10 @@ class TestConfigPrecedence:
 
 
 class TestListSettings:
-    """An entry of a comma-separated list setting that its type cannot read,
-    or a list with no entry, exits 2 naming the setting and its value,
-    whether it comes from a flag or from a config file, before any output
-    is made."""
+    """An entry of a comma-separated list setting that its type cannot read
+    or that is not finite, or a list with no entry, exits 2 naming the
+    setting and its value, whether it comes from a flag or from a config
+    file, before any output is made."""
 
     @pytest.mark.parametrize("command, key, value, kind", [
         ("simulate", "x0", "1,b", "float"),
@@ -748,6 +799,10 @@ class TestListSettings:
         ("covariance", "lags", ",", "float"),
         ("analyze-index", "taus", "", "float"),
         ("analyze-index", "deltas", " , ", "float"),
+        ("simulate", "x0", "nan", "float"),
+        ("covariance", "lags", "nan,2", "float"),
+        ("covariance", "lags", "8,inf", "float"),
+        ("analyze-index", "weights", "nan,1", "float"),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_entry_names_the_setting(self, tmp_path, params_file,

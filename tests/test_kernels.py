@@ -425,6 +425,11 @@ class TestIntegratedCov:
     def test_out_of_domain(self, fig2_pair):
         with pytest.raises(KernelDomainError):
             integrated_cov(T_GRID, 1.0, fig2_pair)
+        # a NaN Delta fails the window check of every block kernel
+        for kernel in (integrated_cov, logvol_incr_cov):
+            with pytest.raises(KernelDomainError,
+                               match="Delta must be positive, got nan"):
+                kernel(2.0, math.nan, fig2_pair)
 
     def test_interval_cov_consistency(self, fig2_pair):
         # also near H = 0, where the power-law terms are of order 1/H
@@ -496,6 +501,12 @@ class TestLogvolIncrements:
                 continue
             rho = logvol_incr_corr(tau, delta, pair)
             assert abs(rho) <= 1.0 + 1e-9
+        # a multifractal marginal, H_i = 0, has the log kernel's variance
+        params = ModelParams(T=1024.0, H=[[0.0, 0.1], [0.1, 0.02]],
+                             xi=[[0.05, 0.025], [0.025, 0.05]])
+        for tau, delta in ((2.0, 1.0), (32.0, 4.0), (512.0, 16.0)):
+            rho = logvol_incr_corr(tau, delta, params.pair(0, 1))
+            assert -1.0 <= rho <= 1.0
 
     def test_requires_positive_lag(self, fig2_pair):
         with pytest.raises(KernelDomainError):
@@ -743,6 +754,9 @@ class TestIndexVariance:
     def test_domain(self, fig2_params):
         with pytest.raises(KernelDomainError):
             index_logvol_variance([0.5, 0.5], fig2_params, 2 * T_GRID, 1.0)
+        for weights in ([0.0, 1.0], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                index_variance_decomposition(weights, fig2_params, 8.0, 1.0)
 
 
 _SMALL_Z = 1e-4
