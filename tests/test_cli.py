@@ -81,9 +81,9 @@ class TestSimulateCommand:
         (["--paths", "0"], "n_paths must be >= 1"),
         (["--delta", "0"], "delta must be positive"),
         (["--delta", "-1"], "delta must be positive"),
+        (["--n", "1", "--agg", "1"], "n must be >= 2"),
         (["--delta", "nan"], "delta must be positive and finite, got nan"),
         (["--delta", "inf"], "delta must be positive and finite, got inf"),
-        (["--n", "1", "--agg", "1"], "n must be >= 2"),
     ])
     def test_rejected_draw_exits_before_any_output(self, tmp_path,
                                                    params_file, flags,
