@@ -152,9 +152,9 @@ def _parse_list(key: str, text: str, kind) -> list:
 
 
 def _require_positive(key: str, *values: float):
-    bad = [v for v in values if not v > 0]
+    bad = [v for v in values if not 0 < v < math.inf]
     if bad:
-        raise ConfigError(f"{key} must be positive, got {bad}")
+        raise ConfigError(f"{key} must be positive and finite, got {bad}")
 
 
 def _write_rows(path: Path, header, rows):
@@ -277,8 +277,7 @@ def cmd_covariance(resolved: dict) -> int:
     _require_positive("delta", delta)
     lags = (LagGrid.default(resolved["grid_q"]).taus if resolved["lags"] is None
             else _parse_list("lags", resolved["lags"], float))
-    out = _out_dir(resolved)
-    for name, kernel in (
+    tables = [(name, _curve_rows(lags, kernel)) for name, kernel in (
             ("cross_cov", lambda t: kernels.msfbm_cross_cov(t, pair)),
             ("block_cov", lambda t: kernels.integrated_cov(t, delta, pair)),
             ("logvol_incr_cov",
@@ -288,9 +287,10 @@ def cmd_covariance(resolved: dict) -> int:
             ("measure_cross_moment_series",
              lambda t: kernels.mrm_cross_cov_series(t, delta, pair).value),
             ("measure_cross_moment_sia",
-             lambda t: kernels.mrm_cross_cov_sia(t, delta, pair))):
-        _write_rows(out / f"{name}.csv", ("lag", "value", "in_domain"),
-                    _curve_rows(lags, kernel))
+             lambda t: kernels.mrm_cross_cov_sia(t, delta, pair)))]
+    out = _out_dir(resolved)
+    for name, rows in tables:
+        _write_rows(out / f"{name}.csv", ("lag", "value", "in_domain"), rows)
     _write_run_artifacts(out, "covariance", resolved)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ what depends on the lags alone once per lag set, and its roughness terms
 take a number or a column of P roughness values (P rows), each row with the
 bits of its own one-roughness call.  Every block kernel, ``interval_cov``
 too, takes H_ij = 0; ``msfbm_cross_cov`` and the measure moments reject it
-(their B = 1/(2 H_ij (1 - 2 H_ij)) is infinite there).
+(their B = 1/(2 H_ij (1 - 2 H_ij)) is infinite there).  The two measure
+forms have one entry, ``_series_constants``, which states their domain.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ class RatioBound:
     c_h: float
 
 
-def _pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
-    """The pair's cached coefficients (A, B, C) of the cross kernel
-    xi * [A - B (tau/T)^(2 H_ij) - C (tau/T)], where A = B + C;
-    H_ij = 0 has no power-law kernel."""
-    constants = pair.kernel_constants
-    if constants is None:
-        raise KernelDomainError(_NO_POWER_LAW)
-    return constants[1:4]
-
-
 def _dispatch(tau, fn):
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0):
@@ -126,7 +117,7 @@ def msfbm_cross_cov(tau, pair: PairParams):
     returns the same ``float`` as the lag wrapped in a 0-d array.  Arrays,
     0-d included, take the numpy path.
     """
-    # the check of _pair_coeffs, inline: a call costs a tenth of a node
+    # _series_constants' H_ij = 0 gate, inline: a call costs a tenth of a node
     constants = pair.kernel_constants
     if constants is None:
         raise KernelDomainError(_NO_POWER_LAW)
@@ -505,19 +496,23 @@ def logvol_incr_corr(tau: float, delta: float, pair: PairParams) -> float:
     return cov_ij / math.sqrt(var_i * var_j)
 
 
-def _series_constants(pair: PairParams) -> tuple[float, float, float]:
-    a, b, c = _pair_coeffs(pair)
-    xi = pair.xi_ij
-    k = xi * b / pair.T ** (2.0 * pair.H_ij)
-    l = xi * c / pair.T
-    m = math.exp(xi * a)
-    return k, l, m
-
-
-def _check_series_domain(tau: float, delta: float, pair: PairParams):
+def _series_constants(tau: float, delta: float, pair: PairParams) -> tuple[float, ...]:
+    """The one entry of both measure forms: checks the window, tau > Delta,
+    H_ij > 0 and that M = exp(xi A) is finite, in that order; returns
+    (K, L, M, 2 H_ij), with K = xi B / T^(2 H_ij) and L = xi C / T."""
     _check_window(tau, delta, pair.T)
     if not tau > delta:
         raise KernelDomainError(f"need tau > Delta, got tau={tau}, Delta={delta}")
+    constants = pair.kernel_constants
+    if constants is None:
+        raise KernelDomainError(_NO_POWER_LAW)
+    xi, a, b, c, T, h2 = constants
+    try:
+        m = math.exp(xi * a)
+    except OverflowError:
+        raise KernelDomainError(
+            f"M = exp(xi A) overflows at xi A = {xi * a}") from None
+    return xi * b / T ** h2, xi * c / T, m, h2
 
 
 def mrm_cross_cov_series(tau: float, delta: float,
@@ -531,9 +526,7 @@ def mrm_cross_cov_series(tau: float, delta: float,
     partial sum, or after 200 terms, reporting the achieved ratio;
     ``converged`` is False when the cap stopped it.
     """
-    _check_series_domain(tau, delta, pair)
-    k, l, m = _series_constants(pair)
-    h2 = 2.0 * pair.H_ij
+    k, l, m, h2 = _series_constants(tau, delta, pair)
 
     def lin_integral(p: float, a: float, b: float) -> float:
         # int_a^b u^p exp(-L u) du
@@ -575,9 +568,7 @@ def mrm_cross_cov_sia(tau: float, delta: float, pair: PairParams) -> float:
     For i = j the correction vanishes and the value is
     M [F(tau+Delta) + F(tau-Delta) - 2 F(tau)].
     """
-    _check_series_domain(tau, delta, pair)
-    k, l, m = _series_constants(pair)
-    h2 = 2.0 * pair.H_ij
+    k, l, m, h2 = _series_constants(tau, delta, pair)
 
     def j_int(n: float, a: float, b: float) -> float:
         # int_a^b z^n exp(-K z^(2H)) dz
@@ -725,7 +716,7 @@ def index_ratio_bound(
             for h in (H, Hprime)]
     finite = (d - 1) * rise[0] / rise[1]
     c_h = H * (1.0 - 2.0 * H) * (1.0 + 2.0 * H) * (1.0 + H) / (
-        2.0 * (2.0 ** (2.0 * H) - 1.0)
+        2.0 * math.expm1(2.0 * H * math.log(2.0))  # 2^(2H) - 1, not 0 at tiny H
     )
     limit = (d - 1) * (tau / T) ** (2.0 * H) * c_h * (3.0 - 2.0 * math.log(delta / tau))
     return RatioBound(finite=float(finite), limit=float(limit), c_h=float(c_h))

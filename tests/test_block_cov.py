@@ -243,8 +243,13 @@ SUPPORT_CASES = (
     (2**14, 16.0, 16 * 2**14 * 16.0, 2**14),
     (64, 0.1, 0.3, 3),
     (64, 0.1, 0.3 * (1.0 - 2e-12), 2),
+    # the count T // delta that block_support starts from is one lag short
+    # of the support, and one lag over it (a brute-force count agrees)
+    (2**18, 0.001, 244.07799999975592, 244078),
+    (50000, 0.3271767315263787, 14816.525463888769, 45285),
 )
-SUPPORT_IDS = ("inside", "at-span", "beyond", "slack-keeps", "slack-drops")
+SUPPORT_IDS = ("inside", "at-span", "beyond", "slack-keeps", "slack-drops",
+               "floor-short", "floor-over")
 
 
 @pytest.mark.parametrize("n, delta, t_val, support", SUPPORT_CASES,

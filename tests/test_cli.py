@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mlogsfbm import ModelParams, PairParams, msfbm_cross_cov
+from mlogsfbm import ModelParams, PairParams, kernels, msfbm_cross_cov
 from mlogsfbm.cli import _build_parser, _read_any_panel, _resolve, main
 from mlogsfbm.estimate import LagGrid
 from mlogsfbm.kernels import index_variance_decomposition
@@ -75,6 +75,13 @@ class TestSimulateCommand:
                      "--agg", "8", "--substeps", "0", "--out", str(out)])
         assert code == 2
         assert "substeps=0 must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_price_count_must_match_d(self, tmp_path, params_file, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--params", str(params_file), "--n", "512",
+                     "--agg", "8", "--x0", "1,2,3", "--out", str(out)]) == 2
+        assert "error: x0 needs 2 entries" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -229,15 +236,44 @@ class TestCovarianceCommand:
             assert [row[0] for row in read_csv_rows(path)[1]] == [
                 repr(float(t)) for t in LagGrid.default(q).taus]
 
-    @pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
     def test_non_positive_delta_exits_before_any_output(self, tmp_path,
                                                         pair_file, delta,
                                                         capsys):
         out = tmp_path / "cov"
         assert main(["covariance", "--pair", str(pair_file), "--delta", delta,
                      "--lags", "8", "--out", str(out)]) == 2
-        assert f"delta must be positive, got [{float(delta)!r}]" in (
-            capsys.readouterr().err)
+        assert (f"delta must be positive and finite, got [{float(delta)!r}]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_overflowing_measure_moment_has_no_value(self, tmp_path):
+        # at H_ij = 1e-6, xi A is 12 500: exp(xi A) is not a float
+        doc = {"g": 0.5, "H_ij": 1e-6, "lambda_i2": 0.05, "lambda_j2": 0.05,
+               "H_i": 1e-6, "H_j": 1e-6, "T": T_SMALL}
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps(doc))
+        out = tmp_path / "cov"
+        assert main(["covariance", "--pair", str(pair_path), "--delta", "4",
+                     "--lags", "8,64", "--out", str(out)]) == 0
+        for name in ("measure_cross_moment_series",
+                     "measure_cross_moment_sia"):
+            rows = read_csv_rows(out / f"{name}.csv")[1]
+            assert rows == [["8.0", "", "0"], ["64.0", "", "0"]], name
+        rows = read_csv_rows(out / "block_cov.csv")[1]
+        assert all(ok == "1" for _, _, ok in rows)
+
+    def test_kernel_failure_leaves_no_output(self, tmp_path, pair_file,
+                                             monkeypatch):
+        # every curve is computed before the output directory is made
+        def broken(tau, delta, pair):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(kernels, "mrm_cross_cov_sia", broken)
+        out = tmp_path / "cov"
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            main(["covariance", "--pair", str(pair_file), "--lags", "8",
+                  "--out", str(out)])
         assert not out.exists()
 
     def test_zero_roughness_pair_has_block_curves(self, tmp_path):
@@ -270,6 +306,15 @@ class TestCovarianceCommand:
     def test_missing_pair_file(self, tmp_path):
         assert main(["covariance", "--pair", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_missing_key_named(self, tmp_path, capsys):
+        doc = {"g": 0.5, "H_ij": 0.15, "lambda_i2": 0.05, "lambda_j2": 0.05,
+               "H_i": 0.02, "H_j": 0.02}
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["covariance", "--pair", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: pair params missing key 'T'" in capsys.readouterr().err
 
     def test_null_value_names_the_key(self, tmp_path, capsys):
         doc = {"g": None, "H_ij": 0.15, "lambda_i2": 0.05, "lambda_j2": 0.05,
@@ -610,6 +655,25 @@ class TestMcValidateCommand:
         assert "series has zero variance" in err
         assert not (tmp_path / "mc").exists()
 
+    def test_flat_parameter_slope_is_null(self, tmp_path, params_file,
+                                          monkeypatch):
+        # a parameter whose standard deviation is 0 has no log-std slope
+        import mlogsfbm.estimate as est
+
+        def fixed(config, factor, run_seed, replica):
+            return {key: 0.1 + (0.01 * replica if key == "H_0" else 0.0)
+                    for key in est._PARAM_KEYS}
+
+        monkeypatch.setattr(est, "_one_replica", fixed)
+        monkeypatch.setenv("MSFBM_WORKERS", "1")
+        out = tmp_path / "mc"
+        assert main(["mc-validate", "--params", str(params_file),
+                     "--n-list", "64,128,256", "--replicas", "2",
+                     "--agg", "4", "--out", str(out)]) == 0
+        slopes = json.loads((out / "report.json").read_text())["slopes"]
+        assert slopes.pop("H_0") == pytest.approx(0.0, abs=1e-12)
+        assert set(slopes.values()) == {None}
+
 
     def test_malformed_worker_count(self, tmp_path, params_file,
                                     monkeypatch, capsys):
@@ -706,9 +770,10 @@ class TestAnalyzeIndexCommand:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--deltas", "0,-1", "deltas must be positive, got [0.0, -1.0]"),
-        ("--deltas", "4,-0.5", "deltas must be positive, got [-0.5]"),
-        ("--taus", "0", "taus must be positive, got [0.0]"),
+        ("--deltas", "0,-1",
+         "deltas must be positive and finite, got [0.0, -1.0]"),
+        ("--deltas", "4,-0.5", "deltas must be positive and finite, got [-0.5]"),
+        ("--taus", "0", "taus must be positive and finite, got [0.0]"),
         ("--weights=-1,2", None, "weights must be positive"),
     ])
     def test_non_positive_lengths_exit_before_any_output(
@@ -745,6 +810,22 @@ class TestAnalyzeIndexCommand:
         _, rows = read_csv_rows(out / "index.csv")
         assert rows[0][2] != "" and rows[1][2:5] == ["", "", ""]
 
+    def test_vanishing_co_hurst_fills_every_cell(self, tmp_path):
+        # 2^(2H) - 1 rounds to 0 at H_01 = 1e-300; C_H is 1/(4 ln 2) there
+        params = ModelParams(T=T_SMALL, H=[[0.0, 1e-300], [1e-300, 0.0]],
+                             xi=[[0.05, 0.02], [0.02, 0.05]])
+        ppath = tmp_path / "p.json"
+        ppath.write_text(params.to_json())
+        out = tmp_path / "idx"
+        assert main(["analyze-index", "--params", str(ppath),
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "index.csv")
+        assert len(rows) == 9
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row[2:]), row
+            assert float(row[7]) == pytest.approx(1 / (4 * math.log(2)),
+                                                  rel=1e-15)
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path, params_file):
@@ -763,6 +844,27 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["simulate", "--config", str(cfg), "--params",
                      str(params_file), "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_must_be_an_object(self, tmp_path, params_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"seed": 1}]))
+        assert main(["simulate", "--config", str(cfg), "--params",
+                     str(params_file), "--out", str(tmp_path / "o")]) == 2
+        assert "error: config file must hold a JSON object" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, message", [
+        ("simulate", "a params file is required (--params)"),
+        ("covariance", "a pair params file is required (--pair)"),
+        ("calibrate", "a panel file is required (--panel)"),
+        ("mc-validate", "a params file is required (--params)"),
+        ("analyze-index", "a params file is required (--params)"),
+    ])
+    def test_input_file_is_required(self, tmp_path, command, message, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "mc-validate"])
     def test_worker_count_is_not_an_option(self, tmp_path, params_file,

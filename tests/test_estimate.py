@@ -202,6 +202,17 @@ class TestEmpiricalCrossCov:
                            match=r"mask_x shape \(2, 64\) .* \(64,\)"):
             empirical_cross_cov(x, x, grid, mask_x=np.ones((2, 64), bool))
 
+    @pytest.mark.parametrize("y, mask_x, message", [
+        (np.zeros(63), None, "series must be 1-d arrays of equal length"),
+        (np.zeros((2, 32)), None, "series must be 1-d arrays of equal length"),
+        (np.zeros(64), np.zeros(64, bool), "mask excludes every observation"),
+    ], ids=["unequal", "2-d", "empty-mask"])
+    def test_malformed_input_rejected(self, y, mask_x, message):
+        x = np.random.default_rng(5).standard_normal(64 if y.ndim == 1
+                                                     else y.shape)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            empirical_cross_cov(x, y, LagGrid((1,)), mask_x=mask_x)
+
 
 def _expected_curve(r: np.ndarray, n: int, lags: Sequence[int]) -> np.ndarray:
     """Exact finite-sample expectation of ``empirical_cross_cov`` under a
@@ -856,6 +867,18 @@ class TestCalibrateUnivariate:
         with pytest.raises(ZeroVarianceError):
             calibrate_univariate(np.full(512, 1.0), 1.0, T=512.0)
 
+    @pytest.mark.parametrize("shape, mask, bad, message", [
+        ((2, 128), None, None, "series must be 1-d"),
+        ((256,), np.ones(255, bool), None, "mask must match the series shape"),
+        ((256,), None, 3, "series must be finite where unmasked"),
+    ], ids=["2-d", "mask-shape", "nan"])
+    def test_malformed_series_rejected(self, shape, mask, bad, message):
+        x = np.random.default_rng(5).standard_normal(shape)
+        if bad is not None:
+            x[bad] = np.nan
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            calibrate_univariate(x, 1.0, T=128.0, mask=mask)
+
     @pytest.mark.parametrize("kept", [0, 1])
     def test_mask_keeping_fewer_than_two_named(self, kept):
         # a varying series that the mask empties is not called flat
@@ -1301,6 +1324,14 @@ class TestCalibratePanel:
         assert cal.pairs == {}
         assert 0 in cal.marginals
         assert cal.complete
+
+    def test_mask_shape_must_match_the_panel(self):
+        data = np.random.default_rng(5).standard_normal((2, 128))
+        panel = FieldPanel(data=data, delta=1.0, seed=0,
+                           provenance="gaussian-average-proxy")
+        with pytest.raises(ValueError,
+                           match="^mask shape must match the panel$"):
+            calibrate_panel(panel, mask=np.ones((2, 127), bool))
 
     def test_constant_row_isolated(self, fig2_proxy_panels, monkeypatch):
         params, proxies = fig2_proxy_panels

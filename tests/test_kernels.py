@@ -31,7 +31,6 @@ from mlogsfbm import (
 )
 from mlogsfbm.kernels import (
     _dispatch,
-    _pair_coeffs,
     block_cov_sequence,
     index_variance_decomposition,
 )
@@ -114,6 +113,11 @@ class TestMsfbmCrossCov:
         for t, v in zip(taus, vec):
             assert v == msfbm_cross_cov(float(t), fig2_pair)
 
+    def test_negative_lag_in_an_array_rejected(self, fig2_pair):
+        with pytest.raises(KernelDomainError,
+                           match="^lags must be non-negative$"):
+            msfbm_cross_cov(np.array([1.0, -1.0]), fig2_pair)
+
     def test_vectorized_matches_scalar_at_random_lags(self):
         # numpy's SIMD power loop and libm pow may round u^(2H) apart by one
         # ulp; xi (a - b u^(2H) - c u) cancels, so that ulp is one of the
@@ -125,7 +129,7 @@ class TestMsfbmCrossCov:
             for i in range(3):
                 for j in range(i, 3):
                     pair = params.pair(i, j)
-                    a, b, c = _pair_coeffs(pair)
+                    a, b, c = pair.kernel_constants[1:4]
                     terms = abs(pair.xi_ij) * (abs(a) + abs(b) + abs(c))
                     vec = msfbm_cross_cov(taus, pair)
                     for t, v in zip(taus, vec):
@@ -234,7 +238,7 @@ def _linear_coeff(h2: float, h_bar: float) -> float:
     return (h2 - 2.0 * h_bar) / ((h2 - 1.0) * (1.0 - 2.0 * h_bar))
 
 
-def _uncached_pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
+def _uncached_coeffs(pair: PairParams) -> tuple[float, float, float]:
     if pair.H_ij <= 0:
         raise KernelDomainError(
             "H_ij = 0 has no power-law kernel; use log_kernel_cov for the "
@@ -247,7 +251,7 @@ def _uncached_pair_coeffs(pair: PairParams) -> tuple[float, float, float]:
 
 
 def uncached_msfbm_cross_cov(tau, pair: PairParams):
-    a, b, c = _uncached_pair_coeffs(pair)
+    a, b, c = _uncached_coeffs(pair)
     xi = pair.xi_ij
     T = pair.T
     h2 = 2.0 * pair.H_ij
@@ -383,6 +387,14 @@ class TestNoiseCorrelation:
             h = rng.uniform(1e-3, 3 * params.T)
             assert abs(noise_correlation(h, pair)) <= 1.0 + 1e-15
 
+    @pytest.mark.parametrize("h", [0.0, np.array([1.0, 0.0])],
+                             ids=["zero", "zero-in-array"])
+    def test_zero_scale_rejected(self, fig2_pair, h):
+        # a negative scale fails the lag check first
+        with pytest.raises(KernelDomainError,
+                           match="^scale h must be positive$"):
+            noise_correlation(h, fig2_pair)
+
 
 class TestIntegratedCov:
     def test_small_delta_recovers_instantaneous_kernel(self, fig2_pair):
@@ -449,6 +461,19 @@ class TestIntegratedCov:
         got = interval_cov((0.0, 3.0), (5.0, 12.0), fig2_pair)
         assert got == pytest.approx(ref / lam, rel=1e-8)
 
+    @pytest.mark.parametrize("interval_i, interval_j, message", [
+        ((1.0, 1.0), (2.0, 3.0), "intervals must have positive length"),
+        ((0.0, 1.0), (3.0, 2.0), "intervals must have positive length"),
+        ((0.0, 1.0), (T_GRID, T_GRID + 1.0),
+         f"interval separation {T_GRID + 1.0} exceeds the validity window "
+         f"T = {T_GRID}"),
+    ])
+    def test_interval_cov_domain(self, fig2_pair, interval_i, interval_j,
+                                 message):
+        with pytest.raises(KernelDomainError) as info:
+            interval_cov(interval_i, interval_j, fig2_pair)
+        assert str(info.value) == message
+
 
 class TestLogvolIncrements:
     def test_increment_identity(self, fig2_pair):
@@ -512,6 +537,16 @@ class TestLogvolIncrements:
         with pytest.raises(KernelDomainError):
             logvol_incr_cov(0.0, 1.0, fig2_pair)
 
+    def test_degenerate_variance_rejected(self):
+        # at tau = 3e-13 Delta the exact increment variance of a multifractal
+        # marginal (about 1e-25) is below the rounding of the block variance
+        # it is computed from, and the computed value is not positive
+        pair = PairParams(g=0.5, H_ij=0.1, lambda_i2=0.05, lambda_j2=0.05,
+                          H_i=0.0, H_j=0.0, T=1024.0)
+        with pytest.raises(KernelDomainError,
+                           match=r"^degenerate increment variance \(var_i="):
+            logvol_incr_corr(3e-13, 1.0, pair)
+
 
 class TestMrmCrossCov:
     def test_independent_measures_give_area_squared(self):
@@ -559,6 +594,31 @@ class TestMrmCrossCov:
     def test_domain_requires_tau_above_delta(self, fig2_pair):
         with pytest.raises(KernelDomainError):
             mrm_cross_cov_series(1.0, 2.0, fig2_pair)
+
+    @pytest.mark.parametrize("form", [mrm_cross_cov_series, mrm_cross_cov_sia])
+    def test_overflowing_exponential_is_a_domain_error(self, form):
+        # xi A = g lambda^2 (1 + 2 H_ij - 2 h_bar) / (2 H_ij (1 - 2 h_bar)),
+        # 12 500 at H_ij = 1e-6: M = exp(xi A) is not a float
+        pair = PairParams(g=0.5, H_ij=1e-6, lambda_i2=0.05, lambda_j2=0.05,
+                          H_i=1e-6, H_j=1e-6, T=1024.0)
+        xi_a = pair.xi_ij * pair.kernel_constants[1]
+        with pytest.raises(KernelDomainError) as info:
+            form(8.0, 4.0, pair)
+        assert str(info.value) == f"M = exp(xi A) overflows at xi A = {xi_a}"
+
+    @pytest.mark.parametrize("form", [mrm_cross_cov_series, mrm_cross_cov_sia])
+    def test_domain_checks_run_in_order(self, form):
+        # the window, then tau > Delta, then H_ij > 0
+        zero = PairParams.diagonal(0.05, 0.0, 100.0)
+        for tau, delta, message in (
+                (99.0, 2.0, "tau + Delta = 101.0 exceeds the validity window "
+                            "T = 100.0"),
+                (2.0, math.nan, "Delta must be positive, got nan"),
+                (1.0, 2.0, "need tau > Delta, got tau=1.0, Delta=2.0"),
+                (4.0, 2.0, "H_ij = 0 has no power-law kernel")):
+            with pytest.raises(KernelDomainError) as info:
+                form(tau, delta, zero)
+            assert str(info.value).startswith(message)
 
     def test_nonconvergence_flagged(self, fig2_pair, monkeypatch):
         import mlogsfbm.kernels as kern
@@ -650,6 +710,16 @@ class TestWickMoment:
         with pytest.raises(ValueError):
             wick_moment(bad)
 
+    @pytest.mark.parametrize("cov, message", [
+        (np.ones(3), "covariance must be a square matrix"),
+        (np.ones((2, 3)), "covariance must be a square matrix"),
+        (np.diag([1.0, -1.0]),
+         "covariance must be positive semidefinite within tolerance"),
+    ])
+    def test_shape_and_definiteness_guards(self, cov, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            wick_moment(cov)
+
 
 class TestSiaGeneralizedMoment:
     def test_two_marginals_reduce_to_single_pair(self, fig2_params):
@@ -680,6 +750,10 @@ class TestSiaGeneralizedMoment:
         with pytest.raises(KernelDomainError):
             sia_generalized_moment(
                 [(0.0, 1.0), (2 * T_GRID, 2 * T_GRID + 1)], fig2_params)
+
+    def test_one_interval_per_marginal(self, fig2_params):
+        with pytest.raises(ValueError, match="^expected 2 intervals, got 1$"):
+            sia_generalized_moment([(0.0, 1.0)], fig2_params)
 
 
 class TestIndexVariance:
@@ -757,6 +831,10 @@ class TestIndexVariance:
         for weights in ([0.0, 1.0], [math.nan, 1.0]):
             with pytest.raises(ValueError, match="weights must be positive"):
                 index_variance_decomposition(weights, fig2_params, 8.0, 1.0)
+        with pytest.raises(ValueError, match=r"^expected 2 weights, got "
+                                             r"shape \(3,\)$"):
+            index_variance_decomposition([0.2, 0.3, 0.5], fig2_params, 8.0,
+                                         1.0)
 
 
 _SMALL_Z = 1e-4
@@ -848,6 +926,16 @@ class TestIndexRatioBound:
                          / (2 * (2 ** (2 * h) - 1)))
         rb = index_ratio_bound(0.15, 0.0, 1.0, 5.0, T_GRID, 10)
         assert rb.c_h == pytest.approx(expected, rel=1e-13)
+
+    def test_c_h_at_a_vanishing_co_hurst(self):
+        # 2^(2H) - 1 rounds to 0 below H = 8e-17; C_H -> 1/(4 ln 2)
+        rb = index_ratio_bound(1e-300, 0.0, 1.0, 5.0, T_GRID, 2)
+        assert rb.c_h == pytest.approx(1.0 / (4.0 * math.log(2.0)), rel=1e-15)
+        assert math.isfinite(rb.limit) and math.isfinite(rb.finite)
+
+    def test_needs_one_marginal(self):
+        with pytest.raises(ValueError, match="^d must be >= 1$"):
+            index_ratio_bound(0.2, 0.05, 1.0, 10.0, 100.0, 0)
 
     def test_limit_near_two_d_in_slow_decay_regime(self):
         # tau close to T so the (tau/T)^(2H) factor is ~ 1

@@ -51,6 +51,14 @@ class TestParse:
         assert report.n_dropped == 1
         assert "range invariant" in report.dropped[0][1]
 
+    def test_non_positive_price_dropped_and_counted(self):
+        text = ("Date,Open,High,Low,Close\n"
+                "2020-01-02,100,104,99,103\n"
+                "2020-01-03,0,102,0,101\n")
+        bars, report = parse_ohlc_csv(text)
+        assert [b.date.day for b in bars] == [2]
+        assert report.dropped == ((3, "range invariant violated"),)
+
     def test_duplicate_date_error_names_date(self):
         text = ("Date,Open,High,Low,Close\n"
                 "2020-01-02,100,104,99,103\n"
@@ -146,6 +154,10 @@ class TestBuildPanel:
         assert panel.d == 2 and panel.n == 3
         assert panel.assets == ("A", "B")
 
+    def test_no_asset_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one asset$"):
+            build_panel({})
+
     def test_missing_date_dropped_for_all(self):
         a = self.asset(("2020-01-02", "2020-01-03", "2020-01-06"))
         b = self.asset(("2020-01-02", "2020-01-06"))
@@ -201,3 +213,24 @@ class TestBuildPanel:
         with pytest.raises(OhlcParseError) as info:
             VolPanel.from_csv(text)
         assert message in str(info.value)
+
+    def test_blank_csv_row_is_skipped(self):
+        panel = VolPanel.from_csv("date,A\n2020-01-01,1.0\n\n2020-01-02,2.0\n")
+        assert panel.dates == (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+        assert panel.values.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("dates, values, imputed, message", [
+        (("2020-01-01",), [[1.0, 2.0]], [[False, False]],
+         r"values shape must be \(assets, dates\)"),
+        (("2020-01-01", "2020-01-02"), [[1.0, 2.0]], [[False]],
+         "imputed mask shape must match values"),
+        (("2020-01-02", "2020-01-01"), [[1.0, 2.0]], [[False, False]],
+         "dates must be strictly increasing"),
+        (("2020-01-01", "2020-01-02"), [[1.0, math.nan]], [[False, False]],
+         "non-imputed entries must be finite"),
+    ], ids=["values-shape", "mask-shape", "date-order", "non-finite"])
+    def test_malformed_panel_rejected(self, dates, values, imputed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VolPanel(assets=("A",),
+                     dates=tuple(map(dt.date.fromisoformat, dates)),
+                     values=np.array(values), imputed=np.array(imputed))

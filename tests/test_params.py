@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlogsfbm import (
+    InadmissibleParamsError,
     ModelParams,
     PairParams,
     StructuralError,
@@ -93,6 +94,17 @@ class TestValidate:
         with pytest.raises(StructuralError):
             ModelParams(T=10.0, H=[[np.nan]], xi=[[0.05]])
 
+    @pytest.mark.parametrize("H, xi, T, message", [
+        ([[0.1, 0.2]], [[0.05, 0.02]], 10.0,
+         r"H must be square, got shape \(1, 2\)"),
+        (np.empty((0, 0)), np.empty((0, 0)), 10.0, "d must be >= 1"),
+        ([[0.1]], [[0.05]], 0.0, "T must be a positive real, got 0.0"),
+        ([[0.1]], [[0.05]], math.inf, "T must be a positive real, got inf"),
+    ], ids=["non-square", "empty", "zero-T", "infinite-T"])
+    def test_malformed_set_is_structural(self, H, xi, T, message):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            ModelParams(T=T, H=H, xi=xi)
+
     def test_validate_is_pure_and_idempotent(self, fig2_params):
         first = validate(fig2_params)
         second = validate(fig2_params)
@@ -132,6 +144,13 @@ class TestGFromXi:
         with pytest.raises(StructuralError):
             g_from_xi(p)
 
+    def test_pair_of_a_zero_intermittency_errors(self):
+        p = ModelParams(T=10.0, H=[[0.1, 0.2], [0.2, 0.1]],
+                        xi=[[0.05, 0.0], [0.0, 0.0]])
+        with pytest.raises(StructuralError, match="^pair extraction needs "
+                                                  "positive intermittencies$"):
+            p.pair(0, 1)
+
     def test_roundtrip_reconstruction(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -168,6 +187,10 @@ class TestMu:
         with pytest.raises(ValueError):
             mu_i(0.05, 0.5)
 
+    def test_negative_intermittency(self):
+        with pytest.raises(ValueError, match="^lambda2 must be non-negative$"):
+            mu_i(-0.05, 0.1)
+
 
 class TestPairParams:
     def test_diagonal_constructor(self):
@@ -185,6 +208,22 @@ class TestPairParams:
         with pytest.raises(ValueError):
             PairParams(g=1.2, H_ij=0.15, lambda_i2=0.05, lambda_j2=0.05,
                        H_i=0.02, H_j=0.02, T=10.0)
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("g", math.nan, StructuralError, "pair parameters must be finite"),
+        ("T", 0.0, StructuralError, "T must be positive"),
+        ("lambda_j2", 0.0, StructuralError,
+         "intermittencies must be positive"),
+        ("H_ij", 0.5, InadmissibleParamsError,
+         r"inadmissible parameters: H_ij=0.5 outside \[0, 1/2\)"),
+        ("H_i", -0.01, InadmissibleParamsError,
+         r"inadmissible parameters: H_i=-0.01 outside \[0, 1/2\)"),
+    ])
+    def test_malformed_pair_rejected(self, field, value, error, message):
+        fields = dict(g=0.5, H_ij=0.15, lambda_i2=0.05, lambda_j2=0.05,
+                      H_i=0.02, H_j=0.02, T=10.0)
+        with pytest.raises(error, match=f"^{message}$"):
+            PairParams(**{**fields, field: value})
 
 
 class TestSerialization:

@@ -244,6 +244,10 @@ class TestSpectralFactor:
         with pytest.raises(ValueError, match="does not fit"):
             simulate_field(params, n, delta, seed=1, factor=factor)
 
+    def test_negative_first_path_rejected(self):
+        with pytest.raises(ValueError, match="^first_path must be >= 0$"):
+            simulate_field(small_params(), 2**10, 1.0, seed=1, first_path=-1)
+
     def test_paths_addressable_with_and_without_factor(self):
         params = small_params()
         factor = spectral_factor(params, 2**10, 1.0)
@@ -320,6 +324,14 @@ class TestMeasure:
                            provenance="gaussian-field")
         with pytest.raises(ValueError):
             field_to_measure(panel, params, agg=3)
+
+    def test_only_a_field_panel_is_aggregated(self):
+        params = ModelParams(T=256.0, H=[[0.02]], xi=[[0.05]])
+        panel = FieldPanel(data=np.zeros((1, 8)), delta=1.0, seed=0,
+                           provenance="logvol-measure")
+        with pytest.raises(ValueError, match="^expected a gaussian-field "
+                                             "panel, got 'logvol-measure'$"):
+            field_to_measure(panel, params, agg=2)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_parameter_dimension_must_match_rows(self, d):
@@ -418,6 +430,16 @@ class TestPrices:
         with pytest.raises(ValueError, match="logvol-measure"):
             simulate_prices(panel, [0.0], seed=1)
 
+    @pytest.mark.parametrize("x0, substeps, message", [
+        ([0.0, 1.0], 0, "substeps must be >= 1"),
+        ([0.0], 1, "x0 must have length 2"),
+    ])
+    def test_bad_settings_rejected(self, x0, substeps, message):
+        panel = FieldPanel(data=np.zeros((2, 8)), delta=1.0, seed=0,
+                           provenance="logvol-measure")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_prices(panel, x0, seed=1, substeps=substeps)
+
     def test_deterministic(self):
         panel = FieldPanel(data=np.zeros((2, 32)), delta=1.0, seed=0,
                            provenance="logvol-measure")
@@ -452,6 +474,21 @@ class TestSerialization:
         rng = np.random.default_rng(4)
         return FieldPanel(data=rng.standard_normal((3, 17)), delta=16.0,
                           seed=99, provenance="gaussian-average-proxy", path=2)
+
+    @pytest.mark.parametrize("data, provenance, message", [
+        (np.zeros(8), "gaussian-field",
+         r"panel data must be 2-d, got shape \(8,\)"),
+        (np.zeros((2, 1)), "gaussian-field",
+         "panel needs at least 2 samples per marginal"),
+        (np.zeros((2, 8)), "price", "unknown provenance 'price'"),
+        (np.array([[0.0, math.nan]]), "logvol-measure",
+         r"panel values must not contain NaN or \+inf"),
+        (np.array([[0.0, -math.inf]]), "gaussian-field",
+         "gaussian-field panels must be finite-valued"),
+    ], ids=["1-d", "one-sample", "unknown-provenance", "nan", "minus-inf"])
+    def test_malformed_panel_rejected(self, data, provenance, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FieldPanel(data=data, delta=1.0, seed=0, provenance=provenance)
 
     def test_csv_roundtrip_lossless(self):
         panel = self.make_panel()
